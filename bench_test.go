@@ -126,73 +126,25 @@ func BenchmarkE6FourApprox(b *testing.B) {
 }
 
 // BenchmarkE7Improve measures the Theorem 4–6 algorithms on a 60-region
-// synthetic genome. The csr sub-benchmark is the ISSUE 4 acceptance
-// workload (≥1.5× over the PR 3 floor); enum and enum-full isolate the
-// incremental candidate-enumeration subsystem on a multi-round empty-start
-// solve, where per-round re-enumeration used to dominate.
+// synthetic genome, each seeded with the 4-approximation; enum is a
+// multi-round empty-start CSR_Improve solve, where incremental enumeration
+// and lazy selection carry the cost instead of round-0 simulation.
 func BenchmarkE7Improve(b *testing.B) {
 	cfg := gen.DefaultConfig(4)
 	cfg.Regions = 60
 	w := gen.Generate(cfg)
 	for _, m := range []struct {
-		name    string
-		methods improve.Methods
+		name string
+		opt  improve.Options
 	}{
-		{"full", improve.FullOnly},
-		{"border", improve.BorderOnly},
-		{"csr", improve.AllMethods},
+		{"full", improve.Options{Methods: improve.FullOnly, Eps: 0.05, SeedWithFourApprox: true}},
+		{"border", improve.Options{Methods: improve.BorderOnly, Eps: 0.05, SeedWithFourApprox: true}},
+		{"csr", improve.Options{Methods: improve.AllMethods, Eps: 0.05, SeedWithFourApprox: true}},
+		{"enum", improve.Options{Methods: improve.AllMethods, Eps: 0.05}},
 	} {
 		b.Run(m.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_, _, err := improve.Improve(w.Instance, improve.Options{
-					Methods: m.methods, Eps: 0.05, SeedWithFourApprox: true,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	// Empty-start runs take many improvement rounds, so enumeration — not
-	// round-0 simulation — carries the cost; enum uses the incremental
-	// Enumerator (the default), enum-full the from-scratch ablation. Both
-	// accept the identical attempt sequence (TestIncrementalEnumMatchesFull).
-	for _, e := range []struct {
-		name     string
-		fullEnum bool
-	}{
-		{"enum", false},
-		{"enum-full", true},
-	} {
-		b.Run(e.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_, _, err := improve.Improve(w.Instance, improve.Options{
-					Methods: improve.AllMethods, Eps: 0.05, FullEnum: e.fullEnum,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	// Selection-engine pair on the same multi-round workload: select-lazy is
-	// the generation-stamped gain heap (the default), select-eager the
-	// full-list ablation. Identical accepted sequences
-	// (TestLazySelectionMatchesFull); the gap is the per-round candidate
-	// walk the heap avoids.
-	for _, e := range []struct {
-		name  string
-		eager bool
-	}{
-		{"select-lazy", false},
-		{"select-eager", true},
-	} {
-		b.Run(e.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_, _, err := improve.Improve(w.Instance, improve.Options{
-					Methods: improve.AllMethods, Eps: 0.05, EagerSelect: e.eager,
-				})
-				if err != nil {
+				if _, _, err := improve.Improve(w.Instance, m.opt); err != nil {
 					b.Fatal(err)
 				}
 			}

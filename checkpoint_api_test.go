@@ -1,14 +1,13 @@
 package fragalign
 
 // Public-API plumbing tests for crash-safe solves: checkpoint sinks and
-// resume logs attached per submission via context, and the memory-budget
-// admission gate — the surfaces csrbatch -journal and csrserve -mem-budget
-// are built on. The bit-identity semantics themselves are pinned in
-// internal/improve; here we prove the root package wires them through a
-// BatchPool unchanged.
+// resume logs attached with WithCheckpoint/WithResume — per submission on a
+// BatchPool, or on a single Solve call — and the memory-budget admission
+// gate: the surfaces csrbatch -journal and csrserve -mem-budget are built
+// on. The bit-identity semantics themselves are pinned in internal/improve;
+// here we prove the root package wires them through unchanged.
 
 import (
-	"context"
 	"errors"
 	"reflect"
 	"testing"
@@ -36,7 +35,7 @@ func TestBatchPoolCheckpointResume(t *testing.T) {
 	defer pool.Close()
 
 	sink := &apiSink{}
-	tk, err := pool.Submit(ContextWithCheckpoint(nil, sink), in)
+	tk, err := pool.Submit(nil, in, WithCheckpoint(sink))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,8 +54,7 @@ func TestBatchPoolCheckpointResume(t *testing.T) {
 	// exactly the remainder of the full log.
 	k := len(sink.ops) / 2
 	tail := &apiSink{}
-	ctx := ContextWithResume(ContextWithCheckpoint(nil, tail), sink.ops[:k])
-	tk, err = pool.Submit(ctx, in)
+	tk, err = pool.Submit(nil, in, WithCheckpoint(tail), WithResume(sink.ops[:k]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,40 +74,63 @@ func TestBatchPoolCheckpointResume(t *testing.T) {
 	if !reflect.DeepEqual(append(sink.ops[:k:k], tail.ops...), sink.ops) {
 		t.Fatalf("resumed checkpoint tail %v does not extend the prefix to %v", tail.ops, sink.ops)
 	}
-}
-
-func TestSolveHonorsCheckpointOptions(t *testing.T) {
-	// The one-shot Solve path has no context parameter; SolveBatch with one
-	// instance is the documented way to checkpoint a single long solve.
-	in := checkpointWorkload()
-	sink := &apiSink{}
-	pool := NewBatchPool(CSRImprove, WithShards(1))
-	defer pool.Close()
-	tk, err := pool.Submit(ContextWithCheckpoint(context.Background(), sink), in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tk.Wait(); err != nil {
-		t.Fatal(err)
-	}
 
 	// Foreign resume ops must fail the instance, not poison the pool.
 	bad := sink.ops[0]
 	bad.F.Idx = 999
-	tk, err = pool.Submit(ContextWithResume(nil, []CheckpointOp{bad}), in)
+	tk, err = pool.Submit(nil, in, WithResume([]CheckpointOp{bad}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tk.Wait(); err == nil {
 		t.Fatal("foreign resume op solved cleanly")
 	}
-	// The pool is still healthy afterwards.
+	// Per-submission options never leak into the pool's configuration: a
+	// plain submission afterwards solves healthy and reaches no sink.
+	seen := len(sink.ops) + len(tail.ops)
 	tk, err = pool.Submit(nil, in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tk.Wait(); err != nil {
-		t.Fatalf("pool unhealthy after rejected resume: %v", err)
+	if res, err := tk.Wait(); err != nil || res.Stats.Resumed != 0 {
+		t.Fatalf("plain submission after option submissions: err %v, stats %+v", err, res.Stats)
+	}
+	if len(sink.ops)+len(tail.ops) != seen {
+		t.Fatal("a plain submission reported to an earlier submission's sink")
+	}
+}
+
+// TestSolveHonorsCheckpointOptions: the same options work on a plain Solve
+// call, checkpointing and resuming a single solve without a pool.
+func TestSolveHonorsCheckpointOptions(t *testing.T) {
+	in := checkpointWorkload()
+	sink := &apiSink{}
+	full, err := Solve(in, CSRImprove, WithCheckpoint(sink))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sink.ops) == 0 || full.Stats.Accepted != len(sink.ops) {
+		t.Fatalf("sink saw %d ops, stats %+v", len(sink.ops), full.Stats)
+	}
+
+	k := len(sink.ops) - 1
+	tail := &apiSink{}
+	res, err := Solve(in, CSRImprove, WithCheckpoint(tail), WithResume(sink.ops[:k]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Resumed != k || res.Score != full.Score ||
+		!reflect.DeepEqual(res.Solution.Matches, full.Solution.Matches) {
+		t.Fatalf("resumed Solve diverged: score %v vs %v, stats %+v", res.Score, full.Score, res.Stats)
+	}
+	if !reflect.DeepEqual(append(sink.ops[:k:k], tail.ops...), sink.ops) {
+		t.Fatalf("resumed checkpoint tail %v does not extend the prefix to %v", tail.ops, sink.ops)
+	}
+
+	bad := sink.ops[0]
+	bad.F.Idx = 999
+	if _, err := Solve(in, CSRImprove, WithResume([]CheckpointOp{bad})); err == nil {
+		t.Fatal("foreign resume op solved cleanly")
 	}
 }
 

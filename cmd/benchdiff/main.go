@@ -185,7 +185,7 @@ func main() {
 		// Resimulated counts are deterministic per workload, so this gate has
 		// no noise floor problem — only a size floor against ratio blowups on
 		// tiny counts. Rows without baseline counters (non-improve
-		// algorithms, eager/full-enum ablations) are skipped.
+		// algorithms) are skipped.
 		if b.Resimulated >= *floorResim && *maxResim > 0 {
 			if dResim := pct(float64(b.Resimulated), float64(c.Resimulated)); dResim > *maxResim {
 				notes = append(notes, "RESIM REGRESSION")

@@ -9,7 +9,6 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -105,34 +104,31 @@ func (jr *journal) storedRecord(index int, name string) (*encoding.ResultRecord,
 	return rec, nil
 }
 
-// attachCheckpoint wires instance index's durable checkpoint into its
-// submission context: a compatible log left by a crashed run fast-forwards
-// the solve (ContextWithResume) and is appended to from there; anything
-// else — no file, torn header, corrupt records, or a header from different
-// flags — starts a fresh log.
-func (jr *journal) attachCheckpoint(ctx context.Context, index int, name string) (*encoding.CheckpointWriter, string, context.Context, error) {
+// attachCheckpoint opens instance index's durable checkpoint and returns the
+// submission options that wire it in: a compatible log left by a crashed
+// run fast-forwards the solve (WithResume) and is appended to from there;
+// anything else — no file, torn header, corrupt records, or a header from
+// different flags — starts a fresh log.
+func (jr *journal) attachCheckpoint(index int, name string) (*encoding.CheckpointWriter, string, []fragalign.Option, error) {
 	path := filepath.Join(jr.dir, "ckpt", fmt.Sprintf("%06d.ckpt", index))
 	hdr := encoding.CheckpointHeader{Index: index, Name: name, Algo: jr.algo, Fingerprint: jr.fp}
 	if ck, err := encoding.LoadCheckpoint(path); err == nil &&
 		ck.Header.Index == index && ck.Header.Fingerprint == jr.fp {
 		w, rerr := encoding.ResumeCheckpoint(path, ck)
 		if rerr != nil {
-			return nil, "", ctx, rerr
+			return nil, "", nil, rerr
 		}
 		w.SetFlushEvery(jr.every)
-		if len(ck.Ops) > 0 {
-			ctx = fragalign.ContextWithResume(ctx, ck.Ops)
-		}
-		return w, path, fragalign.ContextWithCheckpoint(ctx, w), nil
+		return w, path, []fragalign.Option{fragalign.WithCheckpoint(w), fragalign.WithResume(ck.Ops)}, nil
 	} else if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		fmt.Fprintf(os.Stderr, "csrbatch: journal %s: checkpoint %06d unusable (%v) — re-solving from scratch\n", jr.dir, index, err)
 	}
 	w, err := encoding.CreateCheckpoint(path, hdr)
 	if err != nil {
-		return nil, "", ctx, err
+		return nil, "", nil, err
 	}
 	w.SetFlushEvery(jr.every)
-	return w, path, fragalign.ContextWithCheckpoint(ctx, w), nil
+	return w, path, []fragalign.Option{fragalign.WithCheckpoint(w)}, nil
 }
 
 // complete runs an instance's durability sequence once its record is final:

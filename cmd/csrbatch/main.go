@@ -63,7 +63,6 @@ func main() {
 		timeout   = flag.Duration("timeout", 0, "per-instance solve deadline (0 = none)")
 		intMode   = flag.Bool("int", false, "solve with the int32-quantized score kernels (results re-scored under the exact σ)")
 		unordered = flag.Bool("unordered", false, "emit results in completion order instead of submission order")
-		lazySel   = flag.Bool("lazy", true, "use the lazy best-first candidate-selection engine (false = eager full-list ablation)")
 		seeded    = flag.Bool("seeded", false, "minimizer-seeded sparse candidate generation (genome-scale mode; see README)")
 		partial   = flag.Bool("partial", false, "graceful degradation: a -timeout firing mid-improvement yields the last accepted solution as a partial record instead of an error")
 		replay    = flag.String("results-from", "", "replay a stored result JSONL stream through the sinks instead of solving")
@@ -101,8 +100,8 @@ func main() {
 		// The fingerprint pins every flag that shapes the accepted-op
 		// trajectory; a -resume under different flags must re-solve, not
 		// replay another configuration's log.
-		fp := fmt.Sprintf("%s|eps=%g|seed4=%t|int=%t|lazy=%t|seeded=%t",
-			*algo, *eps, *seed4, *intMode, *lazySel, *seeded)
+		fp := fmt.Sprintf("%s|eps=%g|seed4=%t|int=%t|seeded=%t",
+			*algo, *eps, *seed4, *intMode, *seeded)
 		jr, err = openJournal(*journalDir, *algo, fp, *resume, *ckptEvery)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "csrbatch:", err)
@@ -134,7 +133,6 @@ func main() {
 		fragalign.WithFourApproxSeed(*seed4),
 		fragalign.WithPerInstanceTimeout(*timeout),
 		fragalign.WithIntScore(*intMode),
-		fragalign.WithLazySelection(*lazySel),
 		fragalign.WithSeededCandidates(*seeded),
 		fragalign.WithPartialResults(*partial),
 		fragalign.WithMemBudget(budget),
@@ -168,14 +166,14 @@ func main() {
 					return nil
 				}
 			}
-			ctx := context.Background()
+			var opts []fragalign.Option
 			if jr != nil {
 				var err error
-				if p.ckpt, p.ckptPath, ctx, err = jr.attachCheckpoint(ctx, p.index, in.Name); err != nil {
+				if p.ckpt, p.ckptPath, opts, err = jr.attachCheckpoint(p.index, in.Name); err != nil {
 					return err
 				}
 			}
-			t, err := pool.Submit(ctx, in)
+			t, err := pool.Submit(context.Background(), in, opts...)
 			var ob *fragalign.OverBudgetError
 			if errors.Is(err, context.DeadlineExceeded) || errors.As(err, &ob) {
 				// A deadline that expired while waiting for queue space, or

@@ -5,8 +5,6 @@
 //
 //	csrbench [-seed 1] [-only E2,E7]
 //	csrbench -json [-seed 1] [-regions 60] [-instances 8] [-repeat 3] [-algs csr-improve,four-approx]
-//	csrbench -json -full-enum -algs csr-improve   # incremental-enumeration ablation row
-//	csrbench -json -lazy=false -algs csr-improve  # eager-selection ablation row (mode=eager)
 //
 // With -json it instead solves synthetic workloads with every selected
 // algorithm and emits machine-readable records — per-algorithm wall time,
@@ -33,11 +31,9 @@ import (
 )
 
 // algResult is one machine-readable benchmark record. Mode distinguishes
-// the solver path — "int32" for the quantized integer kernels, "full-enum"
-// for from-scratch candidate enumeration (the incremental-enumeration
-// ablation), "eager" for the full-list selection engine (the lazy-selection
-// ablation, csrbench -lazy=false), combinations joined with "+", empty for
-// the default exact float64 lazy path — and benchdiff matches records on
+// the solver path — "seeded" for minimizer-seeded candidates, "int32" for
+// the quantized integer kernels, combinations joined with "+", empty for
+// the default exact float64 path — and benchdiff matches records on
 // (algorithm, mode, …) so every path is gated independently.
 type algResult struct {
 	Algorithm string  `json:"algorithm"`
@@ -50,20 +46,17 @@ type algResult struct {
 	Bytes     uint64  `json:"bytes"`
 	Score     float64 `json:"score"`
 	Matches   int     `json:"matches,omitempty"`
-	// Evaluated counts candidate gains obtained per round, summed over the
-	// batch: the full enumerated list each round under the eager engines,
-	// only the gains actually computed by simulation under the lazy engine
-	// (improve.Stats.Evaluated).
+	// Evaluated counts candidate gains computed by simulation, summed over
+	// the batch (improve.Stats.Evaluated).
 	Rounds    int `json:"rounds,omitempty"`
 	Evaluated int `json:"evaluated,omitempty"`
 	Accepted  int `json:"accepted,omitempty"`
-	// Popped / Resimulated / Skipped aggregate the lazy selection engine's
-	// heap traffic over the batch (improve.Stats): heap extractions, stale
+	// Popped / Resimulated / Skipped aggregate the selection engine's heap
+	// traffic over the batch (improve.Stats): heap extractions, stale
 	// candidates re-simulated after an accepted attempt dirtied them, and
-	// cached candidates carried through a selection untouched. All zero in
-	// "eager" / "full-enum" mode rows. benchdiff gates improve rows on a
-	// resimulated-count regression, so staleness-tracking rot is caught in
-	// CI even when wall time hides it.
+	// cached candidates carried through a selection untouched. benchdiff
+	// gates improve rows on a resimulated-count regression, so
+	// staleness-tracking rot is caught in CI even when wall time hides it.
 	Popped      int `json:"popped,omitempty"`
 	Resimulated int `json:"resimulated,omitempty"`
 	Skipped     int `json:"skipped,omitempty"`
@@ -90,8 +83,6 @@ type jsonOpts struct {
 	shards      int
 	algs        string
 	intMode     bool
-	fullEnum    bool
-	lazySel     bool
 	sharedAl    bool
 	seeded      bool
 	preset      string
@@ -111,8 +102,6 @@ func main() {
 		shards    = flag.Int("shards", 0, "batch-pool shards for -json (0 = GOMAXPROCS)")
 		algsFlag  = flag.String("algs", "", "comma-separated algorithms for -json (default all but exact)")
 		intMode   = flag.Bool("int", false, "solve with the int32-quantized score kernels (records carry mode=int32)")
-		fullEnum  = flag.Bool("full-enum", false, "disable incremental candidate enumeration — the ablation trajectory row (records carry mode=full-enum)")
-		lazySel   = flag.Bool("lazy", true, "use the lazy best-first selection engine; false runs the eager full-list ablation (records carry mode=eager)")
 		sharedAl  = flag.Bool("shared-alphabet", false, "generate all -json instances over one canonical alphabet/σ table (exercises the batch pool's per-alphabet cache)")
 		seeded    = flag.Bool("seeded", false, "solve with minimizer-seeded sparse candidates (records carry mode=seeded)")
 		preset    = flag.String("preset", "", "generate -json workloads from a named preset (genome-small, genome-large) instead of -regions")
@@ -125,8 +114,7 @@ func main() {
 		opts := jsonOpts{
 			seed: *seed, regions: *regions, instances: *instances,
 			repeat: *repeat, shards: *shards, algs: *algsFlag,
-			intMode: *intMode, fullEnum: *fullEnum, lazySel: *lazySel,
-			sharedAl: *sharedAl, seeded: *seeded, preset: *preset,
+			intMode: *intMode, sharedAl: *sharedAl, seeded: *seeded, preset: *preset,
 			label: *label, seedAcc: *seedAcc, minRecovery: *minRec,
 		}
 		if err := runJSON(opts); err != nil {
@@ -153,7 +141,6 @@ func runJSON(o jsonOpts) error {
 	seed, regions := o.seed, o.regions
 	instances, repeat, shards := o.instances, o.repeat, o.shards
 	algsFlag := o.algs
-	intMode, fullEnum, lazySel := o.intMode, o.fullEnum, o.lazySel
 	if instances < 1 {
 		instances = 1
 	}
@@ -208,14 +195,8 @@ func runJSON(o jsonOpts) error {
 	if o.seeded {
 		modes = append(modes, "seeded")
 	}
-	if intMode {
+	if o.intMode {
 		modes = append(modes, "int32")
-	}
-	if fullEnum {
-		modes = append(modes, "full-enum")
-	}
-	if !lazySel {
-		modes = append(modes, "eager")
 	}
 	mode := strings.Join(modes, "+")
 	enc := json.NewEncoder(os.Stdout)
@@ -236,9 +217,7 @@ func runJSON(o jsonOpts) error {
 			start := time.Now()
 			results, err := fragalign.SolveBatch(context.Background(), ins, alg,
 				fragalign.WithEps(0.05), fragalign.WithFourApproxSeed(true),
-				fragalign.WithShards(shards), fragalign.WithIntScore(intMode),
-				fragalign.WithIncrementalEnum(!fullEnum),
-				fragalign.WithLazySelection(lazySel),
+				fragalign.WithShards(shards), fragalign.WithIntScore(o.intMode),
 				fragalign.WithSeededCandidates(o.seeded))
 			wallMS := float64(time.Since(start).Microseconds()) / 1000
 			runtime.ReadMemStats(&m1)

@@ -82,7 +82,6 @@ func main() {
 		eps        = flag.Float64("eps", 0.05, "scaling slack for improvement algorithms")
 		seed4      = flag.Bool("seed4", true, "seed improvement with the 4-approximation")
 		intMode    = flag.Bool("int", false, "solve with the int32-quantized score kernels")
-		lazySel    = flag.Bool("lazy", true, "use the lazy best-first candidate-selection engine")
 		seeded     = flag.Bool("seeded", false, "default to minimizer-seeded candidate generation (requests override with ?seeded=0/1)")
 		memBudget  = flag.String("mem-budget", "", "per-instance memory budget, e.g. 512M or 2G; over-budget submissions are refused 413 (empty = no budget)")
 		timeout    = flag.Duration("timeout", 0, "default per-instance solve deadline when a request sets none (0 = none)")
@@ -135,7 +134,6 @@ func main() {
 		fragalign.WithEps(*eps),
 		fragalign.WithFourApproxSeed(*seed4),
 		fragalign.WithIntScore(*intMode),
-		fragalign.WithLazySelection(*lazySel),
 		fragalign.WithSeededCandidates(*seeded),
 		fragalign.WithMemBudget(budget),
 		fragalign.WithFaultInjector(inj),

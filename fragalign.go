@@ -95,7 +95,7 @@ type (
 	// exact mid-solve state, so a durable op log IS a checkpoint.
 	CheckpointOp = enum.Cand
 	// CheckpointSink receives each accepted operation of an improvement
-	// solve as it happens (see ContextWithCheckpoint). A sink error aborts
+	// solve as it happens (see WithCheckpoint). A sink error aborts
 	// the solve: the solver never runs ahead of its durable log.
 	// encoding.CheckpointWriter is the file-backed implementation.
 	CheckpointSink = improve.CheckpointSink
@@ -246,18 +246,18 @@ func Algorithms() []Algorithm {
 type Option func(*solveCfg)
 
 type solveCfg struct {
-	workers     int
-	eps         float64
-	seed4       bool
-	exactCap    int
-	check       bool
-	quantize    bool
-	intScore    bool
-	fullEnum    bool
-	eagerSelect bool
-	partial     bool
-	seeded      bool
-	seedParams  seed.Params
+	workers    int
+	eps        float64
+	seed4      bool
+	exactCap   int
+	check      bool
+	quantize   bool
+	intScore   bool
+	partial    bool
+	seeded     bool
+	seedParams seed.Params
+	checkpoint CheckpointSink
+	resume     []CheckpointOp
 	// Batch-only knobs (see solvebatch.go).
 	shards    int
 	queue     int
@@ -301,33 +301,6 @@ func WithQuantizedScaling(on bool) Option { return func(c *solveCfg) { c.quantiz
 // results are then bit-identical to float64 mode.
 func WithIntScore(on bool) Option { return func(c *solveCfg) { c.intScore = on } }
 
-// WithIncrementalEnum toggles the improvement driver's incremental
-// candidate-enumeration subsystem (on by default): candidate windows are
-// cached per fragment under the driver's version counters and only the
-// windows that read a fragment touched by the last accepted attempt are
-// re-enumerated each round — the candidate list, the accepted-attempt
-// sequence, and the final solution are bit-identical either way (the A/B
-// oracle is enforced by the improve test suite). Pass false to re-enumerate
-// from scratch every round, for A/B benchmarking (csrbench -full-enum).
-// ImproveStats.EnumRefreshed / EnumReused report the subsystem's cache
-// traffic.
-func WithIncrementalEnum(on bool) Option { return func(c *solveCfg) { c.fullEnum = !on } }
-
-// WithLazySelection toggles the improvement driver's lazy best-first
-// candidate-selection engine (on by default): cached candidate gains live
-// in a generation-stamped slot array feeding an indexed max-heap, accepted
-// attempts dirty only the candidates that read a touched fragment (via a
-// per-fragment inverted dependency index), and each round re-simulates just
-// that stale frontier before accepting the heap top — so converged rounds
-// touch O(dirty + log C) candidates instead of walking all C. Accepted
-// attempt sequences, match sets, and scores are bit-identical either way
-// (the improve test suite triangulates the engines against the FullEnum and
-// FullReeval oracles). Pass false to fall back to the eager full-list
-// engine, for A/B benchmarking (csrbench -lazy=false).
-// ImproveStats.Popped / Resimulated / Skipped report the engine's heap
-// traffic.
-func WithLazySelection(on bool) Option { return func(c *solveCfg) { c.eagerSelect = !on } }
-
 // WithSeededCandidates replaces all-pairs candidate enumeration in the
 // improvement algorithms with minimizer seed-and-chain candidate generation
 // (internal/seed): only fragment pairs whose words share σ-translated
@@ -349,102 +322,25 @@ func WithSeedParams(p seed.Params) Option { return func(c *solveCfg) { c.seedPar
 // under the true σ — and marks ImproveStats.Partial instead of failing with
 // the context error. In the spirit of the paper's 4-approximation, an
 // anytime answer beats no answer; off by default, so deadline overruns stay
-// hard errors. Per-submission opt-in for batch pools goes through
-// ContextWithPartial instead.
+// hard errors. Batch pools take it per submission too (BatchPool.Submit).
 func WithPartialResults(on bool) Option { return func(c *solveCfg) { c.partial = on } }
 
-// partialKey marks a context whose solves should degrade gracefully.
-type partialKey struct{}
-
-// ContextWithPartial marks ctx so any solve submitted under it behaves as if
-// WithPartialResults(true) were set — the per-request form used by csrserve's
-// ?partial=1, where one pool serves requests with different preferences.
-func ContextWithPartial(ctx context.Context) context.Context {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return context.WithValue(ctx, partialKey{}, true)
-}
-
-func partialFromContext(ctx context.Context) bool {
-	if ctx == nil {
-		return false
-	}
-	on, _ := ctx.Value(partialKey{}).(bool)
-	return on
-}
-
-// Per-submission solve overrides carried on the submission context, the
-// mechanism batch pools use for knobs that vary per instance while one pool
-// serves them all (ContextWithPartial established the pattern).
-type (
-	checkpointKey struct{}
-	resumeKey     struct{}
-	seededKey     struct{}
-)
-
-// ContextWithCheckpoint attaches a checkpoint sink to a submission: every
-// accepted improvement operation of a solve run under ctx is handed to sink
-// before the solve proceeds, and a sink error aborts the solve. With a
+// WithCheckpoint hands every accepted improvement operation of a solve to
+// sink before the solve proceeds; a sink error aborts the solve. With a
 // durable sink (encoding.CreateCheckpoint) a killed solve can be resumed
-// from its last flushed op via ContextWithResume. Improvement algorithms
-// only; other solvers ignore it.
-func ContextWithCheckpoint(ctx context.Context, sink CheckpointSink) context.Context {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return context.WithValue(ctx, checkpointKey{}, sink)
-}
+// from its last flushed op via WithResume. Improvement algorithms only;
+// other solvers ignore it. Pass it to BatchPool.Submit to checkpoint one
+// submission, or to Solve for a single solve.
+func WithCheckpoint(sink CheckpointSink) Option { return func(c *solveCfg) { c.checkpoint = sink } }
 
-func checkpointFromContext(ctx context.Context) improve.CheckpointSink {
-	if ctx == nil {
-		return nil
-	}
-	sink, _ := ctx.Value(checkpointKey{}).(improve.CheckpointSink)
-	return sink
-}
-
-// ContextWithResume fast-forwards a solve through a previously checkpointed
+// WithResume fast-forwards a solve through a previously checkpointed
 // accepted-op log before its round loop starts. The ops must come from a
 // checkpoint of the same instance under the same solve configuration
 // (encoding.CheckpointHeader.Fingerprint is how csrbatch pins this); the
 // resumed solve's remaining accepted sequence, final solution, and score are
 // then bit-identical to the uninterrupted run's. Ops that do not fit the
 // instance fail the solve with a typed error. Improvement algorithms only.
-func ContextWithResume(ctx context.Context, ops []CheckpointOp) context.Context {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return context.WithValue(ctx, resumeKey{}, ops)
-}
-
-func resumeFromContext(ctx context.Context) []enum.Cand {
-	if ctx == nil {
-		return nil
-	}
-	ops, _ := ctx.Value(resumeKey{}).([]enum.Cand)
-	return ops
-}
-
-// ContextWithSeeded overrides WithSeededCandidates per submission — the
-// per-request form behind csrserve's ?seeded= parameter, where one pool
-// serves requests with different candidate-generation preferences.
-func ContextWithSeeded(ctx context.Context, on bool) context.Context {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return context.WithValue(ctx, seededKey{}, on)
-}
-
-// SeededFromContext reports the ContextWithSeeded override: on is the value
-// and ok whether one was set (false ok means "use the pool's default").
-func SeededFromContext(ctx context.Context) (on, ok bool) {
-	if ctx == nil {
-		return false, false
-	}
-	on, ok = ctx.Value(seededKey{}).(bool)
-	return on, ok
-}
+func WithResume(ops []CheckpointOp) Option { return func(c *solveCfg) { c.resume = ops } }
 
 // WithShards sets the number of concurrent per-instance solvers a batch
 // pool runs (default GOMAXPROCS). Batch APIs only; Solve ignores it.
@@ -568,10 +464,6 @@ func solveInstance(ctx context.Context, in *Instance, alg Algorithm, cfg solveCf
 		if alg == BorderImprove {
 			methods = improve.BorderOnly
 		}
-		seeded := cfg.seeded
-		if on, ok := SeededFromContext(ctx); ok {
-			seeded = on
-		}
 		s, stats, err := improve.Improve(in, improve.Options{
 			Methods:            methods,
 			Eps:                cfg.eps,
@@ -579,14 +471,12 @@ func solveInstance(ctx context.Context, in *Instance, alg Algorithm, cfg solveCf
 			Workers:            cfg.workers,
 			Quantize:           cfg.quantize,
 			IntScore:           cfg.intScore,
-			FullEnum:           cfg.fullEnum,
-			EagerSelect:        cfg.eagerSelect,
-			Seeded:             seeded,
+			Seeded:             cfg.seeded,
 			SeedParams:         cfg.seedParams,
 			CheckInvariants:    cfg.check,
-			Partial:            cfg.partial || partialFromContext(ctx),
-			Checkpoint:         checkpointFromContext(ctx),
-			Resume:             resumeFromContext(ctx),
+			Partial:            cfg.partial,
+			Checkpoint:         cfg.checkpoint,
+			Resume:             cfg.resume,
 			Ctx:                ctx,
 			Eval:               eval,
 		})

@@ -37,14 +37,16 @@ func (s *recordingSink) Accept(c enum.Cand) error {
 // TestCheckpointResumeBitIdentity is the contract test named in the Options
 // docs: for every prefix length k of a solve's accepted-op log, resuming
 // from that prefix reproduces the uninterrupted run exactly — same total
-// accepted sequence, same round count, same match set, same score.
+// accepted sequence, same round count, same match set, same score. The
+// oracle case resumes into the full re-evaluation oracle, proving Resume
+// runs ahead of whichever round loop follows it.
 func TestCheckpointResumeBitIdentity(t *testing.T) {
 	for _, mode := range []struct {
 		name string
 		opt  Options
 	}{
 		{"lazy", Options{Eps: 0.05}},
-		{"eager", Options{Eps: 0.05, EagerSelect: true}},
+		{"oracle", Options{Eps: 0.05, engine: fullReeval}},
 		{"int", Options{Eps: 0.05, IntScore: true}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {

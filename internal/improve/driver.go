@@ -70,26 +70,6 @@ type Options struct {
 	// Quantize: the scaled shadow scorer is then quantized exactly, since
 	// its values are multiples of the scaling unit by construction.
 	IntScore bool
-	// FullReeval disables both incremental caches — candidate gains and
-	// enumeration pieces — re-enumerating and re-simulating everything
-	// every round. The accepted attempt sequence is identical either way
-	// (see incremental.go and the enum package); this exists for A/B
-	// verification and benchmarking.
-	FullReeval bool
-	// FullEnum disables only the incremental enumeration cache, keeping
-	// the gain cache: candidates are re-enumerated from scratch every
-	// round. The A/B knob for the enumeration subsystem alone
-	// (fragalign.WithIncrementalEnum(false)).
-	FullEnum bool
-	// EagerSelect disables the lazy best-first selection engine
-	// (selection.go): every round then walks the full enumerated candidate
-	// list and serves gains from the per-key cache map — the PR 4 driver.
-	// The accepted attempt sequence, match set, and scores are identical
-	// either way (TestLazySelectionMatchesFull); this is the selection
-	// ablation knob (fragalign.WithLazySelection(false), csrbench
-	// -lazy=false). FullEnum and FullReeval imply it: both oracles re-walk
-	// the full candidate list by definition.
-	EagerSelect bool
 	// Seeded replaces all-pairs candidate enumeration with the minimizer
 	// seed-and-chain pipeline (internal/seed): only fragment pairs whose
 	// words share σ-translated minimizer chains (SeedParams.Exhaustive:
@@ -134,10 +114,21 @@ type Options struct {
 	// CheckInvariants validates consistency after every accepted attempt
 	// (slow; for tests).
 	CheckInvariants bool
-	// onAccept, when set, observes every accepted attempt in order (test
-	// hook for the enumeration oracle).
+	// onAccept, when set, observes every accepted attempt in order, Resume
+	// replays included (test hook).
 	onAccept func(candKey)
+	// engine, when set, replaces the lazy selection loop (improveLazy) after
+	// all setup — the shadow Quantize/IntScore recursions, seeding, and
+	// Resume — has run. Test hook for the full re-evaluation oracle.
+	engine engineFunc
 }
+
+// engineFunc is the signature of the driver's round loop: it runs rounds
+// on st from stats.Rounds up to maxRounds, accepting the best candidate
+// above floor each round through replayAccept.
+type engineFunc func(opt Options, st *state, en *enum.Enumerator,
+	pool *EvalPool, runShards enum.Runner, canceled func() error,
+	maxRounds int, floor float64, stats *Stats) error
 
 // CheckpointSink receives every accepted candidate of an improvement run in
 // acceptance order (see Options.Checkpoint). encoding.CheckpointWriter is
@@ -153,33 +144,28 @@ type Stats struct {
 	// state before the round loop ran (len(Options.Resume)); those accepts
 	// are included in Rounds and Accepted.
 	Resumed int
-	// Evaluated counts candidate gains obtained per round. Under the eager
-	// engines (EagerSelect/FullEnum/FullReeval) that is the full candidate
-	// list every round — enumerated candidates, whether served from cache
-	// or re-simulated. Under the lazy engine it is the gains actually
-	// computed by simulation, which on converged rounds is just the dirty
-	// frontier; the ≥3× per-round reduction is the engine's acceptance
-	// criterion.
+	// Evaluated counts candidate gains computed by simulation, summed over
+	// rounds: every candidate in the first round, then only the stale
+	// frontier — candidates the last accepted attempt dirtied or created.
 	Evaluated int
 	Accepted  int
 	Threshold float64
 	Final     float64
-	// Popped, Resimulated and Skipped report the lazy selection engine's
-	// heap traffic (all zero under the eager engines). Popped counts heap
-	// extractions: the stale frontier pulled for re-simulation each round
-	// plus the current-top inspection that ends the round. Resimulated
-	// counts frontier slots that already had a recorded gain — the
-	// candidates invalidated by accepted attempts (first-time simulations
-	// of newly enumerated candidates are excluded). Skipped counts live
-	// candidates carried through a selection untouched — cached gains the
-	// eager loop would have re-checked.
+	// Popped, Resimulated and Skipped report the selection engine's heap
+	// traffic (selection.go). Popped counts heap extractions: the stale
+	// frontier pulled for re-simulation each round plus the current-top
+	// inspection that ends the round. Resimulated counts frontier slots
+	// that already had a recorded gain — the candidates invalidated by
+	// accepted attempts (first-time simulations of newly enumerated
+	// candidates are excluded). Skipped counts live candidates carried
+	// through a selection untouched: cached gains that needed no
+	// re-simulation.
 	Popped      int
 	Resimulated int
 	Skipped     int
 	// EnumRefreshed and EnumReused count the enumeration subsystem's
 	// piece-cache traffic across all rounds: pieces recomputed vs served
-	// from cache. Under FullEnum/FullReeval every piece refreshes every
-	// round, so EnumReused is zero and EnumRefreshed counts pieces×rounds.
+	// from cache.
 	EnumRefreshed int
 	EnumReused    int
 	// Partial reports that the run was cut short by its context under
@@ -319,7 +305,6 @@ func Improve(in *core.Instance, opt Options) (*core.Solution, Stats, error) {
 		stats.SeedPairs = res.Stats.Pairs
 		stats.SeedAnchors = res.Stats.Anchors
 	}
-	vers := st.vers
 	pool := opt.Eval
 	if pool == nil && workers > 1 {
 		pool = NewEvalPool(workers)
@@ -368,7 +353,6 @@ func Improve(in *core.Instance, opt Options) (*core.Solution, Stats, error) {
 	// dirty-piece refreshes are sharded over the eval pool when one exists,
 	// overlapping with the candidate simulations of concurrent solves.
 	en := enum.New(opt.Methods&FullOnly != 0, opt.Methods&BorderOnly != 0, st.pairs)
-	fullEnum := opt.FullReeval || opt.FullEnum
 	runShards := func(tasks []func()) {
 		const chunk = 8
 		if pool == nil || len(tasks) < 2*chunk {
@@ -392,145 +376,12 @@ func Improve(in *core.Instance, opt Options) (*core.Solution, Stats, error) {
 		batch.wait()
 	}
 	floor := max(stats.Threshold, opt.minGain)
-	if !fullEnum && !opt.EagerSelect {
-		// Default path: the lazy best-first selection engine (selection.go).
-		// The eager loop below survives as its oracle and ablation.
-		if err := improveLazy(opt, st, en, pool, runShards, canceled, maxRounds, floor, &stats); err != nil {
-			return nil, stats, err
-		}
-		es := en.Stats()
-		stats.EnumRefreshed, stats.EnumReused = es.Refreshed, es.Reused
-		sol := st.solution()
-		stats.Final = sol.Score()
-		return sol, stats, nil
+	engine := improveLazy
+	if opt.engine != nil {
+		engine = opt.engine
 	}
-	// The eager engines: per-round full-list selection with the per-key
-	// gain-cache map (dropped under FullReeval).
-	cache := make(map[candKey]*cacheEntry)
-	// Per-round buffers, reused across rounds.
-	var (
-		gains []float64
-		recs  []*readRecorder
-		fresh []int
-	)
-	// Rounds starts at the resumed-op count (zero on fresh solves) so a
-	// resumed run's round numbering continues the interrupted one's.
-	for ; stats.Rounds < maxRounds; stats.Rounds++ {
-		if err := canceled(); err != nil {
-			if opt.Partial {
-				stats.Partial = true
-				break
-			}
-			return nil, stats, err
-		}
-		if fullEnum {
-			en.Invalidate()
-		}
-		cands := en.Candidates(enumView{st: st}, runShards)
-		if err := canceled(); err != nil {
-			if opt.Partial {
-				stats.Partial = true
-				break
-			}
-			return nil, stats, err
-		}
-		stats.Evaluated += len(cands)
-		if cap(gains) < len(cands) {
-			gains = make([]float64, len(cands))
-			recs = make([]*readRecorder, len(cands))
-		} else {
-			gains = gains[:len(cands)]
-			recs = recs[:len(cands)]
-		}
-		clear(gains)
-		clear(recs)
-		// Reuse cached gains whose recorded read sets are untouched;
-		// re-simulate only candidates invalidated by the matches the last
-		// accepted attempt actually changed.
-		fresh = fresh[:0]
-		for i, key := range cands {
-			if !opt.FullReeval {
-				if e, ok := cache[key]; ok {
-					if e.valid(vers) {
-						e.seen = stats.Rounds
-						gains[i] = e.gain
-						continue
-					}
-					delete(cache, key)
-				}
-			}
-			fresh = append(fresh, i)
-		}
-		eval := func(i int, scr *align.Scratch) {
-			rec := newReadRecorder(vers)
-			sim := st.clone()
-			sim.rec = rec
-			sim.scr = scr // the evaluating goroutine's scratch arena
-			sim.ctx = opt.Ctx
-			// Zero the gain accumulator so every evaluation performs the
-			// identical float additions regardless of the live state's
-			// accumulated delta — cached and fresh gains stay bit-equal.
-			sim.delta = 0
-			gains[i] = runCand(sim, cands[i])
-			sim.release()
-			recs[i] = rec
-		}
-		if pool == nil || len(fresh) < 2 {
-			for _, i := range fresh {
-				if canceled() != nil {
-					break
-				}
-				eval(i, st.scr)
-			}
-		} else {
-			batch := evalBatch{p: pool}
-			for _, i := range fresh {
-				i := i
-				batch.do(func(scr *align.Scratch) {
-					if canceled() != nil {
-						return // discarded below; skip the simulation
-					}
-					eval(i, scr)
-				})
-			}
-			batch.wait()
-		}
-		if err := canceled(); err != nil {
-			if opt.Partial {
-				stats.Partial = true
-				break
-			}
-			return nil, stats, err
-		}
-		if !opt.FullReeval {
-			for _, i := range fresh {
-				cache[cands[i]] = &cacheEntry{gain: gains[i], reads: recs[i].reads, seen: stats.Rounds}
-			}
-			// Sweep entries whose keys were not enumerated this round:
-			// their generating structure (windows, chain matches) is gone,
-			// so they can never be looked up again.
-			for k, e := range cache {
-				if e.seen != stats.Rounds {
-					delete(cache, k)
-				}
-			}
-		}
-		// Argmax under the same total order the lazy engine's heap uses:
-		// strictly best gain, ties to the enum.Less-least candidate (which
-		// coincides with list position for I1/I2; I3 ties resolve by chain
-		// ID in both engines).
-		bestIdx, bestGain := -1, floor
-		for i, g := range gains {
-			if g > bestGain || (bestIdx >= 0 && g == bestGain && enum.Less(cands[i], cands[bestIdx])) {
-				bestIdx, bestGain = i, g
-			}
-		}
-		if bestIdx < 0 {
-			break
-		}
-		if err := replayAccept(st, &opt, &stats, cands[bestIdx], bestGain); err != nil {
-			return nil, stats, err
-		}
+	if err := engine(opt, st, en, pool, runShards, canceled, maxRounds, floor, &stats); err != nil {
+		return nil, stats, err
 	}
 	es := en.Stats()
 	stats.EnumRefreshed, stats.EnumReused = es.Refreshed, es.Reused
@@ -540,10 +391,10 @@ func Improve(in *core.Instance, opt Options) (*core.Solution, Stats, error) {
 }
 
 // replayAccept applies an accepted candidate on the live state and verifies
-// the replayed gain matches the simulated one — shared by both selection
-// engines (the lazy engine resets st.bumpLog beforehand to collect the
-// replay's dirty fragment set). The replay runs with a zeroed accumulator,
-// mirroring the simulation's float addition sequence exactly.
+// the replayed gain equals the simulated one bit for bit (the engine resets
+// st.bumpLog beforehand to collect the replay's dirty fragment set). The
+// replay runs with a zeroed accumulator, mirroring the simulation's float
+// addition sequence exactly, so any difference is a determinism bug.
 func replayAccept(st *state, opt *Options, stats *Stats, key candKey, want float64) error {
 	st.delta = 0
 	got := runCand(st, key)
@@ -558,7 +409,7 @@ func replayAccept(st *state, opt *Options, stats *Stats, key candKey, want float
 			return fmt.Errorf("improve: checkpoint accept %s: %w", key, err)
 		}
 	}
-	if diff := got - want; diff > 1e-6*(1+want) || diff < -1e-6*(1+want) {
+	if got != want {
 		return fmt.Errorf("improve: %s replayed gain %v != simulated %v", key, got, want)
 	}
 	if opt.CheckInvariants {

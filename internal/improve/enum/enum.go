@@ -11,21 +11,21 @@
 // links of one fragment — together with the read set (fragment → version)
 // that produced it, exactly the invalidation scheme the driver's gain cache
 // uses for simulations (see improve/incremental.go). Each round it
-// re-enumerates only the dirty pieces and rebuilds the merged candidate list
-// in the canonical order, so the output is always element-for-element
-// identical to enumerating from scratch (the improve package enforces this
-// against the Options.FullReeval oracle).
+// re-enumerates only the dirty pieces, so the merged candidate list is
+// always element-for-element identical to enumerating from scratch (the
+// improve package checks this after every accepted attempt of real solves,
+// TestIncrementalEnumMatchesFull).
 //
 // Piece refreshes are independent closures; the driver may run them inline
 // or shard them over the shared evaluation pool (improve.EvalPool), where
 // they overlap with candidate simulations of concurrent batch solves.
 //
-// Two consumption modes share the piece cache. Candidates rebuilds the full
-// merged candidate list each call — the eager driver's per-round input.
-// Repair instead reports which pieces actually changed value, so the lazy
-// best-first selection engine (improve/selection.go) can patch just the
-// affected candidate blocks of its heap and leave everything else — cached
-// gains included — untouched.
+// Two consumption modes share the piece cache. Repair reports which pieces
+// actually changed value, so the lazy best-first selection engine
+// (improve/selection.go) can patch just the affected candidate blocks of its
+// heap and leave everything else — cached gains included — untouched.
+// Candidates rebuilds the full merged candidate list in canonical order —
+// the input of the improve package's full re-evaluation test oracle.
 package enum
 
 import (
@@ -410,22 +410,6 @@ func (e *Enumerator) Pairs() *PairSet { return e.pairs }
 // Stats returns the cumulative piece-cache counters.
 func (e *Enumerator) Stats() Stats {
 	return Stats{Refreshed: int(e.refreshed.Load()), Reused: e.reused}
-}
-
-// Invalidate drops every cached piece, forcing the next Candidates call to
-// enumerate from scratch — the A/B oracle mode of the driver.
-func (e *Enumerator) Invalidate() {
-	for sp := 0; sp < 2; sp++ {
-		for i := range e.win[sp] {
-			e.win[sp][i].ok = false
-		}
-		for i := range e.dep[sp] {
-			e.dep[sp][i].ok = false
-		}
-	}
-	for i := range e.chain {
-		e.chain[i].ok = false
-	}
 }
 
 func (e *Enumerator) size(src Source) {

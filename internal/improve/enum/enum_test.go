@@ -1,0 +1,144 @@
+package enum
+
+import (
+	"slices"
+	"testing"
+
+	"repro/internal/core"
+)
+
+// fakeSource is a hand-driven Source: tests edit sites and chain links
+// directly and bump versions the way the driver's live state would.
+type fakeSource struct {
+	lens   [2][]int
+	sites  [2][][]core.Site
+	chains [][]Chain // per H fragment
+	vers   [2][]uint64
+}
+
+func newFakeSource(hLens, mLens []int) *fakeSource {
+	s := &fakeSource{lens: [2][]int{hLens, mLens}, chains: make([][]Chain, len(hLens))}
+	for sp := range s.lens {
+		s.sites[sp] = make([][]core.Site, len(s.lens[sp]))
+		s.vers[sp] = make([]uint64, len(s.lens[sp]))
+	}
+	return s
+}
+
+func (s *fakeSource) NumFrags(sp core.Species) int   { return len(s.lens[sp]) }
+func (s *fakeSource) FragLen(fr core.FragRef) int    { return s.lens[fr.Sp][fr.Idx] }
+func (s *fakeSource) Version(fr core.FragRef) uint64 { return s.vers[fr.Sp][fr.Idx] }
+func (s *fakeSource) bump(fr core.FragRef)           { s.vers[fr.Sp][fr.Idx]++ }
+func (s *fakeSource) note(r Reads, fr core.FragRef)  { r.Note(fr, s.Version(fr)) }
+func (s *fakeSource) setSites(fr core.FragRef, ss ...core.Site) {
+	s.sites[fr.Sp][fr.Idx] = ss
+	s.bump(fr)
+}
+
+func (s *fakeSource) Sites(fr core.FragRef, r Reads) []core.Site {
+	s.note(r, fr)
+	return s.sites[fr.Sp][fr.Idx]
+}
+
+func (s *fakeSource) Chains(fr core.FragRef, r Reads) []Chain {
+	s.note(r, fr)
+	return s.chains[fr.Idx]
+}
+
+var (
+	h0 = core.FragRef{Sp: core.SpeciesH, Idx: 0}
+	h1 = core.FragRef{Sp: core.SpeciesH, Idx: 1}
+	m0 = core.FragRef{Sp: core.SpeciesM, Idx: 0}
+	m1 = core.FragRef{Sp: core.SpeciesM, Idx: 1}
+)
+
+// reversed runs refresh tasks back to front, so change reporting is shown
+// not to depend on task scheduling.
+func reversed(tasks []func()) {
+	for i := len(tasks) - 1; i >= 0; i-- {
+		tasks[i]()
+	}
+}
+
+// TestRepairReportsExactlyMovedPieces drives an Enumerator through state
+// edits and checks the two contracts its consumers rely on: Repair reports
+// exactly the pieces whose values changed (in species, fragment, family
+// order, whatever the task order), and the merged list always equals a
+// fresh Enumerator's list on the same state.
+func TestRepairReportsExactlyMovedPieces(t *testing.T) {
+	src := newFakeSource([]int{4, 3}, []int{5, 2})
+	en := New(true, true, nil)
+	check := func(step string, want []Change) {
+		t.Helper()
+		if got := en.Repair(src, reversed); !slices.Equal(got, want) {
+			t.Fatalf("%s: Repair reported %v, want %v", step, got, want)
+		}
+		refreshed := en.Stats().Refreshed
+		got := slices.Clone(en.Candidates(src, nil))
+		if en.Stats().Refreshed != refreshed {
+			t.Fatalf("%s: Candidates refreshed pieces right after Repair", step)
+		}
+		if fresh := New(true, true, nil).Candidates(src, nil); !slices.Equal(got, fresh) {
+			t.Fatalf("%s: incremental list %v\nfresh list %v", step, got, fresh)
+		}
+	}
+
+	// First call: every piece is new, so every piece is reported.
+	check("initial", []Change{
+		{PieceI1Windows, h0}, {PieceI2Depths, h0}, {PieceI3Chains, h0},
+		{PieceI1Windows, h1}, {PieceI2Depths, h1}, {PieceI3Chains, h1},
+		{PieceI1Windows, m0}, {PieceI2Depths, m0},
+		{PieceI1Windows, m1}, {PieceI2Depths, m1},
+	})
+	check("unchanged", nil)
+
+	// A partial match on m0 moves its windows and its end depths.
+	src.setSites(m0, core.Site{Species: core.SpeciesM, Frag: 0, Lo: 1, Hi: 3})
+	check("m0 site", []Change{{PieceI1Windows, m0}, {PieceI2Depths, m0}})
+
+	// A version bump with no value change refreshes h1's pieces but
+	// reports nothing.
+	before := en.Stats().Refreshed
+	src.bump(h1)
+	check("h1 bump", nil)
+	if en.Stats().Refreshed != before+3 {
+		t.Fatalf("h1 bump refreshed %d pieces, want 3", en.Stats().Refreshed-before)
+	}
+
+	// A new chain link on h0 moves only its I3 piece; a site covering the
+	// whole fragment leaves one window and one depth per end — the same
+	// values as the empty fragment — so only the chain piece moves.
+	src.chains[0] = []Chain{{ID: 7, G: m1}}
+	src.setSites(h0, core.Site{Species: core.SpeciesH, Frag: 0, Lo: 0, Hi: 4})
+	check("h0 chain", []Change{{PieceI3Chains, h0}})
+}
+
+// TestCandidatesRespectPairUniverse: a sparse universe restricts I1 and I2
+// candidates to its pairs, and the merged list is ascending under Less
+// through the I1/I2 part (the canonical order the selection engine's
+// tie-break assumes).
+func TestCandidatesRespectPairUniverse(t *testing.T) {
+	src := newFakeSource([]int{4, 3}, []int{5, 2})
+	src.setSites(m0, core.Site{Species: core.SpeciesM, Frag: 0, Lo: 1, Hi: 3})
+	ps := NewPairSet(2, 2, [][2]int32{{0, 1}, {1, 0}})
+	cands := New(true, true, ps).Candidates(src, nil)
+	if len(cands) == 0 {
+		t.Fatal("no candidates")
+	}
+	for i, c := range cands {
+		h, m := c.F, c.G
+		if h.Sp == core.SpeciesM {
+			h, m = m, h
+		}
+		if c.Kind != KindI3 && ps.Rank(h.Idx, m.Idx) < 0 {
+			t.Errorf("%s pairs %v with %v outside the universe", c, h, m)
+		}
+		if i > 0 && c.Kind != KindI3 && !Less(cands[i-1], c) {
+			t.Errorf("%s before %s breaks canonical order", cands[i-1], c)
+		}
+	}
+	dense := New(true, true, nil).Candidates(src, nil)
+	if len(cands) >= len(dense) {
+		t.Fatalf("sparse universe kept %d of %d candidates", len(cands), len(dense))
+	}
+}

@@ -2,23 +2,35 @@ package improve
 
 import (
 	"context"
+	"fmt"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/improve/enum"
+	"repro/internal/seed"
 )
 
-// TestIncrementalEnumMatchesFull is the enumeration subsystem's oracle: the
-// incremental Enumerator (dirty-window re-enumeration merged with the
-// cached candidate set) must drive the solver through the exact same
-// accepted-attempt sequence — and enumerate the same number of candidates —
-// as from-scratch enumeration with full re-simulation (Options.FullReeval),
-// across seeds and method families. FullEnum alone (fresh enumeration, gain
-// cache on) must coincide too, triangulating the two caches independently.
+// TestIncrementalEnumMatchesFull checks the enumeration subsystem against
+// from-scratch enumeration at the layer it caches. A test Enumerator rides
+// along real solves: after every accepted attempt (observed through onAccept
+// on the live state) it is repaired incrementally, and then
+//
+//   - its merged candidate list must equal a fresh Enumerator's list on the
+//     same state, element for element, in canonical order (I1/I2 strictly
+//     ascending under enum.Less);
+//   - Repair must have reported exactly the pieces whose values moved — the
+//     targeted-repair contract the lazy engine's heap rebuilds rely on;
+//   - building the list after Repair must refresh nothing.
+//
+// Seeds × method families × classic and seeded pair universes, from an
+// empty start so solves run many rounds.
 func TestIncrementalEnumMatchesFull(t *testing.T) {
-	for _, seed := range []int64{3, 7, 11, 19} {
+	for _, gseed := range []int64{3, 7, 11, 19} {
 		for _, m := range []struct {
 			name    string
 			methods Methods
@@ -27,61 +39,112 @@ func TestIncrementalEnumMatchesFull(t *testing.T) {
 			{"full", FullOnly},
 			{"border", BorderOnly},
 		} {
-			cfg := gen.DefaultConfig(seed)
-			cfg.Regions = 40
-			w := gen.Generate(cfg)
-			base := Options{Methods: m.methods, Eps: 0.05, SeedWithFourApprox: true}
-			type run struct {
-				name     string
-				opt      Options
-				accepted []candKey
-				stats    Stats
-				score    float64
-				matches  any
-			}
-			runs := []*run{
-				{name: "incremental", opt: base},
-				{name: "full-enum", opt: base},
-				{name: "full-reeval", opt: base},
-			}
-			// EagerSelect pins the full-list engine whose Evaluated counts
-			// this test compares; the lazy engine's oracle is
-			// TestLazySelectionMatchesFull.
-			runs[0].opt.EagerSelect = true
-			runs[1].opt.FullEnum = true
-			runs[2].opt.FullReeval = true
-			for _, r := range runs {
-				r.opt.onAccept = func(k candKey) { r.accepted = append(r.accepted, k) }
-				sol, stats, err := Improve(w.Instance, r.opt)
+			for _, seeded := range []bool{false, true} {
+				name := fmt.Sprintf("seed %d %s seeded=%v", gseed, m.name, seeded)
+				cfg := gen.DefaultConfig(gseed)
+				cfg.Regions = 40
+				w := gen.Generate(cfg)
+				checks := 0
+				// Exhaustive seeding: a sparse universe that still keeps
+				// every improving pair, so solves stay multi-round.
+				opt := Options{Methods: m.methods, Eps: 0.05, Seeded: seeded,
+					SeedParams: seed.Params{Exhaustive: true}}
+				opt.engine = func(o Options, st *state, en *enum.Enumerator, pool *EvalPool,
+					run enum.Runner, canceled func() error, maxRounds int, floor float64, stats *Stats) error {
+					full, border := o.Methods&FullOnly != 0, o.Methods&BorderOnly != 0
+					v := enumView{st: st}
+					inc := enum.New(full, border, st.pairs)
+					inc.Repair(v, nil)
+					prev := snapPieces(inc, st, full, border)
+					o.onAccept = func(c candKey) {
+						checks++
+						changes := inc.Repair(v, nil)
+						cur := snapPieces(inc, st, full, border)
+						if moved := prev.diff(cur); !reflect.DeepEqual(changes, moved) && len(changes)+len(moved) > 0 {
+							t.Errorf("%s after %s: Repair reported %v, pieces moved %v", name, c, changes, moved)
+						}
+						prev = cur
+						refreshed := inc.Stats().Refreshed
+						got := slices.Clone(inc.Candidates(v, nil))
+						if inc.Stats().Refreshed != refreshed {
+							t.Errorf("%s after %s: Candidates refreshed pieces after Repair", name, c)
+						}
+						want := enum.New(full, border, st.pairs).Candidates(v, nil)
+						if !slices.Equal(got, want) {
+							t.Errorf("%s after %s: incremental list (%d) != fresh list (%d)", name, c, len(got), len(want))
+						}
+						for i := 1; i < len(got) && got[i].Kind != enum.KindI3; i++ {
+							if !enum.Less(got[i-1], got[i]) {
+								t.Errorf("%s after %s: %s before %s breaks canonical order", name, c, got[i-1], got[i])
+								break
+							}
+						}
+					}
+					return improveLazy(o, st, en, pool, run, canceled, maxRounds, floor, stats)
+				}
+				_, stats, err := Improve(w.Instance, opt)
 				if err != nil {
-					t.Fatalf("seed %d %s %s: %v", seed, m.name, r.name, err)
+					t.Fatalf("%s: %v", name, err)
 				}
-				r.stats, r.score, r.matches = stats, sol.Score(), sol.Matches
-			}
-			ref := runs[2]
-			for _, r := range runs[:2] {
-				if !reflect.DeepEqual(r.accepted, ref.accepted) {
-					t.Errorf("seed %d %s: %s accepted sequence diverges:\n%v\nwant\n%v",
-						seed, m.name, r.name, r.accepted, ref.accepted)
+				if dense := w.Instance.NumFrags(core.SpeciesH) * w.Instance.NumFrags(core.SpeciesM); seeded && stats.SeedPairs >= dense {
+					t.Errorf("%s: seeded universe %d pairs is not sparse (dense %d)", name, stats.SeedPairs, dense)
 				}
-				if r.stats.Evaluated != ref.stats.Evaluated || r.stats.Rounds != ref.stats.Rounds ||
-					r.stats.Accepted != ref.stats.Accepted {
-					t.Errorf("seed %d %s: %s stats diverge: %+v vs %+v",
-						seed, m.name, r.name, r.stats, ref.stats)
+				if checks != stats.Accepted || checks < 2 {
+					t.Errorf("%s: %d checks for %d accepted attempts — workload too easy", name, checks, stats.Accepted)
 				}
-				if r.score != ref.score || !reflect.DeepEqual(r.matches, ref.matches) {
-					t.Errorf("seed %d %s: %s solution diverges (score %v vs %v)",
-						seed, m.name, r.name, r.score, ref.score)
-				}
-			}
-			// The incremental run must actually reuse pieces (the point of
-			// the subsystem) once the solve spans more than one round.
-			if runs[0].stats.Rounds > 1 && runs[0].stats.EnumReused == 0 {
-				t.Errorf("seed %d %s: incremental run reused no enumeration pieces: %+v",
-					seed, m.name, runs[0].stats)
 			}
 		}
 	}
+}
+
+// pieceSnap is a copy of every cached enumeration piece value. Enumerator
+// pieces are replaced, never mutated, on refresh, so sharing the slices is
+// safe.
+type pieceSnap struct {
+	win   [2][][][2]int
+	dep   [2][][2]enum.Depths
+	chain [][]enum.Chain
+}
+
+func snapPieces(en *enum.Enumerator, st *state, full, border bool) pieceSnap {
+	var p pieceSnap
+	for sp := core.SpeciesH; sp <= core.SpeciesM; sp++ {
+		for i := 0; i < st.in.NumFrags(sp); i++ {
+			fr := core.FragRef{Sp: sp, Idx: i}
+			if full {
+				p.win[sp] = append(p.win[sp], en.Windows(fr))
+			}
+			if border {
+				p.dep[sp] = append(p.dep[sp], en.EndDepths(fr))
+				if sp == core.SpeciesH {
+					p.chain = append(p.chain, en.ChainLinks(fr))
+				}
+			}
+		}
+	}
+	return p
+}
+
+// diff lists the pieces whose values differ between p and q, in Repair's
+// reporting order: species, fragment, then piece family.
+func (p pieceSnap) diff(q pieceSnap) []enum.Change {
+	var out []enum.Change
+	for sp := core.SpeciesH; sp <= core.SpeciesM; sp++ {
+		n := max(len(p.win[sp]), len(p.dep[sp]))
+		for i := 0; i < n; i++ {
+			fr := core.FragRef{Sp: sp, Idx: i}
+			if i < len(p.win[sp]) && !slices.Equal(p.win[sp][i], q.win[sp][i]) {
+				out = append(out, enum.Change{Kind: enum.PieceI1Windows, Frag: fr})
+			}
+			if i < len(p.dep[sp]) && p.dep[sp][i] != q.dep[sp][i] {
+				out = append(out, enum.Change{Kind: enum.PieceI2Depths, Frag: fr})
+			}
+			if sp == core.SpeciesH && i < len(p.chain) && !slices.Equal(p.chain[i], q.chain[i]) {
+				out = append(out, enum.Change{Kind: enum.PieceI3Chains, Frag: fr})
+			}
+		}
+	}
+	return out
 }
 
 // countCtx is a deterministic cancellation probe: it reports itself

@@ -34,10 +34,10 @@ import (
 //     that cannot participate in their improvement.
 //
 // Together these make the incremental driver accept exactly the same
-// attempt sequence as full re-evaluation (enforced by
-// TestIncrementalMatchesFull). The enumeration subsystem
-// (internal/improve/enum) caches candidate windows under the same
-// version-counter scheme, so the per-round candidate list is likewise
+// attempt sequence as full re-evaluation (enforced against the test-side
+// oracle by TestIncrementalMatchesFull and TestLazySelectionMatchesFull).
+// The enumeration subsystem (internal/improve/enum) caches candidate windows
+// under the same version-counter scheme, so the candidate set is likewise
 // bit-identical to from-scratch enumeration (TestIncrementalEnumMatchesFull).
 
 // readEntry is one recorded fragment read: the fragment plus the live
@@ -71,28 +71,6 @@ func (r *readRecorder) note(fr core.FragRef) {
 		}
 	}
 	r.reads = append(r.reads, readEntry{fr: fr, ver: r.vers.of(fr)})
-}
-
-// cacheEntry is one memoized candidate gain plus the read set that
-// justifies it.
-type cacheEntry struct {
-	gain  float64
-	reads []readEntry
-	// seen is the last round this entry's key was enumerated; the driver
-	// sweeps unseen entries each round so the cache tracks the live
-	// candidate set instead of every key ever generated.
-	seen int
-}
-
-// valid reports whether every fragment the evaluation read still has the
-// version it read.
-func (e *cacheEntry) valid(vers *versions) bool {
-	for _, r := range e.reads {
-		if vers.of(r.fr) != r.ver {
-			return false
-		}
-	}
-	return true
 }
 
 // alignKey identifies one site-word alignment — score of H-site h against

@@ -11,8 +11,10 @@ import (
 // TestIncrementalMatchesFull enforces the incremental driver's contract:
 // caching candidate gains and re-evaluating only invalidated candidates
 // must accept exactly the same attempt sequence as re-simulating every
-// candidate every round — identical Stats (rounds, evaluated, accepted,
-// threshold, final score) and an identical final match set.
+// candidate every round (the fullReeval oracle) — identical rounds,
+// accepted count, threshold and final score, and an identical final match
+// set — on the paper example and on generated workloads under every
+// method family, worker parallelism, and quantized scaling.
 func TestIncrementalMatchesFull(t *testing.T) {
 	type cfg struct {
 		name string
@@ -40,25 +42,21 @@ func TestIncrementalMatchesFull(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			// EagerSelect pins the per-key gain-cache engine this test is
-			// about; the lazy engine has its own oracle
-			// (TestLazySelectionMatchesFull).
-			eager := tc.opt
-			eager.EagerSelect = true
-			inc, incStats, err := Improve(tc.in, eager)
+			inc, incStats, err := Improve(tc.in, tc.opt)
 			if err != nil {
 				t.Fatalf("incremental: %v", err)
 			}
 			full := tc.opt
-			full.FullReeval = true
+			full.engine = fullReeval
 			ref, refStats, err := Improve(tc.in, full)
 			if err != nil {
 				t.Fatalf("full re-evaluation: %v", err)
 			}
-			// The enumeration piece-cache counters necessarily differ (the
-			// oracle re-enumerates every piece every round); everything the
+			// The work counters necessarily differ (the oracle re-enumerates
+			// and re-simulates everything every round); everything the
 			// algorithm can observe must be identical.
 			norm := func(s Stats) Stats {
+				s.Evaluated, s.Popped, s.Resimulated, s.Skipped = 0, 0, 0, 0
 				s.EnumRefreshed, s.EnumReused = 0, 0
 				return s
 			}
@@ -94,7 +92,7 @@ func TestIncrementalCacheReuse(t *testing.T) {
 		if err != nil {
 			t.Fatalf("methods %v: %v", m, err)
 		}
-		ref, _, err := Improve(w.Instance, Options{Methods: m, Eps: 0.05, FullReeval: true})
+		ref, _, err := Improve(w.Instance, Options{Methods: m, Eps: 0.05, engine: fullReeval})
 		if err != nil {
 			t.Fatalf("methods %v: %v", m, err)
 		}

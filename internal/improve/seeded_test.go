@@ -14,47 +14,42 @@ import (
 // pair outside it can never produce a strictly positive gain in I1/I2/I3 or
 // a positive TPA placement. The solve must therefore walk the exact same
 // accepted-attempt sequence and land on the same matches and score as the
-// classic all-pairs solve, under both selection engines.
+// classic all-pairs solve.
 func TestSeededExhaustiveParity(t *testing.T) {
 	for _, gseed := range []int64{3, 7, 11, 19, 42} {
-		for _, eager := range []bool{false, true} {
-			cfg := gen.DefaultConfig(gseed)
-			cfg.Regions = 40
-			w := gen.Generate(cfg)
-			base := Options{
-				Methods: AllMethods, Eps: 0.05, SeedWithFourApprox: true,
-				EagerSelect: eager,
+		cfg := gen.DefaultConfig(gseed)
+		cfg.Regions = 40
+		w := gen.Generate(cfg)
+		base := Options{Methods: AllMethods, Eps: 0.05, SeedWithFourApprox: true}
+		type run struct {
+			name     string
+			opt      Options
+			accepted []candKey
+			score    float64
+			matches  any
+		}
+		runs := []*run{
+			{name: "classic", opt: base},
+			{name: "seeded-exhaustive", opt: base},
+		}
+		runs[1].opt.Seeded = true
+		runs[1].opt.SeedParams = seed.Params{Exhaustive: true}
+		for _, r := range runs {
+			r.opt.onAccept = func(k candKey) { r.accepted = append(r.accepted, k) }
+			sol, _, err := Improve(w.Instance, r.opt)
+			if err != nil {
+				t.Fatalf("seed %d %s: %v", gseed, r.name, err)
 			}
-			type run struct {
-				name     string
-				opt      Options
-				accepted []candKey
-				score    float64
-				matches  any
-			}
-			runs := []*run{
-				{name: "classic", opt: base},
-				{name: "seeded-exhaustive", opt: base},
-			}
-			runs[1].opt.Seeded = true
-			runs[1].opt.SeedParams = seed.Params{Exhaustive: true}
-			for _, r := range runs {
-				r.opt.onAccept = func(k candKey) { r.accepted = append(r.accepted, k) }
-				sol, _, err := Improve(w.Instance, r.opt)
-				if err != nil {
-					t.Fatalf("seed %d eager=%v %s: %v", gseed, eager, r.name, err)
-				}
-				r.score, r.matches = sol.Score(), sol.Matches
-			}
-			ref, got := runs[0], runs[1]
-			if !reflect.DeepEqual(got.accepted, ref.accepted) {
-				t.Errorf("seed %d eager=%v: accepted sequence diverges:\n%v\nwant\n%v",
-					gseed, eager, got.accepted, ref.accepted)
-			}
-			if got.score != ref.score || !reflect.DeepEqual(got.matches, ref.matches) {
-				t.Errorf("seed %d eager=%v: solution diverges (score %v vs %v)",
-					gseed, eager, got.score, ref.score)
-			}
+			r.score, r.matches = sol.Score(), sol.Matches
+		}
+		ref, got := runs[0], runs[1]
+		if !reflect.DeepEqual(got.accepted, ref.accepted) {
+			t.Errorf("seed %d: accepted sequence diverges:\n%v\nwant\n%v",
+				gseed, got.accepted, ref.accepted)
+		}
+		if got.score != ref.score || !reflect.DeepEqual(got.matches, ref.matches) {
+			t.Errorf("seed %d: solution diverges (score %v vs %v)",
+				gseed, got.score, ref.score)
 		}
 	}
 }

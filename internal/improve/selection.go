@@ -7,9 +7,9 @@ import (
 )
 
 // This file implements the driver's lazy best-first candidate-selection
-// engine: the default replacement for the per-round evaluate-everything loop
-// (which survives as the EagerSelect/FullEnum/FullReeval oracle in
-// driver.go).
+// engine, the only production round loop. Its reference is the per-round
+// evaluate-everything oracle in oracle_test.go: fresh enumeration and fresh
+// simulation of every candidate, then an argmax.
 //
 // Cached gains live in a generation-stamped flat slot array — one slot per
 // live candidate, no per-candidate map on any per-round path — and feed an
@@ -48,8 +48,8 @@ import (
 // no fragment it read was bumped since the recording ⇒ a fresh simulation
 // would replay the identical event sequence ⇒ the cached gain is bit-equal
 // to a fresh one. Selecting the heap top under (gain, enum.Less) is then
-// exactly the eager loop's argmax with the same tie-break, so both engines
-// accept identical attempt sequences (TestLazySelectionMatchesFull).
+// exactly the oracle's argmax with the same tie-break, so both accept
+// identical attempt sequences (TestLazySelectionMatchesFull).
 
 // selSlot is one candidate's cached-gain entry.
 type selSlot struct {
@@ -292,8 +292,9 @@ func (s *lazySel) rebuildI3(en *enum.Enumerator, f core.FragRef) {
 }
 
 // above reports whether slot a outranks slot b: strictly greater gain, or
-// an equal gain with the canonically smaller candidate — the eager loop's
-// first-strict-improvement argmax expressed as a total order.
+// an equal gain with the canonically smaller candidate — a
+// first-strict-improvement argmax over the canonical candidate order,
+// expressed as a total order.
 func (s *lazySel) above(a, b int32) bool {
 	ga, gb := s.slots[a].gain, s.slots[b].gain
 	if ga != gb {
@@ -368,9 +369,8 @@ func (s *lazySel) peek() (int32, bool) {
 	return s.heap[0], true
 }
 
-// improveLazy is the lazy engine's driver loop, the default selection path
-// of Improve. The state, enumerator, pool and acceptance floor are the ones
-// the eager loop would use; only per-round candidate handling differs.
+// improveLazy is the lazy engine's driver loop, the round loop of Improve
+// (an engineFunc).
 func improveLazy(opt Options, st *state, en *enum.Enumerator,
 	pool *EvalPool, runShards enum.Runner, canceled func() error,
 	maxRounds int, floor float64, stats *Stats) error {

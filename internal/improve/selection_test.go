@@ -10,14 +10,13 @@ import (
 	"repro/internal/improve/enum"
 )
 
-// TestLazySelectionMatchesFull is the lazy selection engine's oracle: the
-// generation-stamped gain heap must drive the solver through the exact same
-// accepted-attempt sequence — and to a bit-identical final match set and
-// score — as the eager full-list engine, the fresh-enumeration engine
-// (FullEnum), and the cache-free oracle (FullReeval), across seeds and all
-// three method families. The accepted sequence is observed through the
-// onAccept hook, so divergence is caught at the first differing attempt,
-// not just in the final solution.
+// TestLazySelectionMatchesFull is the lazy selection engine's oracle test:
+// the generation-stamped gain heap must drive the solver through the exact
+// same accepted-attempt sequence — and to a bit-identical final match set
+// and score — as the cache-free full re-evaluation oracle (fullReeval,
+// oracle_test.go), across seeds and all three method families. The accepted
+// sequence is observed through the onAccept hook, so divergence is caught at
+// the first differing attempt, not just in the final solution.
 func TestLazySelectionMatchesFull(t *testing.T) {
 	for _, seed := range []int64{2, 3, 5, 7, 11, 13, 17, 19, 23} {
 		for _, m := range []struct {
@@ -42,13 +41,9 @@ func TestLazySelectionMatchesFull(t *testing.T) {
 			}
 			runs := []*run{
 				{name: "lazy", opt: base},
-				{name: "eager", opt: base},
-				{name: "full-enum", opt: base},
-				{name: "full-reeval", opt: base},
+				{name: "oracle", opt: base},
 			}
-			runs[1].opt.EagerSelect = true
-			runs[2].opt.FullEnum = true
-			runs[3].opt.FullReeval = true
+			runs[1].opt.engine = fullReeval
 			for _, r := range runs {
 				r.opt.onAccept = func(k candKey) { r.accepted = append(r.accepted, k) }
 				sol, stats, err := Improve(w.Instance, r.opt)
@@ -57,46 +52,41 @@ func TestLazySelectionMatchesFull(t *testing.T) {
 				}
 				r.stats, r.score, r.matches = stats, sol.Score(), sol.Matches
 			}
-			ref := runs[3] // the cache-free oracle
-			for _, r := range runs[:3] {
-				if !reflect.DeepEqual(r.accepted, ref.accepted) {
-					t.Errorf("seed %d %s: %s accepted sequence diverges:\n%v\nwant\n%v",
-						seed, m.name, r.name, r.accepted, ref.accepted)
-				}
-				if r.stats.Rounds != ref.stats.Rounds || r.stats.Accepted != ref.stats.Accepted {
-					t.Errorf("seed %d %s: %s rounds/accepted diverge: %+v vs %+v",
-						seed, m.name, r.name, r.stats, ref.stats)
-				}
-				if r.score != ref.score || !reflect.DeepEqual(r.matches, ref.matches) {
-					t.Errorf("seed %d %s: %s solution diverges (score %v vs %v)",
-						seed, m.name, r.name, r.score, ref.score)
-				}
+			lazy, ref := runs[0], runs[1]
+			if !reflect.DeepEqual(lazy.accepted, ref.accepted) {
+				t.Errorf("seed %d %s: accepted sequence diverges:\n%v\nwant\n%v",
+					seed, m.name, lazy.accepted, ref.accepted)
 			}
-			lazy := runs[0]
+			if lazy.stats.Rounds != ref.stats.Rounds || lazy.stats.Accepted != ref.stats.Accepted {
+				t.Errorf("seed %d %s: rounds/accepted diverge: %+v vs %+v",
+					seed, m.name, lazy.stats, ref.stats)
+			}
+			if lazy.score != ref.score || !reflect.DeepEqual(lazy.matches, ref.matches) {
+				t.Errorf("seed %d %s: solution diverges (score %v vs %v)",
+					seed, m.name, lazy.score, ref.score)
+			}
 			// The engine must actually be lazy: on a multi-round solve the
-			// gains computed must undercut the eager engine's full-list
-			// walks, and some candidates must be carried untouched.
+			// gains computed must undercut the oracle's full-list walks, and
+			// some candidates must be carried untouched.
 			if lazy.stats.Rounds > 1 {
-				if lazy.stats.Evaluated >= runs[1].stats.Evaluated {
-					t.Errorf("seed %d %s: lazy evaluated %d ≥ eager %d — no laziness",
-						seed, m.name, lazy.stats.Evaluated, runs[1].stats.Evaluated)
+				if lazy.stats.Evaluated >= ref.stats.Evaluated {
+					t.Errorf("seed %d %s: lazy evaluated %d ≥ oracle %d — no laziness",
+						seed, m.name, lazy.stats.Evaluated, ref.stats.Evaluated)
 				}
 				if lazy.stats.Skipped == 0 {
 					t.Errorf("seed %d %s: lazy run skipped no cached candidates: %+v",
 						seed, m.name, lazy.stats)
 				}
 			}
-			if runs[1].stats.Popped != 0 || runs[1].stats.Resimulated != 0 || runs[1].stats.Skipped != 0 {
-				t.Errorf("seed %d %s: eager run reported lazy counters: %+v", seed, m.name, runs[1].stats)
-			}
 		}
 	}
 }
 
 // TestLazySelectionModes covers the lazy engine under the remaining solver
-// modes — quantized scaling, integer kernels, a shared eval pool, and a
-// non-trivial seed — against the eager engine, so no mode silently falls
-// off the bit-identical contract.
+// modes — quantized scaling, integer kernels, a shared eval pool, worker
+// parallelism, an empty start, and eps 0 — against the full re-evaluation
+// oracle, so no mode silently falls off the bit-identical contract. The
+// oracle runs behind the same shadow recursions and seeding as the engine.
 func TestLazySelectionModes(t *testing.T) {
 	cfg := gen.DefaultConfig(9)
 	cfg.Regions = 40
@@ -119,15 +109,15 @@ func TestLazySelectionModes(t *testing.T) {
 			if err != nil {
 				t.Fatalf("lazy: %v", err)
 			}
-			eager := tc.opt
-			eager.EagerSelect = true
-			ref, refStats, err := Improve(w.Instance, eager)
+			oracle := tc.opt
+			oracle.engine = fullReeval
+			ref, refStats, err := Improve(w.Instance, oracle)
 			if err != nil {
-				t.Fatalf("eager: %v", err)
+				t.Fatalf("oracle: %v", err)
 			}
 			if lazySol.Score() != ref.Score() || lazyStats.Accepted != refStats.Accepted ||
 				lazyStats.Rounds != refStats.Rounds {
-				t.Errorf("diverged: lazy score %v (%+v) vs eager %v (%+v)",
+				t.Errorf("diverged: lazy score %v (%+v) vs oracle %v (%+v)",
 					lazySol.Score(), lazyStats, ref.Score(), refStats)
 			}
 			if !reflect.DeepEqual(lazySol.Matches, ref.Matches) {
@@ -139,8 +129,8 @@ func TestLazySelectionModes(t *testing.T) {
 
 // TestLazySelectionCancel drives the lazy engine with the deterministic
 // countCtx probe at several depths: cancellation must surface promptly with
-// no solution and must not corrupt the pool for concurrent use (the refill
-// batches poll the context exactly like the eager evaluation batches).
+// no solution, including mid-refill (the refill batches poll the context
+// between simulations).
 func TestLazySelectionCancel(t *testing.T) {
 	cfg := gen.DefaultConfig(5)
 	cfg.Regions = 40

@@ -28,7 +28,8 @@
 // that read a dirty fragment. The recorded gains are bit-identical to fresh
 // evaluation (see incremental.go for the invariants), so the incremental
 // driver accepts exactly the same attempt sequence as full per-round
-// re-enumeration and re-evaluation (Options.FullReeval).
+// re-enumeration and re-evaluation (the test-side oracle in
+// oracle_test.go).
 package improve
 
 import (
@@ -128,7 +129,8 @@ type state struct {
 	// bumpLog, when non-nil on the live state, collects every fragment
 	// whose version bumps during an accepted-attempt replay — the lazy
 	// selection engine's dirty set (selection.go). Fragments may repeat;
-	// consumers sweep idempotently. Nil on clones and on eager replays.
+	// consumers sweep idempotently. Nil on clones and before the selection
+	// engine starts (Resume replays log nothing).
 	bumpLog []core.FragRef
 	// rec records fragment reads during a simulation (nil on the live
 	// state and on replays).

@@ -208,8 +208,10 @@ func TestChaosDisconnectUnderStall(t *testing.T) {
 	}()
 
 	// Both instances admitted and parked inside the injected stall, then
-	// the client dies.
-	waitFor(t, 5*time.Second, func() bool { return s.ctr.requests.Load() == 1 })
+	// the client dies. Waiting for the pool to accept both (not merely for
+	// the handler to start) keeps the disconnect from landing before the
+	// body is parsed, when there would be nothing to fail.
+	waitFor(t, 5*time.Second, func() bool { return s.opts.Pool.Counters().Submitted == 2 })
 	cancel()
 	pw.Close()
 	<-errc

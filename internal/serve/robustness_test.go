@@ -7,11 +7,13 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	fragalign "repro"
@@ -42,51 +44,90 @@ func serverMetrics(t *testing.T, url string) ServerMetrics {
 	return m.Server
 }
 
-// TestSeededQueryOverride: ?seeded=0/1 reaches the pool as a per-submission
-// context override, absence leaves the pool default untouched, and anything
-// else is a 400 before any instance is submitted.
+// recordingPool wraps a real pool and keeps every ticket it hands out, so a
+// test can inspect what each submission actually solved.
+type recordingPool struct {
+	Pool
+	mu      sync.Mutex
+	tickets []Ticket
+}
+
+func (p *recordingPool) record(t Ticket, err error) (Ticket, error) {
+	if err == nil {
+		p.mu.Lock()
+		p.tickets = append(p.tickets, t)
+		p.mu.Unlock()
+	}
+	return t, err
+}
+
+func (p *recordingPool) Submit(ctx context.Context, in *fragalign.Instance, opts ...fragalign.Option) (Ticket, error) {
+	return p.record(p.Pool.Submit(ctx, in, opts...))
+}
+
+func (p *recordingPool) TrySubmit(ctx context.Context, in *fragalign.Instance, opts ...fragalign.Option) (Ticket, error) {
+	return p.record(p.Pool.TrySubmit(ctx, in, opts...))
+}
+
+func (p *recordingPool) submitted() []Ticket {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return append([]Ticket(nil), p.tickets...)
+}
+
+// TestSeededQueryOverride: ?seeded=0/1 reaches the solve as a per-submission
+// option, absence leaves the pool default untouched, and anything else is a
+// 400 before any instance is submitted. Whether a solve ran seeded is read
+// off its result: Stats.SeedPairs is non-zero only on seeded solves.
 func TestSeededQueryOverride(t *testing.T) {
-	fp := &fakePool{}
-	s, err := New(Options{Pool: fp, Algorithm: "x"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s)
-	defer ts.Close()
-	body := jsonlBody(t, workloads(t, 1, 20))
+	body := jsonlBody(t, workloads(t, 1, 40))
+	for _, poolSeeded := range []bool{false, true} {
+		bp := fragalign.NewBatchPool(fragalign.CSRImprove, fragalign.WithFourApproxSeed(true),
+			fragalign.WithShards(1), fragalign.WithSeededCandidates(poolSeeded))
+		defer bp.Close()
+		rp := &recordingPool{Pool: AdaptBatchPool(bp)}
+		s, err := New(Options{Pool: rp, Algorithm: string(fragalign.CSRImprove)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s)
+		defer ts.Close()
 
-	for _, tc := range []struct {
-		query   string
-		wantOn  bool
-		wantSet bool
-	}{
-		{"?seeded=1", true, true},
-		{"?seeded=0", false, true},
-		{"", false, false},
-	} {
-		before := len(fp.contexts())
-		resp, out := postSolve(t, ts.URL, tc.query, body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%q: status %d: %s", tc.query, resp.StatusCode, out)
+		for _, tc := range []struct {
+			query      string
+			wantSeeded bool
+		}{
+			{"?seeded=1", true},
+			{"?seeded=0", false},
+			{"", poolSeeded},
+		} {
+			before := len(rp.submitted())
+			resp, out := postSolve(t, ts.URL, tc.query, body)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("pool seeded=%v %q: status %d: %s", poolSeeded, tc.query, resp.StatusCode, out)
+			}
+			tickets := rp.submitted()
+			if len(tickets) != before+1 {
+				t.Fatalf("pool seeded=%v %q: %d submissions, want 1", poolSeeded, tc.query, len(tickets)-before)
+			}
+			res, err := tickets[len(tickets)-1].Wait()
+			if err != nil {
+				t.Fatalf("pool seeded=%v %q: %v", poolSeeded, tc.query, err)
+			}
+			if got := res.Stats.SeedPairs > 0; got != tc.wantSeeded {
+				t.Fatalf("pool seeded=%v %q: solve seeded = %v (SeedPairs %d), want %v",
+					poolSeeded, tc.query, got, res.Stats.SeedPairs, tc.wantSeeded)
+			}
 		}
-		ctxs := fp.contexts()
-		if len(ctxs) != before+1 {
-			t.Fatalf("%q: %d submissions, want 1", tc.query, len(ctxs)-before)
-		}
-		on, ok := fragalign.SeededFromContext(ctxs[len(ctxs)-1])
-		if ok != tc.wantSet || on != tc.wantOn {
-			t.Fatalf("%q: seeded context = (%v, %v), want (%v, %v)",
-				tc.query, on, ok, tc.wantOn, tc.wantSet)
-		}
-	}
 
-	before := len(fp.contexts())
-	resp, _ := postSolve(t, ts.URL, "?seeded=yes", body)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad seeded value: status %d, want 400", resp.StatusCode)
-	}
-	if len(fp.contexts()) != before {
-		t.Fatal("bad seeded value still submitted instances")
+		before := len(rp.submitted())
+		resp, _ := postSolve(t, ts.URL, "?seeded=yes", body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("bad seeded value: status %d, want 400", resp.StatusCode)
+		}
+		if len(rp.submitted()) != before {
+			t.Fatal("bad seeded value still submitted instances")
+		}
 	}
 }
 

@@ -289,16 +289,20 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "partial must be 0 or 1", http.StatusBadRequest)
 		return
 	}
-	// ?seeded= overrides the pool's candidate-generation mode per request
-	// (ContextWithSeeded); absent means the pool default — whatever
-	// csrserve's -seeded flag built the pool with.
-	seededSet, seededOn := false, false
+	// Per-request solve options ride on every submission of the request.
+	// ?seeded= overrides the pool's candidate-generation mode; absent means
+	// the pool default — whatever csrserve's -seeded flag built the pool
+	// with.
+	var subOpts []fragalign.Option
+	if partial {
+		subOpts = append(subOpts, fragalign.WithPartialResults(true))
+	}
 	switch q.Get("seeded") {
 	case "":
 	case "1", "true":
-		seededSet, seededOn = true, true
+		subOpts = append(subOpts, fragalign.WithSeededCandidates(true))
 	case "0", "false":
-		seededSet, seededOn = true, false
+		subOpts = append(subOpts, fragalign.WithSeededCandidates(false))
 	default:
 		http.Error(w, "seeded must be 0 or 1", http.StatusBadRequest)
 		return
@@ -325,13 +329,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	defer s.tenants.release(ten)
 	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBody)
 	reqCtx := r.Context()
-	subCtx := reqCtx
-	if partial {
-		subCtx = fragalign.ContextWithPartial(subCtx)
-	}
-	if seededSet {
-		subCtx = fragalign.ContextWithSeeded(subCtx, seededOn)
-	}
 
 	// Reader goroutine: parse and submit, blocking on the bounded queue for
 	// backpressure — except the request's first instance, which must clear
@@ -349,10 +346,10 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		defer close(tickets)
 		index := 0
 		readErr = encoding.ReadJSONLWith(body, ten.si, func(in *core.Instance) error {
-			ictx := subCtx
+			ictx := reqCtx
 			var cancel context.CancelFunc
 			if timeout > 0 {
-				ictx, cancel = context.WithTimeout(subCtx, timeout)
+				ictx, cancel = context.WithTimeout(reqCtx, timeout)
 			}
 			var t Ticket
 			var err error
@@ -366,7 +363,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 					rejectExcess = excess
 					return errRejected
 				case admitSlack:
-					t, err = s.opts.Pool.TrySubmit(ictx, in)
+					t, err = s.opts.Pool.TrySubmit(ictx, in, subOpts...)
 					if errors.Is(err, fragalign.ErrQueueFull) {
 						if cancel != nil {
 							cancel()
@@ -375,11 +372,11 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 						return errRejected
 					}
 				default: // admitGuaranteed
-					t, err = s.opts.Pool.Submit(ictx, in)
+					t, err = s.opts.Pool.Submit(ictx, in, subOpts...)
 				}
 			} else {
 				s.tenants.reserve(ten)
-				t, err = s.opts.Pool.Submit(ictx, in)
+				t, err = s.opts.Pool.Submit(ictx, in, subOpts...)
 			}
 			if err != nil {
 				if index == 0 {

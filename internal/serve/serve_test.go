@@ -216,7 +216,7 @@ type fakePool struct {
 	ctxs []context.Context
 }
 
-func (p *fakePool) Submit(ctx context.Context, in *fragalign.Instance) (Ticket, error) {
+func (p *fakePool) Submit(ctx context.Context, in *fragalign.Instance, _ ...fragalign.Option) (Ticket, error) {
 	p.mu.Lock()
 	p.ctxs = append(p.ctxs, ctx)
 	p.mu.Unlock()
@@ -226,7 +226,7 @@ func (p *fakePool) Submit(ctx context.Context, in *fragalign.Instance) (Ticket, 
 	return &fakeTicket{res: &fragalign.Result{Score: 1, Wall: time.Millisecond}}, nil
 }
 
-func (p *fakePool) TrySubmit(ctx context.Context, in *fragalign.Instance) (Ticket, error) {
+func (p *fakePool) TrySubmit(ctx context.Context, in *fragalign.Instance, _ ...fragalign.Option) (Ticket, error) {
 	if p.reject {
 		return nil, fragalign.ErrQueueFull
 	}

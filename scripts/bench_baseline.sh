@@ -10,13 +10,6 @@ go run ./cmd/csrbench -json -seed 1 -regions 60 -repeat 3 > BENCH_BASELINE.json
 go run ./cmd/csrbench -json -seed 1 -regions 60 -instances 8 -repeat 3 -algs csr-improve,four-approx >> BENCH_BASELINE.json
 go run ./cmd/csrbench -json -seed 1 -regions 60 -repeat 3 -int -algs csr-improve,four-approx >> BENCH_BASELINE.json
 go run ./cmd/csrbench -json -seed 1 -regions 60 -instances 8 -repeat 3 -int -algs csr-improve,four-approx >> BENCH_BASELINE.json
-# Incremental-enumeration ablation row (mode=full-enum): tracks what
-# from-scratch per-round enumeration costs, so the E7Improve/enum gap
-# stays visible in the committed trajectory.
-go run ./cmd/csrbench -json -seed 1 -regions 60 -instances 8 -repeat 3 -full-enum -algs csr-improve >> BENCH_BASELINE.json
-# Lazy-selection ablation row (mode=eager): the full-list selection engine,
-# so the heap engine's win — and any future erosion of it — stays visible.
-go run ./cmd/csrbench -json -seed 1 -regions 60 -instances 8 -repeat 3 -lazy=false -algs csr-improve >> BENCH_BASELINE.json
 # Genome-scale seeded row (algorithm=csr-genome, mode=seeded): the pinned
 # 5k-region genome-small preset solved with minimizer-seeded sparse
 # candidates. Single repeat — the row is dominated by the dense-σ build,

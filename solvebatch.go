@@ -10,7 +10,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/batch"
 	"repro/internal/core"
@@ -64,9 +63,14 @@ type BatchCounters = batch.Counters
 //	t, _ := pool.Submit(ctx, in)
 //	res, err := t.Wait()
 type BatchPool struct {
-	pool    *batch.Pool
-	timeout time.Duration // per-instance deadline, 0 = none
+	pool *batch.Pool
+	cfg  solveCfg // the pool's solve configuration, per-submission base
 }
+
+// submitCfgKey carries a submission's merged solve configuration from
+// Submit to the shard that solves it, so internal/batch stays
+// instance-generic.
+type submitCfgKey struct{}
 
 // BatchTicket is the pending result of one submitted instance.
 type BatchTicket struct {
@@ -108,35 +112,52 @@ func NewBatchPool(alg Algorithm, opts ...Option) *BatchPool {
 		Inject:      cfg.inject,
 		MemBudget:   cfg.memBudget,
 		Solve: func(ctx context.Context, in *core.Instance, rt batch.Runtime) (any, error) {
-			return solveInstance(ctx, in, alg, cfg, rt.Eval)
+			sc, ok := ctx.Value(submitCfgKey{}).(*solveCfg)
+			if !ok {
+				sc = &cfg
+			}
+			return solveInstance(ctx, in, alg, *sc, rt.Eval)
 		},
 	})
-	return &BatchPool{pool: p, timeout: cfg.timeout}
+	return &BatchPool{pool: p, cfg: cfg}
 }
 
 // Submit enqueues an instance, blocking while the queue is full. The
 // returned ticket resolves once a shard solves the instance; ctx (nil means
-// Background) cancels queue wait and solve alike.
-func (bp *BatchPool) Submit(ctx context.Context, in *Instance) (*BatchTicket, error) {
-	return bp.submit(ctx, in, bp.pool.Submit)
+// Background) cancels queue wait and solve alike. opts apply to this
+// submission only, over a copy of the pool's options — e.g.
+// WithPartialResults, WithSeededCandidates, WithCheckpoint, WithResume.
+// Options that shape the pool itself (WithShards, WithQueueDepth,
+// WithPerInstanceTimeout, WithMemBudget, WithFaultInjector) have no
+// per-submission effect, and WithWorkers sizes only this solve's own
+// evaluation, never the pool's shared workers.
+func (bp *BatchPool) Submit(ctx context.Context, in *Instance, opts ...Option) (*BatchTicket, error) {
+	return bp.submit(ctx, in, opts, bp.pool.Submit)
 }
 
 // TrySubmit is the non-blocking form of Submit: when the bounded queue has
 // no free slot it fails immediately with ErrQueueFull instead of waiting.
 // This is the admission-control entry point for serving frontends that
 // must shed load rather than absorb it.
-func (bp *BatchPool) TrySubmit(ctx context.Context, in *Instance) (*BatchTicket, error) {
-	return bp.submit(ctx, in, bp.pool.TrySubmit)
+func (bp *BatchPool) TrySubmit(ctx context.Context, in *Instance, opts ...Option) (*BatchTicket, error) {
+	return bp.submit(ctx, in, opts, bp.pool.TrySubmit)
 }
 
-func (bp *BatchPool) submit(ctx context.Context, in *Instance,
+func (bp *BatchPool) submit(ctx context.Context, in *Instance, opts []Option,
 	do func(context.Context, *core.Instance) (*batch.Ticket, error)) (*BatchTicket, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	if len(opts) > 0 {
+		sc := bp.cfg
+		for _, o := range opts {
+			o(&sc)
+		}
+		ctx = context.WithValue(ctx, submitCfgKey{}, &sc)
+	}
 	var cancel context.CancelFunc
-	if bp.timeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, bp.timeout)
+	if bp.cfg.timeout > 0 {
+		ctx, cancel = context.WithTimeout(ctx, bp.cfg.timeout)
 	}
 	t, err := do(ctx, in)
 	if err != nil {

@@ -49,6 +49,47 @@ func TestSolveBatchMatchesSolve(t *testing.T) {
 	}
 }
 
+// TestBatchPoolPerSubmissionOptions: concurrent submitters on one pool,
+// half of them overriding the pool's options per submission, each get
+// exactly what sequential Solve produces under their own merged options —
+// an override never leaks into another submission or the pool default.
+func TestBatchPoolPerSubmissionOptions(t *testing.T) {
+	ins := batchWorkloads(8, 40)
+	pool := NewBatchPool(CSRImprove, WithFourApproxSeed(true), WithShards(3))
+	defer pool.Close()
+	override := func(i int) []Option {
+		if i%2 == 1 {
+			return []Option{WithSeededCandidates(true), WithEps(0.1)}
+		}
+		return nil
+	}
+	got := make([]*Result, len(ins))
+	errs := make(chan error, len(ins))
+	for i, in := range ins {
+		go func() {
+			tk, err := pool.Submit(nil, in, override(i)...)
+			if err == nil {
+				got[i], err = tk.Wait()
+			}
+			errs <- err
+		}()
+	}
+	for range ins {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, in := range ins {
+		want, err := Solve(in, CSRImprove, append([]Option{WithFourApproxSeed(true)}, override(i)...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if FormatResult(in, got[i]) != FormatResult(in, want) || (got[i].Stats.SeedPairs > 0) != (i%2 == 1) {
+			t.Errorf("instance %d: pooled result diverges from Solve with the same options", i)
+		}
+	}
+}
+
 // TestSolveBatchPartialFailure: one instance failing (exact solver over its
 // fragment cap) must not poison the rest of the batch.
 func TestSolveBatchPartialFailure(t *testing.T) {
