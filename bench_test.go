@@ -454,3 +454,41 @@ func BenchmarkBatchSolve(b *testing.B) {
 		b.ReportMetric(float64(nInstances)*float64(b.N)/b.Elapsed().Seconds(), "inst/s")
 	})
 }
+
+// BenchmarkSigmaPrepare measures preparing a fresh σ for a genome-shaped
+// instance of 1,000 regions (dim 4,001, under 1,800 nonzero cells):
+// Compile, Transposed and both orientations' PosRow index, plus Int() and
+// the quantized forms for the int sub-benchmark. Each iteration compiles a
+// fresh clone of the table, so the table's compile cache never hits.
+func BenchmarkSigmaPrepare(b *testing.B) {
+	cfg := gen.DefaultConfig(1)
+	cfg.Regions = 1000
+	cfg.MeanContig = 6
+	cfg.Inversions = 8
+	cfg.InversionLen = 25
+	cfg.Translocations = 2
+	cfg.Spurious = 100
+	in := gen.Generate(cfg).Instance
+	sigma, maxID := in.Sigma.(*score.Table), in.MaxSymbolID()
+	run := func(b *testing.B, prepare func(c *score.Compiled)) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			tb := sigma.Clone()
+			b.StartTimer()
+			prepare(score.Compile(tb, maxID))
+		}
+	}
+	b.Run("float", func(b *testing.B) {
+		run(b, func(c *score.Compiled) {
+			c.PosRow(1)
+			c.Transposed().PosRow(1)
+		})
+	})
+	b.Run("int", func(b *testing.B) {
+		run(b, func(c *score.Compiled) {
+			ci := c.Int()
+			ci.PosRow(1)
+			ci.Transposed().PosRow(1)
+		})
+	})
+}

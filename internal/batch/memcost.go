@@ -13,7 +13,9 @@ package batch
 //   - σ compile bytes: the dense float64 matrix is dim² cells for
 //     dim = 2·MaxSymbolID+1, and its transpose (cached on the matrix, built
 //     by every improvement solve) doubles it. Int-score mode adds int32
-//     copies; the float term dominates and is what we charge.
+//     copies; the float term dominates and is what we charge. Each matrix
+//     also keeps a sorted index of its nonzero cells (4 bytes per nonzero,
+//     small beside the dim² term for a sparse σ), which is not charged.
 //   - DP scratch: alignment kernels sweep rolled rows, but the two-phase
 //     scoring path materializes O(maxH·maxM) cells for the longest fragment
 //     pair, plus per-worker row scratch.

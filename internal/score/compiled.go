@@ -2,6 +2,7 @@ package score
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/symbol"
@@ -17,7 +18,8 @@ import (
 // s+n; the score of (a, b) lives at flat[(a+n)·dim + (b+n)]. Pads compile to
 // zero rows and columns, and reversal symmetry is inherited from the base
 // scorer, so the compiled matrix obeys the same scorer laws bit-for-bit:
-// every entry is the exact float64 the base scorer returned at compile time.
+// every entry is the exact float64 the base scorer returned at compile time
+// (a −0 compiles to +0).
 //
 // Symbols outside the compiled range fall back to the base scorer, so a
 // Compiled is safe to use as a drop-in Scorer anywhere; alignment kernels
@@ -28,6 +30,10 @@ type Compiled struct {
 	n    int32 // maximum region ID covered
 	dim  int32 // 2n+1 oriented symbols
 	flat []float64
+	// nz lists the flat offsets of the nonzero cells in ascending order.
+	// Every other cell is +0, so the derived forms (transpose, positive-row
+	// index, quantization) walk nz instead of all dim² cells.
+	nz []int32
 
 	// trans caches Transposed so concurrent solves sharing one compiled
 	// matrix (the batch pool's per-alphabet cache) transpose σ once.
@@ -53,8 +59,11 @@ type Compiled struct {
 // maxID it is returned as is. A *Table additionally remembers its last
 // compilation: recompiling an unmutated table that was already compiled for a
 // sufficient maxID returns the identical matrix (with its cached transpose
-// and quantization) instead of re-densifying. Cost is O(maxID²) base
-// evaluations on a miss.
+// and quantization) instead of re-densifying. On a miss, Table and Identity
+// cost O(stored entries) and Quantized costs the nonzero cells of its
+// compiled base, beside the zeroed dim² allocation; any other scorer costs
+// O(maxID²) base evaluations. Zero scores (±0) are never stored, so every
+// unlisted cell is +0.
 func Compile(base Scorer, maxID int32) *Compiled {
 	if maxID < 0 {
 		maxID = 0
@@ -70,40 +79,52 @@ func Compile(base Scorer, maxID int32) *Compiled {
 	n := maxID
 	dim := 2*n + 1
 	c := &Compiled{base: base, n: n, dim: dim, flat: make([]float64, int(dim)*int(dim))}
+	set := func(off int32, v float64) {
+		c.flat[off] = v
+		c.nz = append(c.nz, off)
+	}
 	switch s := base.(type) {
 	case *Table:
-		// O(stored pairs): each canonical entry (a, b) = v expands to the
-		// two oriented cells (a, b) and (aᴿ, bᴿ) the reversal law implies.
+		// Each nonzero canonical entry (a, b) = v expands to the two
+		// oriented cells (a, b) and (aᴿ, bᴿ) the reversal law implies;
+		// distinct entries never share a cell. A stored zero is an
+		// unlisted pair.
+		c.nz = make([]int32, 0, 2*s.Len())
 		s.Pairs(func(a, b symbol.Symbol, v float64) {
-			if a.ID() > n || b.ID() > n {
+			if v == 0 || a.ID() > n || b.ID() > n {
 				return
 			}
-			c.flat[(int32(a)+n)*dim+(int32(b)+n)] = v
-			c.flat[(-int32(a)+n)*dim+(-int32(b)+n)] = v
+			set((int32(a)+n)*dim+(int32(b)+n), v)
+			set((-int32(a)+n)*dim+(-int32(b)+n), v)
 		})
+		slices.Sort(c.nz)
 	case *Identity:
-		// O(regions): only the diagonal σ(a, a) = weight(a) is nonzero.
-		for id := int32(1); id <= n; id++ {
-			w := s.Weight(symbol.Symbol(id))
-			c.flat[(id+n)*dim+(id+n)] = w
-			c.flat[(-id+n)*dim+(-id+n)] = w
+		// Only the diagonal σ(a, a) = weight(a) is nonzero.
+		for a := -n; a <= n; a++ {
+			if a == 0 {
+				continue // pad stays zero
+			}
+			if w := s.Weight(symbol.Symbol(a)); w != 0 {
+				set((a+n)*dim+(a+n), w)
+			}
 		}
 	case Quantized:
 		// Compile the base (hitting its own fast case), then truncate each
-		// cell — the same floor Quantized.Score applies per call.
+		// of its nonzero cells — the same floor Quantized.Score applies per
+		// call, under which a zero cell stays zero. The base may cover a
+		// wider range; its in-range cells keep their row-major order.
 		cb := Compile(s.Base, n)
-		if cb.n == n {
-			copy(c.flat, cb.flat)
-		} else {
-			for a := -n; a <= n; a++ {
-				for b := -n; b <= n; b++ {
-					c.flat[(a+n)*dim+(b+n)] = cb.Score(symbol.Symbol(a), symbol.Symbol(b))
-				}
+		for _, off := range cb.nz {
+			a, b := off/cb.dim-cb.n, off%cb.dim-cb.n
+			if a < -n || a > n || b < -n || b > n {
+				continue
 			}
-		}
-		if s.Unit > 0 {
-			for i, v := range c.flat {
-				c.flat[i] = math.Floor(v/s.Unit) * s.Unit
+			v := cb.flat[off]
+			if s.Unit > 0 {
+				v = math.Floor(v/s.Unit) * s.Unit
+			}
+			if v != 0 {
+				set((a+n)*dim+(b+n), v)
 			}
 		}
 	default:
@@ -111,12 +132,13 @@ func Compile(base Scorer, maxID int32) *Compiled {
 			if a == 0 {
 				continue // pad row stays zero
 			}
-			row := c.flat[int(a+n)*int(dim) : int(a+n+1)*int(dim)]
 			for b := -n; b <= n; b++ {
 				if b == 0 {
 					continue // pad column stays zero
 				}
-				row[b+n] = base.Score(symbol.Symbol(a), symbol.Symbol(b))
+				if v := base.Score(symbol.Symbol(a), symbol.Symbol(b)); v != 0 {
+					set((a+n)*dim+(b+n), v)
+				}
 			}
 		}
 	}
@@ -182,38 +204,65 @@ func (c *Compiled) PosRow(a symbol.Symbol) (cols []int32, vals []float64) {
 }
 
 func (c *Compiled) buildPosRows() {
-	d := int(c.dim)
-	c.posOff = make([]int32, d+1)
-	for i := 0; i < d; i++ {
-		row := c.flat[i*d : (i+1)*d]
-		for j, v := range row {
-			if v > 0 {
-				c.posCol = append(c.posCol, int32(j))
-				c.posVal = append(c.posVal, v)
-			}
-		}
-		c.posOff[i+1] = int32(len(c.posCol))
-	}
+	c.posOff, c.posCol, c.posVal = posRows(c.flat, c.nz, c.dim, c.dim)
 }
 
 // Transposed returns the compiled matrix of σᵀ(a, b) = σ(b, a). The result
 // is computed once and cached (safely under concurrent use), and its own
-// transpose links back to c, so repeated solves over a shared matrix pay
-// for the O(dim²) flip a single time.
+// transpose links back to c, so repeated solves over a shared matrix build
+// it a single time. The build allocates a zeroed matrix and touches only
+// the nonzero cells.
 func (c *Compiled) Transposed() *Compiled {
 	c.transOnce.Do(func() {
 		t := &Compiled{base: Transpose(c.base), n: c.n, dim: c.dim, flat: make([]float64, len(c.flat))}
-		d := int(c.dim)
-		for i := 0; i < d; i++ {
-			for j := 0; j < d; j++ {
-				t.flat[j*d+i] = c.flat[i*d+j]
-			}
-		}
+		t.nz = transposeCells(t.flat, c.flat, c.nz, c.dim, c.dim)
 		t.trans = c
 		t.transOnce.Do(func() {}) // mark resolved: t.Transposed() == c
 		c.trans = t
 	})
 	return c.trans
+}
+
+// transposeCells scatters the nonzero cells of the dim×dim matrix src (row
+// pitch stride, nonzero offsets nz in ascending order) into the zeroed dst
+// at their transposed positions, and returns dst's ascending nonzero index.
+// The index is a counting sort of nz by column: nz is row-major, so rows
+// stay ascending within each column. Cost is O(len(nz) + dim).
+func transposeCells[T float64 | int32](dst, src []T, nz []int32, dim, stride int32) []int32 {
+	next := make([]int32, dim+1) // next[j]: where column j's next cell goes
+	for _, off := range nz {
+		next[off%stride+1]++
+	}
+	for j := int32(1); j <= dim; j++ {
+		next[j] += next[j-1]
+	}
+	out := make([]int32, len(nz))
+	for _, off := range nz {
+		i, j := off/stride, off%stride
+		to := j*stride + i
+		dst[to] = src[off]
+		out[next[j]] = to
+		next[j]++
+	}
+	return out
+}
+
+// posRows builds the positive-cell index of the dim×dim matrix flat (row
+// pitch stride) from its ascending nonzero index: row i's positive cells
+// are col/val[off[i]:off[i+1]], in column order.
+func posRows[T float64 | int32](flat []T, nz []int32, dim, stride int32) (off, col []int32, val []T) {
+	off = make([]int32, dim+1)
+	for _, o := range nz {
+		if v := flat[o]; v > 0 {
+			off[o/stride+1]++
+			col = append(col, o%stride)
+			val = append(val, v)
+		}
+	}
+	for i := int32(1); i <= dim; i++ {
+		off[i] += off[i-1]
+	}
+	return off, col, val
 }
 
 // transposedScorer swaps the species arguments: σᵀ(x, y) = σ(y, x).

@@ -1,0 +1,333 @@
+package score
+
+import (
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/symbol"
+)
+
+// Reference implementations of the derived forms: plain scans over every
+// dim² cell, with no nonzero index. The production forms walk the index;
+// TestDerivedFormsMatchDenseScan pins them to these bit for bit.
+
+func refNonzeros[T float64 | int32](flat []T, dim, stride int32) []int32 {
+	var nz []int32
+	for i := int32(0); i < dim; i++ {
+		for j := int32(0); j < dim; j++ {
+			if flat[i*stride+j] != 0 {
+				nz = append(nz, i*stride+j)
+			}
+		}
+	}
+	return nz
+}
+
+func refTranspose[T float64 | int32](flat []T, dim, stride int32) []T {
+	out := make([]T, len(flat))
+	for i := int32(0); i < dim; i++ {
+		for j := int32(0); j < dim; j++ {
+			out[j*stride+i] = flat[i*stride+j]
+		}
+	}
+	return out
+}
+
+func refPosRows[T float64 | int32](flat []T, dim, stride int32) (off, col []int32, val []T) {
+	off = make([]int32, dim+1)
+	for i := int32(0); i < dim; i++ {
+		for j := int32(0); j < dim; j++ {
+			if v := flat[i*stride+j]; v > 0 {
+				col = append(col, j)
+				val = append(val, v)
+			}
+		}
+		off[i+1] = int32(len(col))
+	}
+	return off, col, val
+}
+
+func refMaxAbsCell(c *Compiled) float64 {
+	v := 0.0
+	for _, x := range c.flat {
+		if a := math.Abs(x); a > v {
+			v = a
+		}
+	}
+	return v
+}
+
+func refChooseUnit(c *Compiled) float64 {
+	maxAbs := refMaxAbsCell(c)
+	if maxAbs == 0 {
+		return 1
+	}
+	headroom := float64(int32(1) << intHeadroomBits)
+	if q, ok := c.base.(Quantized); ok && q.Unit > 0 && maxAbs/q.Unit <= 2*headroom {
+		return q.Unit
+	}
+	integral := true
+	for _, v := range c.flat {
+		if v != math.Trunc(v) {
+			integral = false
+			break
+		}
+	}
+	if integral && maxAbs <= 2*headroom {
+		return 1
+	}
+	return maxAbs / headroom
+}
+
+// refQuantize returns the quantized flat matrix (row pitch padStride(dim)),
+// its largest |cell| and its largest per-cell rounding error.
+func refQuantize(c *Compiled, unit float64) (flat []int32, maxAbs int32, cellErr float64) {
+	d, st := int(c.dim), int(padStride(c.dim))
+	flat = make([]int32, st*d)
+	for r := 0; r < d; r++ {
+		for j, v := range c.flat[r*d : (r+1)*d] {
+			q := int32(math.Round(v / unit))
+			flat[r*st+j] = q
+			a := q
+			if a < 0 {
+				a = -a
+			}
+			if a > maxAbs {
+				maxAbs = a
+			}
+			if e := math.Abs(v - float64(q)*unit); e > cellErr {
+				cellErr = e
+			}
+		}
+	}
+	return flat, maxAbs, cellErr
+}
+
+// sameBits reports float64 slice equality bit for bit (so −0 ≠ +0).
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+// checkFloatIndex asserts c's nonzero index lists exactly its nonzero cells
+// in ascending order, every other cell is +0, and its positive-row index
+// matches the dense scan.
+func checkFloatIndex(t *testing.T, name string, c *Compiled) {
+	t.Helper()
+	if got, want := c.nz, refNonzeros(c.flat, c.dim, c.dim); !slices.Equal(got, want) {
+		t.Fatalf("%s: nz = %v, want %v", name, got, want)
+	}
+	for i, v := range c.flat {
+		if v == 0 && math.Signbit(v) {
+			t.Fatalf("%s: cell %d is −0", name, i)
+		}
+	}
+	c.PosRow(0)
+	off, col, val := refPosRows(c.flat, c.dim, c.dim)
+	if !slices.Equal(c.posOff, off) || !slices.Equal(c.posCol, col) || !sameBits(c.posVal, val) {
+		t.Fatalf("%s: PosRow index differs from the dense scan", name)
+	}
+}
+
+func checkIntIndex(t *testing.T, name string, ci *CompiledInt) {
+	t.Helper()
+	if got, want := ci.nz, refNonzeros(ci.flat, ci.dim, ci.stride); !slices.Equal(got, want) {
+		t.Fatalf("%s: int nz = %v, want %v", name, got, want)
+	}
+	ci.PosRow(0)
+	off, col, val := refPosRows(ci.flat, ci.dim, ci.stride)
+	if !slices.Equal(ci.posOff, off) || !slices.Equal(ci.posCol, col) || !slices.Equal(ci.posVal, val) {
+		t.Fatalf("%s: int PosRow index differs from the dense scan", name)
+	}
+}
+
+func checkQuantized(t *testing.T, name string, c *Compiled, ci *CompiledInt, unit float64) {
+	t.Helper()
+	flat, maxAbs, cellErr := refQuantize(c, unit)
+	if math.Float64bits(ci.unit) != math.Float64bits(unit) || ci.maxAbs != maxAbs ||
+		math.Float64bits(ci.cellErr) != math.Float64bits(cellErr) {
+		t.Fatalf("%s: unit/maxAbs/cellErr = %v/%v/%v, want %v/%v/%v",
+			name, ci.unit, ci.maxAbs, ci.cellErr, unit, maxAbs, cellErr)
+	}
+	if !slices.Equal(ci.flat, flat) {
+		t.Fatalf("%s: quantized flat differs from the dense scan", name)
+	}
+	checkIntIndex(t, name, ci)
+}
+
+// checkDerived checks c scores as base does on every covered pair, then
+// compares every derived form of c against the dense-scan references.
+func checkDerived(t *testing.T, name string, c *Compiled, base Scorer) {
+	t.Helper()
+	for _, a := range orientedUniverse(c.n) {
+		for _, b := range orientedUniverse(c.n) {
+			if got, want := c.Row(a)[c.Index(b)], base.Score(a, b); got != want {
+				t.Fatalf("%s: compiled σ(%d,%d) = %v, want %v", name, a, b, got, want)
+			}
+		}
+	}
+	checkFloatIndex(t, name, c)
+
+	ct := c.Transposed()
+	if !sameBits(ct.flat, refTranspose(c.flat, c.dim, c.dim)) {
+		t.Fatalf("%s: Transposed flat differs from the dense transpose", name)
+	}
+	checkFloatIndex(t, name+"/T", ct)
+	if ct.Transposed() != c {
+		t.Fatalf("%s: Transposed().Transposed() is not the original matrix", name)
+	}
+
+	ci := c.Int()
+	checkQuantized(t, name+"/int", c, ci, refChooseUnit(c))
+	cit := ci.Transposed()
+	if !slices.Equal(cit.flat, refTranspose(ci.flat, ci.dim, ci.stride)) {
+		t.Fatalf("%s: int Transposed flat differs from the dense transpose", name)
+	}
+	if cit.unit != ci.unit || cit.maxAbs != ci.maxAbs || cit.cellErr != ci.cellErr {
+		t.Fatalf("%s: int transpose changed unit/maxAbs/cellErr", name)
+	}
+	checkIntIndex(t, name+"/int/T", cit)
+	if cit.Transposed() != ci {
+		t.Fatalf("%s: int Transposed().Transposed() is not the original matrix", name)
+	}
+
+	// IntWithUnit: an explicit unit, the automatic fallback, a unit so fine
+	// it must be coarsened by the largest |cell|, and one so coarse that
+	// most cells round to 0 and carry the whole rounding error.
+	for _, u := range []float64{0.37, 0, 1e-12, 64} {
+		want := u
+		if want <= 0 {
+			want = refChooseUnit(c)
+		}
+		if m := refMaxAbsCell(c); m/want > float64(int32(1)<<30) {
+			want = m / float64(int32(1)<<30)
+		}
+		checkQuantized(t, name+"/int-unit", c, c.IntWithUnit(u), want)
+	}
+}
+
+// diffTable builds a random table over n regions that exercises every
+// shape the compile path must handle: negative scores, fractional scores,
+// both orientations and both species orders of one pair, entries set
+// explicitly to ±0, and entries overwritten with 0.
+func diffTable(r *rand.Rand, n int32, entries int, integral bool) *Table {
+	tb := NewTable()
+	sym := func() symbol.Symbol {
+		s := symbol.Symbol(1 + r.Int31n(n))
+		if r.Intn(2) == 0 {
+			s = s.Rev()
+		}
+		return s
+	}
+	val := func() float64 {
+		v := float64(r.Intn(21) - 6)
+		if !integral {
+			v += r.Float64()
+		}
+		return v
+	}
+	for i := 0; i < entries; i++ {
+		a, b := sym(), sym()
+		switch r.Intn(8) {
+		case 0:
+			tb.Set(a, b, 0)
+		case 1:
+			tb.Set(a, b, math.Copysign(0, -1))
+		case 2: // both species orders, distinct values
+			tb.Set(a, b, val())
+			tb.Set(b, a, val())
+		case 3: // both orientations of the species order: one entry
+			tb.Set(a, b, val())
+			tb.Set(a.Rev(), b.Rev(), val())
+		case 4: // overwritten with zero
+			tb.Set(a, b, val())
+			tb.Set(a, b, 0)
+		default:
+			tb.Set(a, b, val())
+		}
+	}
+	return tb
+}
+
+// opaque hides a scorer's concrete type so Compile takes its generic
+// (default) path.
+type opaque struct{ Scorer }
+
+// negZero scores −0 on the pairs its base scores 0, so the generic path
+// must not store them.
+type negZero struct{ Scorer }
+
+func (z negZero) Score(a, b symbol.Symbol) float64 {
+	if v := z.Scorer.Score(a, b); v != 0 {
+		return v
+	}
+	return math.Copysign(0, -1)
+}
+
+// TestDerivedFormsMatchDenseScan is the differential test of the nonzero
+// index: on every compile path, the transpose, the positive-row indexes and
+// the int32 quantization built from the index are bit-identical to plain
+// dense scans, and the index lists exactly the nonzero cells.
+func TestDerivedFormsMatchDenseScan(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 40; trial++ {
+		n := 1 + r.Int31n(24)
+		integral := trial%2 == 0
+		tb := diffTable(r, n, 1+r.Intn(80), integral)
+		c := Compile(tb, n)
+		checkDerived(t, "table", c, tb)
+		// A narrower compile drops the out-of-range entries from the index
+		// (on a clone: tb's compile cache would return the wider matrix).
+		narrow := tb.Clone()
+		checkDerived(t, "table-narrow", Compile(narrow, n/2), narrow)
+
+		// The generic path over the same scores, with and without −0.
+		checkDerived(t, "default", Compile(opaque{tb}, n), tb)
+		checkDerived(t, "default-neg-zero", Compile(negZero{tb}, n), tb)
+		tr := Transpose(Scorer(tb))
+		checkDerived(t, "transposed-scorer", Compile(tr, n), tr)
+
+		// Quantized over a table, over a wider compiled base, and
+		// pass-through.
+		q := Quantized{Base: tb, Unit: 0.25 + 2*r.Float64()}
+		checkDerived(t, "quantized", Compile(q, n), q)
+		wide := Quantized{Base: Compile(tb.Clone(), n+3), Unit: q.Unit}
+		checkDerived(t, "quantized-wide", Compile(wide, n), wide)
+		pass := Quantized{Base: tb.Clone()}
+		checkDerived(t, "quantized-unit0", Compile(pass, n), pass)
+
+		id := NewIdentity(float64(r.Intn(3)))
+		for i := 0; i < 4; i++ {
+			id.SetWeight(symbol.Symbol(1+r.Int31n(n)), float64(r.Intn(7)-2))
+		}
+		checkDerived(t, "identity", Compile(id, n), id)
+
+		// Mutating the table invalidates its compile cache: the recompile
+		// is a new matrix with a fresh, correct index, and the old matrix
+		// keeps its own.
+		before := slices.Clone(c.nz)
+		a, b := symbol.Symbol(1+r.Int31n(n)), symbol.Symbol(1+r.Int31n(n)).Rev()
+		tb.Set(a, b, 9.5)
+		tb.Pairs(func(x, y symbol.Symbol, v float64) {
+			if v != 9.5 && r.Intn(3) == 0 {
+				tb.Set(x, y, 0)
+			}
+		})
+		c2 := Compile(tb, n)
+		if c2 == c {
+			t.Fatalf("trial %d: mutated table returned the stale matrix", trial)
+		}
+		if c2.Score(a, b) != 9.5 {
+			t.Fatalf("trial %d: recompile misses the new entry", trial)
+		}
+		checkDerived(t, "table-mutated", c2, tb)
+		if !slices.Equal(c.nz, before) {
+			t.Fatalf("trial %d: recompiling changed the old matrix's index", trial)
+		}
+	}
+	// Degenerate sizes: the pad-only matrix and an empty table.
+	empty := NewTable()
+	checkDerived(t, "empty", Compile(empty, 0), empty)
+	checkDerived(t, "empty-wide", Compile(NewTable(), 5), empty)
+}

@@ -37,10 +37,10 @@ const intHeadroomBits = 20
 type CompiledInt struct {
 	// src is the exact float64 matrix the quantization was built from. On a
 	// transposed matrix it is materialized lazily (see source): the integer
-	// kernels never touch it, so eagerly densifying the float64 transpose
-	// per alphabet was pure memory traffic — the int32-mode batch
-	// regression — and it is only ever needed on the rare fallback paths
-	// (out-of-range symbols, alignments too long for int32 headroom).
+	// kernels never touch it, and although the float64 transpose only
+	// touches its nonzero cells, it still pins a dim² float64 matrix per
+	// alphabet that only the rare fallback paths (out-of-range symbols,
+	// alignments too long for int32 headroom) would ever read.
 	src     *Compiled
 	srcOnce sync.Once
 	unit    float64
@@ -54,6 +54,9 @@ type CompiledInt struct {
 	flat    []int32
 	maxAbs  int32   // largest |cell|, for overflow headroom checks
 	cellErr float64 // max over cells of |v − q·unit|
+	// nz lists the flat offsets (row pitch stride) of the nonzero cells in
+	// ascending order, as Compiled.nz does for the float64 matrix.
+	nz []int32
 
 	// trans caches Transposed, mirroring Compiled.
 	transOnce sync.Once
@@ -110,8 +113,8 @@ func (c *Compiled) IntWithUnit(unit float64) *CompiledInt {
 // maxAbsCell returns the largest |cell| of the compiled matrix.
 func maxAbsCell(c *Compiled) float64 {
 	v := 0.0
-	for _, x := range c.flat {
-		if a := math.Abs(x); a > v {
+	for _, off := range c.nz {
+		if a := math.Abs(c.flat[off]); a > v {
 			v = a
 		}
 	}
@@ -134,8 +137,8 @@ func chooseUnit(c *Compiled) float64 {
 		return q.Unit
 	}
 	integral := true
-	for _, v := range c.flat {
-		if v != math.Trunc(v) {
+	for _, off := range c.nz {
+		if v := c.flat[off]; v != math.Trunc(v) {
 			integral = false
 			break
 		}
@@ -153,6 +156,9 @@ const LaneWidth = 8
 // padStride rounds a row length up to the lane width.
 func padStride(dim int32) int32 { return (dim + LaneWidth - 1) &^ (LaneWidth - 1) }
 
+// quantize rounds the nonzero cells of c to multiples of unit. A zero cell
+// quantizes to exactly 0 with no error, so walking c.nz yields the same
+// cells, maxAbs and cellErr as a pass over every cell.
 func quantize(c *Compiled, unit float64) *CompiledInt {
 	ci := &CompiledInt{
 		src:    c,
@@ -161,25 +167,26 @@ func quantize(c *Compiled, unit float64) *CompiledInt {
 		dim:    c.dim,
 		stride: padStride(c.dim),
 	}
-	d, st := int(c.dim), int(ci.stride)
-	ci.flat = make([]int32, st*d)
-	for r := 0; r < d; r++ {
-		src := c.flat[r*d : (r+1)*d]
-		dst := ci.flat[r*st : r*st+d]
-		for j, v := range src {
-			q := int32(math.Round(v / unit))
-			dst[j] = q
-			a := q
-			if a < 0 {
-				a = -a
-			}
-			if a > ci.maxAbs {
-				ci.maxAbs = a
-			}
-			if e := math.Abs(v - float64(q)*unit); e > ci.cellErr {
-				ci.cellErr = e
-			}
+	ci.flat = make([]int32, int(ci.stride)*int(c.dim))
+	for _, off := range c.nz {
+		v := c.flat[off]
+		q := int32(math.Round(v / unit))
+		if e := math.Abs(v - float64(q)*unit); e > ci.cellErr {
+			ci.cellErr = e
 		}
+		if q == 0 {
+			continue
+		}
+		a := q
+		if a < 0 {
+			a = -a
+		}
+		if a > ci.maxAbs {
+			ci.maxAbs = a
+		}
+		to := off/c.dim*ci.stride + off%c.dim
+		ci.flat[to] = q
+		ci.nz = append(ci.nz, to)
 	}
 	return ci
 }
@@ -267,18 +274,7 @@ func (c *CompiledInt) PosRow(a symbol.Symbol) (cols, vals []int32) {
 }
 
 func (c *CompiledInt) buildPosRows() {
-	d, st := int(c.dim), int(c.stride)
-	c.posOff = make([]int32, d+1)
-	for i := 0; i < d; i++ {
-		row := c.flat[i*st : i*st+d]
-		for j, v := range row {
-			if v > 0 {
-				c.posCol = append(c.posCol, int32(j))
-				c.posVal = append(c.posVal, v)
-			}
-		}
-		c.posOff[i+1] = int32(len(c.posCol))
-	}
+	c.posOff, c.posCol, c.posVal = posRows(c.flat, c.nz, c.dim, c.stride)
 }
 
 // Transposed returns the quantized matrix of σᵀ, cached like
@@ -297,12 +293,7 @@ func (c *CompiledInt) Transposed() *CompiledInt {
 			maxAbs:  c.maxAbs,
 			cellErr: c.cellErr,
 		}
-		d, st := int(c.dim), int(c.stride)
-		for i := 0; i < d; i++ {
-			for j := 0; j < d; j++ {
-				t.flat[j*st+i] = c.flat[i*st+j]
-			}
-		}
+		t.nz = transposeCells(t.flat, c.flat, c.nz, c.dim, c.stride)
 		t.trans = c
 		t.transOnce.Do(func() {})
 		c.trans = t

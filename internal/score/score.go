@@ -19,9 +19,15 @@
 // the raw rows for inner loops). Entries are the exact float64 values the
 // base scorer returned at compile time, so compiled and sparse paths score
 // bit-identically; out-of-range symbols fall back to the base scorer.
-// Table and Identity compile in O(stored entries) rather than O(alphabet²).
-// Transpose exchanges species sides, transposing the dense matrix when
-// given one.
+//
+// σ is sparse, so every compiled matrix also carries a sorted index of its
+// nonzero cells. Table and Identity fill the matrix and its index in
+// O(stored entries), Quantized in O(nonzero cells of its base), and only
+// other scorers evaluate every cell. The derived forms — the transpose, the
+// per-row positive-cell lists (PosRow) and the int32 quantization (Int) —
+// walk the index, so beyond the zeroed dim² allocation each one costs
+// O(nonzeros + dim). Transpose exchanges species sides, transposing the
+// dense matrix when given one.
 package score
 
 import (

@@ -25,9 +25,13 @@ package serve
 // tenant refills the queue the moment a slot frees. The cost is a bounded
 // wait: at most one queue drain, which keeps the light tenant's latency
 // within a constant factor of its solo latency (the fairness acceptance
-// bound). A hard global cap of 2·capacity in-flight instances bounds the
-// aggregate guaranteed overshoot no matter how many tenants go active at
-// once.
+// bound). A hard global cap bounds the aggregate guaranteed overshoot no
+// matter how many tenants go active at once: guaranteed admission stops
+// while the active tenants' in-share load Σ min(in-flight, share) is at
+// 2·capacity. Only in-share reservations count. A tenant's instances past
+// its share (the rest of its admitted streams, each waiting on the blocking
+// queue) are its own backlog, bounded by that backpressure, and never
+// count against another tenant's guarantee.
 //
 // Accounting is reservation-based: admit/reserve bump the tenant's
 // in-flight count before submission so concurrent deciders see each other,
@@ -57,7 +61,7 @@ const (
 func (tc *tenantCache) admitFirst(e *tenantEntry, capacity, maxInflight int) (admitDecision, int) {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
-	share := tc.shareLocked(e, capacity, maxInflight)
+	share, inShare := tc.shareLocked(e, capacity, maxInflight)
 	excess := e.inflight - share + 1
 	if excess < 1 {
 		excess = 1
@@ -66,7 +70,7 @@ func (tc *tenantCache) admitFirst(e *tenantEntry, capacity, maxInflight int) (ad
 	case maxInflight > 0 && e.inflight >= maxInflight:
 		e.rejected++
 		return admitReject, excess
-	case e.inflight < share && tc.total < 2*capacity:
+	case e.inflight < share && inShare < 2*capacity:
 		e.inflight++
 		tc.total++
 		e.admitted++
@@ -84,30 +88,41 @@ func (tc *tenantCache) admitFirst(e *tenantEntry, capacity, maxInflight int) (ad
 
 // shareLocked computes e's current weighted max-min share of capacity over
 // the active tenant set (tenants with in-flight instances, plus e itself —
-// the requester counts as active for its own decision).
-func (tc *tenantCache) shareLocked(e *tenantEntry, capacity, maxInflight int) int {
+// the requester counts as active for its own decision), and the active
+// set's in-share load: Σ min(in-flight, share) over its tenants.
+func (tc *tenantCache) shareLocked(e *tenantEntry, capacity, maxInflight int) (share, inShare int) {
 	var sum float64
+	tc.eachActive(e, func(o *tenantEntry) { sum += o.weight })
+	if sum <= 0 {
+		sum = e.weight
+	}
+	shareOf := func(o *tenantEntry) int {
+		s := int(float64(capacity) * o.weight / sum)
+		if s < 1 {
+			s = 1
+		}
+		if maxInflight > 0 && s > maxInflight {
+			s = maxInflight
+		}
+		return s
+	}
+	tc.eachActive(e, func(o *tenantEntry) { inShare += min(o.inflight, shareOf(o)) })
+	return shareOf(e), inShare
+}
+
+// eachActive calls fn on every active tenant: those with in-flight
+// instances, plus e.
+func (tc *tenantCache) eachActive(e *tenantEntry, fn func(*tenantEntry)) {
 	for _, o := range tc.m {
 		if o.inflight > 0 || o == e {
-			sum += o.weight
+			fn(o)
 		}
 	}
 	for o := range tc.anon {
 		if o.inflight > 0 || o == e {
-			sum += o.weight
+			fn(o)
 		}
 	}
-	if sum <= 0 {
-		sum = e.weight
-	}
-	share := int(float64(capacity) * e.weight / sum)
-	if share < 1 {
-		share = 1
-	}
-	if maxInflight > 0 && share > maxInflight {
-		share = maxInflight
-	}
-	return share
 }
 
 // reserve books one more in-flight instance for an already-admitted

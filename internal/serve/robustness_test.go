@@ -6,10 +6,13 @@ package serve
 // JSON body and bumps its own /metrics counter.
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -313,5 +316,77 @@ func TestMalformedInstance400(t *testing.T) {
 	}
 	if m := serverMetrics(t, ts.URL); m.BadInput != 3 {
 		t.Fatalf("server bad_input = %d, want 3", m.BadInput)
+	}
+}
+
+// TestMidStreamBadInputKeepsConnection: a stream that hits a bad line after
+// its first record leaves the rest of the body unread. The server must
+// drain it before the response ends, so the kept-alive connection serves
+// the next request. Left to net/http's post-handler discard, the
+// connection's next read collides with a background read the discard
+// starts, and the server drops the connection.
+func TestMidStreamBadInputKeepsConnection(t *testing.T) {
+	s, err := New(Options{Pool: &fakePool{}, Algorithm: "x"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	br := bufio.NewReader(conn)
+	send := func(head string, parts ...[]byte) {
+		t.Helper()
+		if _, err := io.WriteString(conn, head); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range parts {
+			if _, err := conn.Write(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	head := func(n int) string {
+		return fmt.Sprintf("POST /v1/solve HTTP/1.1\r\nHost: x\r\nContent-Type: application/x-ndjson\r\nContent-Length: %d\r\n\r\n", n)
+	}
+
+	// The tail is sent only once the error record is out, so the reader
+	// has certainly stopped before it.
+	first := append(jsonlBody(t, workloads(t, 1, 20)), "{bad\n"...)
+	tail := bytes.Repeat([]byte(" \n"), 1<<15)
+	send(head(len(first)+len(tail)), first)
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, want 200 (the first record streams before the bad line)", resp.StatusCode)
+	}
+	lines := bufio.NewReader(resp.Body)
+	for {
+		line, err := lines.ReadString('\n')
+		if err != nil {
+			t.Fatalf("stream ended without the input error record: %v", err)
+		}
+		if strings.Contains(line, `"index":-1`) {
+			break
+		}
+	}
+	send("", tail)
+	io.Copy(io.Discard, lines)
+	resp.Body.Close()
+
+	good := jsonlBody(t, workloads(t, 1, 20))
+	send(head(len(good)), good)
+	resp, err = http.ReadResponse(br, nil)
+	if err != nil {
+		t.Fatalf("second request on the kept-alive connection: %v", err)
+	}
+	defer resp.Body.Close()
+	if recs := readRecords(t, resp.Body); resp.StatusCode != http.StatusOK || len(recs) != 1 || recs[0].Error != "" {
+		t.Fatalf("second request: status %d, records %+v", resp.StatusCode, recs)
 	}
 }

@@ -44,6 +44,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -471,6 +472,18 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
+	// A reader that stopped early (refusal, bad input) leaves the body's
+	// rest unread. net/http discards a full-duplex body only after the
+	// handler returns, past its abort of the connection's background read,
+	// so the discard's end-of-body hook starts a background read that the
+	// next request on a kept-alive connection collides with ("invalid
+	// concurrent Body.Read call", a process-killing panic when the colliding
+	// read is that request's reader goroutine). An error response therefore
+	// closes the connection, and a stream already under way drains the body
+	// itself once its error record is out.
+	if readErr != nil && !wroteAny {
+		w.Header().Set("Connection", "close")
+	}
 	var maxBytesErr *http.MaxBytesError
 	switch {
 	case errors.Is(readErr, errRejected):
@@ -510,6 +523,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		// The stream already carries records; append a stream-level error
 		// record (index -1 marks it as not belonging to any instance).
 		emit(encoding.ResultRecord{Index: -1, Error: "input: " + readErr.Error()})
+		io.Copy(io.Discard, body) // a failed drain means the connection is gone
 	case !wroteAny && writeErr == nil && reqCtx.Err() == nil:
 		// Empty but well-formed input: an empty 200 stream.
 		w.Header().Set("Content-Type", "application/x-ndjson")

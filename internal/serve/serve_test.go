@@ -179,6 +179,9 @@ func TestEmptyAndMalformedInput(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed input: status %d, want 400", resp.StatusCode)
 	}
+	if !resp.Close {
+		t.Fatal("400 keeps the connection alive over an unread request body")
+	}
 
 	resp, err = http.Post(ts.URL+"/v1/solve?order=sideways", "application/x-ndjson", strings.NewReader(""))
 	if err != nil {
@@ -302,6 +305,9 @@ func TestAdmission429(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("429 without Retry-After")
 	}
+	if !resp.Close {
+		t.Fatal("429 keeps the connection alive over an unread request body")
+	}
 	if got, _ := io.ReadAll(resp.Body); !strings.Contains(string(got), "queue full") {
 		t.Fatalf("429 body %q", got)
 	}
@@ -399,7 +405,7 @@ func TestAdmissionSlackQueueFull(t *testing.T) {
 
 // TestAdmitFirstDecisions pins the fair-share decision table at the unit
 // level: guaranteed below share, slack at share with headroom, reject over
-// cap / over capacity / over the 2×capacity guaranteed bound, and
+// cap / over capacity / over the 2×capacity in-share bound, and
 // weight-proportional shares.
 func TestAdmitFirstDecisions(t *testing.T) {
 	const capacity = 8
@@ -479,17 +485,37 @@ func TestAdmitFirstDecisions(t *testing.T) {
 		t.Fatalf("weighted tenant at share, queue full: %v, want reject", d)
 	}
 
-	// Hard global bound: guaranteed admission stops at 2×capacity.
-	fresh := park("glutton", 0)
+	// One tenant's backlog past its share never counts against another
+	// tenant's guarantee: a fresh tenant is guaranteed beside a glutton
+	// holding 4×capacity reservations (the heavy flood of
+	// TestChaosTenantFairness, where the old total-based cap refused the
+	// light tenant 429).
+	glutton := park("glutton", 0)
 	tc.mu.Lock()
-	for tc.total < 2*capacity {
-		fresh.inflight++
+	for tc.total < 4*capacity {
+		glutton.inflight++
 		tc.total++
 	}
 	tc.mu.Unlock()
 	newbie := park("newbie", 0)
-	if d := decide(newbie, 0); d != admitReject {
-		t.Fatalf("fresh tenant past 2×capacity: %v, want reject", d)
+	if d := decide(newbie, 0); d != admitGuaranteed {
+		t.Fatalf("fresh tenant beside a 4×capacity backlog: %v, want guaranteed", d)
+	}
+
+	// Hard global bound: tenants crowding in, each holding the one slot a
+	// crowded share leaves it, stop guaranteed admission exactly when the
+	// in-share load reaches 2×capacity.
+	for i := 0; decide(newbie, 0) == admitGuaranteed; i++ {
+		if i == 64 {
+			t.Fatal("guaranteed admission never stopped")
+		}
+		park(fmt.Sprintf("crowd%d", i), 1)
+	}
+	tc.mu.Lock()
+	_, inShare := tc.shareLocked(newbie, capacity, 0)
+	tc.mu.Unlock()
+	if inShare != 2*capacity {
+		t.Fatalf("guaranteed admission stopped at in-share load %d, want %d", inShare, 2*capacity)
 	}
 }
 
