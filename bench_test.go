@@ -455,12 +455,10 @@ func BenchmarkBatchSolve(b *testing.B) {
 	})
 }
 
-// BenchmarkSigmaPrepare measures preparing a fresh σ for a genome-shaped
-// instance of 1,000 regions (dim 4,001, under 1,800 nonzero cells):
-// Compile, Transposed and both orientations' PosRow index, plus Int() and
-// the quantized forms for the int sub-benchmark. Each iteration compiles a
-// fresh clone of the table, so the table's compile cache never hits.
-func BenchmarkSigmaPrepare(b *testing.B) {
+// genomeShaped returns the genome-shaped instance of the σ and placement
+// benches: 1,000 regions in short contigs (dim 4,001, under 1,800 nonzero
+// σ cells).
+func genomeShaped() *core.Instance {
 	cfg := gen.DefaultConfig(1)
 	cfg.Regions = 1000
 	cfg.MeanContig = 6
@@ -468,7 +466,16 @@ func BenchmarkSigmaPrepare(b *testing.B) {
 	cfg.InversionLen = 25
 	cfg.Translocations = 2
 	cfg.Spurious = 100
-	in := gen.Generate(cfg).Instance
+	return gen.Generate(cfg).Instance
+}
+
+// BenchmarkSigmaPrepare measures preparing a fresh σ for the genome-shaped
+// instance: Compile, Transposed and both orientations' PosRow index, plus
+// Int() and the quantized forms for the int sub-benchmark. Each iteration
+// compiles a fresh clone of the table, so the table's compile cache never
+// hits.
+func BenchmarkSigmaPrepare(b *testing.B) {
+	in := genomeShaped()
 	sigma, maxID := in.Sigma.(*score.Table), in.MaxSymbolID()
 	run := func(b *testing.B, prepare func(c *score.Compiled)) {
 		for i := 0; i < b.N; i++ {
@@ -491,4 +498,32 @@ func BenchmarkSigmaPrepare(b *testing.B) {
 			ci.Transposed().PosRow(1)
 		})
 	})
+}
+
+// BenchmarkFourApproxPlacements measures the placement DPs of the
+// 4-approximation's shape on the genome-shaped instance: every H fragment,
+// in both orientations, against the concatenation of all M fragments, over
+// the compiled σ. ns/cell is per DP cell.
+func BenchmarkFourApproxPlacements(b *testing.B) {
+	in := genomeShaped()
+	c := score.Compile(in.Sigma, in.MaxSymbolID())
+	var zone symbol.Word
+	for _, g := range in.M {
+		zone = append(zone, g.Regions...)
+	}
+	queries := make([]symbol.Word, 0, 2*len(in.H))
+	cells := 0
+	for _, h := range in.H {
+		queries = append(queries, h.Regions, h.Regions.Rev())
+		cells += 2 * len(h.Regions) * len(zone)
+	}
+	s := align.NewScratch()
+	defer s.Release()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, q := range queries {
+			s.Placements(q, zone, c, 0)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(cells)), "ns/cell")
 }

@@ -294,7 +294,7 @@ func WithQuantizedScaling(on bool) Option { return func(c *solveCfg) { c.quantiz
 // integer-quantized σ matrix: σ compiles to a flat []int32 (unit auto-derived
 // from the value range, or exact when every score is an integer multiple of
 // one unit) and every DP sweeps contiguous int32 rows — measurably faster
-// than the float64 dense path. The final solution is re-scored under the
+// than the float64 path. The final solution is re-scored under the
 // true σ, so Result.Score is always exact; only the search itself sees
 // quantized values, deviating from float64 mode by at most the
 // score.CompiledInt error bound (zero for integral σ). Off by default:
@@ -360,11 +360,12 @@ func WithPerInstanceTimeout(d time.Duration) Option {
 
 // WithMemBudget caps the estimated memory footprint of any single instance a
 // batch pool admits: submissions whose cost-model estimate (σ compile bytes
-// from the alphabet size + DP scratch from the fragment-length profile +
-// solver state) exceeds bytes are refused with an *OverBudgetError instead
-// of being queued to die on OOM. Instances whose σ is already resident in
-// the pool's per-alphabet cache are charged only scratch + state. 0 (the
-// default) disables the gate. Batch APIs only.
+// from σ's nonzero cells, plus the dense int32 σ pair under WithIntScore;
+// DP scratch from the fragment-length profile; solver state) exceeds bytes
+// are refused with an *OverBudgetError instead of being queued to die on
+// OOM. Instances whose σ is already resident in the pool's per-alphabet
+// cache are charged only scratch + state. 0 (the default) disables the
+// gate. Batch APIs only.
 func WithMemBudget(bytes int64) Option {
 	return func(c *solveCfg) { c.memBudget = bytes }
 }

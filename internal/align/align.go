@@ -149,7 +149,7 @@ func (s *Scratch) Align(a, b symbol.Word, sc score.Scorer) (float64, []Col) {
 	var d [][]float64
 	if cf != nil {
 		d = s.fillCompiled(a, b, cf)
-		sc = cf // the traceback's O(m+n) lookups take the dense path too
+		sc = cf // the traceback's O(m+n) lookups search the compiled rows too
 	} else {
 		d = s.matrixF(m, n)
 		for i := 1; i <= m; i++ {

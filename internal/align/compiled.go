@@ -5,12 +5,12 @@ import (
 	"repro/internal/symbol"
 )
 
-// fastPath returns a dense compiled matrix covering every symbol of the
-// given words, or nil when the interface path is preferable.
+// fastPath returns a compiled matrix covering every symbol of the given
+// words, or nil when the interface path is preferable.
 //
 // A pre-compiled scorer is used whenever it covers the words — callers that
 // compile once per solve (improve, onecsr, greedy, exact) always hit the
-// dense path, even for tiny site words. Any other scorer is compiled on the
+// compiled path, even for tiny site words. Any other scorer is compiled on the
 // fly only when the DP cell count (area — callers pass the number of cells
 // their kernel actually computes, e.g. the band area for ScoreBanded)
 // dwarfs the O(dim²) compilation cost, so small one-off alignments never
@@ -31,7 +31,7 @@ func fastPath(sc score.Scorer, a, b symbol.Word, area int) *score.Compiled {
 }
 
 // resolve picks the kernel fast path for a scorer: (ci, nil) runs the
-// integer-quantized kernels, (nil, cf) the dense float64 kernels, and
+// integer-quantized kernels, (nil, cf) the sparse float64 kernels, and
 // (nil, nil) the interface path. A quantized matrix is used only when it
 // covers the words AND its int32 accumulation headroom holds for their
 // lengths; when the headroom fails, the alignment silently falls back to the
@@ -64,46 +64,109 @@ func wordsMaxID(a, b symbol.Word) int32 {
 	return m
 }
 
-// sparseRowsF builds, for each distinct symbol of a, the positive columns of
-// its σ row against b (s.bi must already hold b's column indices). DP rows
-// are monotone nondecreasing, so a cell whose σ is ≤ 0 reduces exactly to
-// max(up, left) — only the positive columns ever need the add, and they are
-// typically a small fraction of the row. All storage lives in the arena.
-//
-// Like sparseRowsI, it intersects the matrix's cached positive-column lists
-// (Compiled.PosRow) with an inverse index of b built in one O(|b|) pass, so
-// the per-symbol cost is proportional to the row's positive cells and their
-// hits in b rather than to |b| (the previous build scanned a full σ row per
-// distinct symbol).
-func (s *Scratch) sparseRowsF(a symbol.Word, c *score.Compiled) {
-	dim := 2*int(c.MaxID()) + 1
-	s.resetSparse(dim)
-	s.indexB(dim)
-	for _, sym := range a {
-		ia := c.Index(sym)
-		if s.rowOf[ia] != 0 {
+// The float64 kernels read σ through a per-call inverse index of b: indexF
+// chains the positions of b by column, and hits intersects one σ row's
+// listed cells with it, so a DP row costs its σ row's listed cells and their
+// hits in b — not |b| lookups — and every unlisted cell is +0. Words of up
+// to shortWord symbols skip the per-call tables: a short b is scanned once
+// per listed cell instead of indexed, and a short a lists its hits row by
+// row instead of memoizing them per distinct symbol.
+const shortWord = 16
+
+// indexF builds the inverse index of b for the float64 kernels: s.bi holds
+// b's column indices and, when b is longer than shortWord, bHead/bNext
+// chain each column's positions.
+func (s *Scratch) indexF(b symbol.Word, c *score.Compiled) {
+	s.indexWord(c, b)
+	if len(b) > shortWord {
+		s.indexB(2*int(c.MaxID()) + 1)
+	}
+}
+
+// hits appends to s.pos/s.valF the cells of sym's σ row that hit b, as
+// (position in b, value) pairs, and returns them in ascending position
+// (indexF must have run). With positive set it lists only the positive
+// cells — the free-gap kernels' view: DP rows are monotone nondecreasing,
+// so a cell whose σ is ≤ 0 reduces exactly to max(up, left) and only
+// positive cells ever add. Otherwise it lists every nonzero cell (the
+// banded kernel, whose −∞ band edges break that argument).
+func (s *Scratch) hits(c *score.Compiled, sym symbol.Symbol, positive bool) ([]int32, []float64) {
+	cols, vals := c.PosRow(sym)
+	if !positive {
+		cols, vals = c.Cells(sym)
+	}
+	start := len(s.pos)
+	for k, col := range cols {
+		if len(s.bi) <= shortWord {
+			for j, x := range s.bi {
+				if x == col {
+					s.pos = append(s.pos, int32(j))
+					s.valF = append(s.valF, vals[k])
+				}
+			}
 			continue
 		}
-		cols, vals := c.PosRow(sym)
-		start := int32(len(s.pos))
-		for k, col := range cols {
-			h := s.bHead[col]
-			if h == 0 {
-				continue
-			}
-			v := vals[k]
-			for j := h; j != 0; j = s.bNext[j] {
-				s.pos = append(s.pos, j-1)
-				s.valF = append(s.valF, v)
-			}
+		for j := s.bHead[col]; j != 0; j = s.bNext[j] {
+			s.pos = append(s.pos, j-1)
+			s.valF = append(s.valF, vals[k])
 		}
-		// Hits arrive grouped by column (each group ascending); the sweep
-		// needs ascending positions (see sortPosVal).
-		sortPosValF(s.pos[start:], s.valF[start:])
-		s.spans = append(s.spans, [2]int32{start, int32(len(s.pos))})
-		s.rowOf[ia] = int32(len(s.spans))
-		s.rowIdx = append(s.rowIdx, ia)
 	}
+	pos, val := s.pos[start:], s.valF[start:]
+	if len(cols) > 1 {
+		sortPosValF(pos, val) // hits arrive grouped by column, each group ascending
+	}
+	return pos, val
+}
+
+// sigmaRows prepares one kernel call's σ rows of a against b (see hits): a
+// long a gets a floatTable, a short one is listed row by row (sigmaRow).
+func (s *Scratch) sigmaRows(a, b symbol.Word, c *score.Compiled, positive bool) {
+	s.indexF(b, c)
+	s.positive = positive
+	s.aSpan = s.aSpan[:0]
+	if len(a) > shortWord {
+		s.floatTable(a, c, positive)
+	}
+}
+
+// sigmaRow returns the cells of row i of a, whose symbol is sym (sigmaRows
+// must have run).
+func (s *Scratch) sigmaRow(c *score.Compiled, i int, sym symbol.Symbol) ([]int32, []float64) {
+	if len(s.aSpan) > 0 {
+		return s.row(i)
+	}
+	s.pos, s.valF = s.pos[:0], s.valF[:0]
+	return s.hits(c, sym, s.positive)
+}
+
+// floatTable lists the hits of every row of a at once (indexF must have
+// run): row i's cells are s.row(i). Each distinct symbol's hits are listed
+// once and shared by its rows; the wavefront's tiles read the table
+// concurrently.
+func (s *Scratch) floatTable(a symbol.Word, c *score.Compiled, positive bool) {
+	s.resetSparse(2*int(c.MaxID()) + 1)
+	s.valF = s.valF[:0]
+	if cap(s.aSpan) < len(a) {
+		s.aSpan = make([][2]int32, len(a))
+	}
+	s.aSpan = s.aSpan[:len(a)]
+	for i, sym := range a {
+		ia := c.Index(sym)
+		if s.rowOf[ia] == 0 {
+			start := int32(len(s.pos))
+			s.hits(c, sym, positive)
+			s.spans = append(s.spans, [2]int32{start, int32(len(s.pos))})
+			s.rowOf[ia] = int32(len(s.spans))
+			s.rowIdx = append(s.rowIdx, ia)
+		}
+		s.aSpan[i] = s.spans[s.rowOf[ia]-1]
+	}
+}
+
+// row returns the cells of position i of a in the floatTable.
+func (s *Scratch) row(i int) (pos []int32, val []float64) {
+	sp := s.aSpan[i]
+	return s.pos[sp[0]:sp[1]], s.valF[sp[0]:sp[1]]
 }
 
 // sortPosValF is sortPosVal with float64 values.
@@ -119,159 +182,121 @@ func sortPosValF(pos []int32, val []float64) {
 	}
 }
 
-// scoreCompiled is Score on the dense fast path, using the same
-// skip-propagation sweep as the int32 kernel (scoreInt): DP rows are
-// monotone nondecreasing, so a cell with no positive σ reduces to
-// max(up, left-max) — which leaves the rolled row unchanged once the
-// running maximum has been absorbed. The loop therefore touches only the
-// positive columns of each row plus the cells a diagonal add is still
-// rippling through, skipping untouched spans outright (rows whose symbol
-// scores positively against nothing in b are skipped whole). The skipped
-// writes are provably no-ops and the per-cell arithmetic is unchanged (one
-// add, then maxima), so the result is bit-identical to the full sweep.
-// Words too small to amortize the O(alphabet) sparse-row table take a plain
-// dense loop instead.
+// skipRow advances the rolled DP row arr (monotone nondecreasing) by one
+// row: the skip-propagation sweep shared by every free-gap kernel, float64
+// and int32. The new row's boundary cell arr[0] becomes left (0 for a plain
+// DP row, the carried left column for a wavefront tile; it must be ≥ the
+// old arr[0]), and pos/val are the row's positive cells, pos ascending and
+// offset by off (cell pos[k] updates arr[pos[k]−off+1]).
+//
+// A cell with no positive σ reduces to max(up, left), which leaves an
+// add-free span unchanged once the running maximum has been absorbed, so
+// the loop touches only the positive cells plus the cells a diagonal add is
+// still rippling through. The skipped writes are provably no-ops and the
+// per-cell arithmetic is the dense update's (one add, then maxima), so
+// every cell of the row is bit-identical to the full sweep.
+func skipRow[T int32 | float64](arr []T, left T, pos []int32, val []T, off int32) {
+	n := len(arr) - 1
+	// j is the next column to finalize, best the new value at j-1, and
+	// oldPrev the previous row's value at j-1 (the diagonal input).
+	j := 1
+	best, oldPrev := left, arr[0]
+	arr[0] = left
+	for k, p := range pos {
+		pj := int(p-off) + 1
+		// Ripple best through the add-free span [j, pj): once it is
+		// absorbed (best ≤ old cell), the rest of the span is unchanged
+		// and can be skipped — the old values are exactly the new ones.
+		for j < pj {
+			old := arr[j]
+			if best <= old {
+				j = pj
+				best = arr[pj-1]
+				oldPrev = best
+				break
+			}
+			arr[j] = best
+			oldPrev = old
+			j++
+		}
+		up := arr[pj]
+		v := oldPrev + val[k]
+		if up > v {
+			v = up
+		}
+		if best > v {
+			v = best
+		}
+		arr[pj] = v
+		best = v
+		oldPrev = up
+		j = pj + 1
+	}
+	// Tail: ripple the last add (or the new left cell) until absorbed.
+	for j <= n && best > arr[j] {
+		arr[j] = best
+		j++
+	}
+}
+
+// scoreCompiled is Score on the sparse fast path: the skip sweep (skipRow)
+// over each row's positive cells, with rows that score positively against
+// nothing in b skipped whole.
 func (s *Scratch) scoreCompiled(a, b symbol.Word, c *score.Compiled) float64 {
 	n := len(b)
-	if len(a)*n < 8*int(c.MaxID())+4 {
-		return s.scoreCompiledSmall(a, b, c)
-	}
-	s.indexWord(c, b)
-	s.sparseRowsF(a, c)
+	s.sigmaRows(a, b, c, true)
 	arr, _ := s.floatRows(n + 1)
-	for i := 1; i <= len(a); i++ {
-		span := s.spans[s.rowOf[c.Index(a[i-1])]-1]
-		pos, val := s.pos[span[0]:span[1]], s.valF[span[0]:span[1]]
-		if len(pos) == 0 {
-			continue // no adds: the whole row is a no-op
-		}
-		// j is the next column to finalize, best the new value at j-1, and
-		// oldPrev the previous row's value at j-1 (the diagonal input).
-		j := 1
-		best, oldPrev := 0.0, 0.0
-		for k := 0; k < len(pos); k++ {
-			pj := int(pos[k]) + 1
-			// Ripple best through the add-free span [j, pj): once it is
-			// absorbed (best ≤ old cell), the rest of the span is unchanged
-			// and can be skipped — the old values are exactly the new ones.
-			for j < pj {
-				old := arr[j]
-				if best <= old {
-					j = pj
-					best = arr[pj-1]
-					oldPrev = best
-					break
-				}
-				arr[j] = best
-				oldPrev = old
-				j++
-			}
-			up := arr[pj]
-			v := oldPrev + val[k]
-			if up > v {
-				v = up
-			}
-			if best > v {
-				v = best
-			}
-			arr[pj] = v
-			best = v
-			oldPrev = up
-			j = pj + 1
-		}
-		// Tail: ripple the last add until absorbed.
-		for j <= n && best > arr[j] {
-			arr[j] = best
-			j++
+	for i, sym := range a {
+		if pos, val := s.sigmaRow(c, i, sym); len(pos) > 0 {
+			skipRow(arr, 0, pos, val, 0)
 		}
 	}
 	return arr[n]
 }
 
-// scoreCompiledSmall is the dense Score loop for words whose DP area is
-// smaller than the alphabet: row gathers per cell, no per-call tables.
-func (s *Scratch) scoreCompiledSmall(a, b symbol.Word, c *score.Compiled) float64 {
-	n := len(b)
-	bi := s.indexWord(c, b)
-	prev, cur := s.floatRows(n + 1)
-	for i := 1; i <= len(a); i++ {
-		row := c.Row(a[i-1])
-		diag, best := prev[0], 0.0
-		cur[0] = 0
-		for j := 1; j <= n; j++ {
-			v := diag + row[bi[j-1]]
-			up := prev[j]
-			if up > v {
-				v = up
-			}
-			if best > v {
-				v = best
-			}
-			cur[j] = v
-			best = v
-			diag = up
-		}
-		prev, cur = cur, prev
-	}
-	return prev[n]
-}
-
-// fillCompiled computes the full DP matrix of Align on the dense fast path.
-// The matrix is arena-backed: valid until the scratch's next matrix request.
+// fillCompiled computes the full DP matrix of Align on the sparse fast
+// path: each row starts as a copy of the one above and takes the skip
+// sweep. The matrix is arena-backed: valid until the scratch's next matrix
+// request.
 func (s *Scratch) fillCompiled(a, b symbol.Word, c *score.Compiled) [][]float64 {
-	m, n := len(a), len(b)
-	d := s.matrixF(m, n)
-	bi := s.indexWord(c, b)
-	for i := 1; i <= m; i++ {
-		row := c.Row(a[i-1])
-		di, dp := d[i], d[i-1]
-		for j := 1; j <= n; j++ {
-			best := dp[j-1] + row[bi[j-1]]
-			if dp[j] > best {
-				best = dp[j]
-			}
-			if di[j-1] > best {
-				best = di[j-1]
-			}
-			di[j] = best
+	d := s.matrixF(len(a), len(b))
+	s.sigmaRows(a, b, c, true)
+	for i := 1; i <= len(a); i++ {
+		copy(d[i], d[i-1])
+		if pos, val := s.sigmaRow(c, i-1, a[i-1]); len(pos) > 0 {
+			skipRow(d[i], 0, pos, val, 0)
 		}
 	}
 	return d
 }
 
-// lastRowCompiledInto is lastRow on the dense fast path, writing D[len(a)]
-// into dst (resized as needed).
+// lastRowCompiledInto is lastRow on the sparse fast path, sweeping D's
+// rows in dst (resized as needed) so dst ends as D[len(a)].
 func (s *Scratch) lastRowCompiledInto(dst []float64, a, b symbol.Word, c *score.Compiled) []float64 {
-	n := len(b)
-	bi := s.indexWord(c, b)
-	prev, cur := s.floatRows(n + 1)
-	for i := 1; i <= len(a); i++ {
-		row := c.Row(a[i-1])
-		cur[0] = 0
-		for j := 1; j <= n; j++ {
-			best := prev[j-1] + row[bi[j-1]]
-			if prev[j] > best {
-				best = prev[j]
-			}
-			if cur[j-1] > best {
-				best = cur[j-1]
-			}
-			cur[j] = best
+	s.sigmaRows(a, b, c, true)
+	dst = growF(dst, len(b)+1)
+	clear(dst)
+	for i, sym := range a {
+		if pos, val := s.sigmaRow(c, i, sym); len(pos) > 0 {
+			skipRow(dst, 0, pos, val, 0)
 		}
-		prev, cur = cur, prev
 	}
-	dst = growF(dst, n+1)
-	copy(dst, prev)
 	return dst
 }
 
-// scoreBandedCompiled is ScoreBanded on the dense fast path.
+// scoreBandedCompiled is ScoreBanded on the sparse fast path. Cells next to
+// the −∞ band edge are not monotone — where consecutive bands do not
+// overlap, a cell's only finite input is its diagonal, and a negative σ
+// decides it — so the table keeps every nonzero cell and the band is swept
+// in full, over the row's cells scattered into a band-wide σ row g; unlisted
+// cells add +0 exactly as a dense row would.
 func (s *Scratch) scoreBandedCompiled(a, b symbol.Word, c *score.Compiled, band int) float64 {
 	m, n := len(a), len(b)
-	bi := s.indexWord(c, b)
+	s.sigmaRows(a, b, c, false)
 	prev, cur := s.floatRows(n + 1)
+	s.gf = growF(s.gf, n+1)
+	g := s.gf // g[j] = σ(a[i-1], b[j-1]) across the band
 	for i := 1; i <= m; i++ {
-		row := c.Row(a[i-1])
 		center := i * n / m
 		lo := max(1, center-band)
 		hi := min(n, center+band)
@@ -279,10 +304,19 @@ func (s *Scratch) scoreBandedCompiled(a, b symbol.Word, c *score.Compiled, band 
 			cur[j] = minusInf
 		}
 		cur[0] = 0
+		if lo <= hi {
+			clear(g[lo : hi+1])
+		}
+		pos, val := s.sigmaRow(c, i-1, a[i-1])
+		for k, p := range pos {
+			if j := int(p) + 1; j >= lo && j <= hi {
+				g[j] = val[k]
+			}
+		}
 		for j := lo; j <= hi; j++ {
 			best := minusInf
 			if prev[j-1] > minusInf/2 {
-				best = prev[j-1] + row[bi[j-1]]
+				best = prev[j-1] + g[j]
 			}
 			if prev[j] > best {
 				best = prev[j]
@@ -303,47 +337,77 @@ func (s *Scratch) scoreBandedCompiled(a, b symbol.Word, c *score.Compiled, band 
 	return best
 }
 
-// placementsCompiled is Placements on the dense fast path.
+// placementsCompiled is Placements on the sparse fast path: the skip sweep
+// over (value, start) pairs. A cell's pair is the lexicographic maximum of
+// its candidates (larger value wins, ties prefer the larger start — the
+// interface kernel's tie-break), so rows are lexicographically monotone
+// nondecreasing exactly as score rows are numerically, and the same
+// absorption argument applies: add-free spans are unchanged, rows whose
+// symbol has no positive cell in b are skipped whole, and the sweep touches
+// only positive cells plus active ripples.
 func (s *Scratch) placementsCompiled(a, b symbol.Word, c *score.Compiled, minScore float64) []Placement {
-	m, n := len(a), len(b)
-	bi := s.indexWord(c, b)
+	n := len(b)
+	s.sigmaRows(a, b, c, true)
 	const noStart = int32(1) << 30
-	dPrev, dCur := s.floatRows(n + 1)
-	s.sa, s.sb = growI(s.sa, n+1), growI(s.sb, n+1)
-	stPrev, stCur := s.sa, s.sb
-	for j := range stPrev {
-		stPrev[j] = noStart
+	dv, _ := s.floatRows(n + 1)
+	s.sa = growI(s.sa, n+1)
+	ds := s.sa
+	for j := range ds {
+		ds[j] = noStart
 	}
-	for i := 1; i <= m; i++ {
-		row := c.Row(a[i-1])
-		dCur[0] = 0
-		stCur[0] = noStart
-		for j := 1; j <= n; j++ {
-			sv := row[bi[j-1]]
-			bestV := dPrev[j]
-			bestS := stPrev[j]
-			if dCur[j-1] > bestV || (dCur[j-1] == bestV && stCur[j-1] > bestS) {
-				bestV, bestS = dCur[j-1], stCur[j-1]
-			}
-			if sv > 0 {
-				v := dPrev[j-1] + sv
-				st := stPrev[j-1]
-				if st == noStart {
-					st = int32(j - 1)
-				}
-				if v > bestV || (v == bestV && st > bestS) {
-					bestV, bestS = v, st
-				}
-			}
-			dCur[j], stCur[j] = bestV, bestS
+	// lexLE reports (v1, s1) ≤ (v2, s2) lexicographically.
+	lexLE := func(v1 float64, s1 int32, v2 float64, s2 int32) bool {
+		return v1 < v2 || (v1 == v2 && s1 <= s2)
+	}
+	for i, sym := range a {
+		pos, val := s.sigmaRow(c, i, sym)
+		if len(pos) == 0 {
+			continue // no adds: the row is provably unchanged
 		}
-		dPrev, dCur = dCur, dPrev
-		stPrev, stCur = stCur, stPrev
+		// (bestV, bestS) is the new pair at j-1 and (oldV, oldS) the
+		// previous row's pair at j-1 (the diagonal input).
+		j := 1
+		bestV, bestS := dv[0], ds[0]
+		oldV, oldS := bestV, bestS
+		for k, p := range pos {
+			pj := int(p) + 1
+			for j < pj {
+				ov, os := dv[j], ds[j]
+				if lexLE(bestV, bestS, ov, os) {
+					j = pj
+					bestV, bestS = dv[pj-1], ds[pj-1]
+					oldV, oldS = bestV, bestS
+					break
+				}
+				dv[j], ds[j] = bestV, bestS
+				oldV, oldS = ov, os
+				j++
+			}
+			upV, upS := dv[pj], ds[pj]
+			v, st := oldV+val[k], oldS
+			if st == noStart {
+				st = int32(pj - 1) // this diagonal is the first scoring column
+			}
+			if lexLE(v, st, upV, upS) {
+				v, st = upV, upS
+			}
+			if lexLE(v, st, bestV, bestS) {
+				v, st = bestV, bestS
+			}
+			dv[pj], ds[pj] = v, st
+			bestV, bestS = v, st
+			oldV, oldS = upV, upS
+			j = pj + 1
+		}
+		for j <= n && !lexLE(bestV, bestS, dv[j], ds[j]) {
+			dv[j], ds[j] = bestV, bestS
+			j++
+		}
 	}
 	var out []Placement
 	for j := 1; j <= n; j++ {
-		if dPrev[j] > dPrev[j-1] && dPrev[j] > minScore && stPrev[j] != noStart {
-			out = append(out, Placement{Lo: int(stPrev[j]), Hi: j, Score: dPrev[j]})
+		if dv[j] > dv[j-1] && dv[j] > minScore && ds[j] != noStart {
+			out = append(out, Placement{Lo: int(ds[j]), Hi: j, Score: dv[j]})
 		}
 	}
 	return out

@@ -30,16 +30,17 @@ import (
 // deep enough below zero that adding any in-headroom cell cannot wrap.
 const minusInfI = int32(math.MinInt32 / 4)
 
-// sparseRowsI is sparseRowsF over quantized rows, additionally recording
-// each span's maximum value (spanMax) — the row's largest possible gain,
-// which the early-exit bounds of ScoreAtLeast and placementsInt sum into
-// a suffix bound on the remaining rows.
+// sparseRowsI builds, for each distinct symbol of a, the positive cells of
+// its quantized σ row that hit b (s.bi must already hold b's column
+// indices), recording each span's maximum value (spanMax) — the row's
+// largest possible gain, which the early-exit bounds of ScoreAtLeast and
+// placementsInt sum into a suffix bound on the remaining rows.
 //
-// Unlike the float build, it does not scan a σ row per distinct symbol: it
-// intersects the matrix's cached positive-column lists (CompiledInt.PosRow
-// — σ rows are overwhelmingly zero) with an inverse index of b built in
-// one O(|b|) pass, so the per-symbol cost is proportional to the row's
-// positive cells and their hits in b rather than to |b|.
+// Like the float64 kernels' hits, it intersects the matrix's cached
+// positive-column lists (CompiledInt.PosRow — σ rows are overwhelmingly
+// zero) with an inverse index of b built in one O(|b|) pass, so the
+// per-symbol cost is proportional to the row's positive cells and their
+// hits in b rather than to |b|.
 func (s *Scratch) sparseRowsI(a symbol.Word, c *score.CompiledInt) {
 	dim := 2*int(c.MaxID()) + 1
 	s.resetSparse(dim)
@@ -93,50 +94,8 @@ func sortPosVal(pos, val []int32) {
 	}
 }
 
-// intSkipRow advances the rolled DP row arr (arr[0] = 0, monotone) by one
-// row whose positive columns are pos/val: the skip-propagation sweep of
-// scoreInt. The skipped writes are provably no-ops, so the result is
-// identical to the full dense row update.
-func intSkipRow(arr []int32, pos, val []int32) {
-	n := len(arr) - 1
-	// j is the next column to finalize, best the new value at j-1, and
-	// oldPrev the previous row's value at j-1 (the diagonal input).
-	j := 1
-	best, oldPrev := int32(0), int32(0)
-	for k := 0; k < len(pos); k++ {
-		pj := int(pos[k]) + 1
-		// Ripple best through the add-free span [j, pj): once it is
-		// absorbed (best ≤ old cell), the rest of the span is unchanged
-		// and can be skipped — the old values are exactly the new ones.
-		for j < pj {
-			old := arr[j]
-			if best <= old {
-				j = pj
-				best = arr[pj-1]
-				oldPrev = best
-				break
-			}
-			arr[j] = best
-			oldPrev = old
-			j++
-		}
-		up := arr[pj]
-		v := max(oldPrev+val[k], up)
-		v = max(v, best)
-		arr[pj] = v
-		best = v
-		oldPrev = up
-		j = pj + 1
-	}
-	// Tail: ripple the last add until absorbed.
-	for j <= n && best > arr[j] {
-		arr[j] = best
-		j++
-	}
-}
-
 // scoreInt is Score on the int32 fast path: the sparse skip sweep over
-// positive columns (see intSkipRow), which beats even the lane-blocked
+// positive columns (see skipRow), which beats even the lane-blocked
 // dense row because typical σ rows score positively against few columns.
 func (s *Scratch) scoreInt(a, b symbol.Word, c *score.CompiledInt) float64 {
 	n := len(b)
@@ -152,7 +111,7 @@ func (s *Scratch) scoreInt(a, b symbol.Word, c *score.CompiledInt) float64 {
 		if len(pos) == 0 {
 			continue // no adds: the whole row is a no-op
 		}
-		intSkipRow(arr, pos, val)
+		skipRow(arr, 0, pos, val, 0)
 	}
 	return c.Dequantize(int64(arr[n]))
 }
@@ -189,7 +148,7 @@ func (s *Scratch) scoreAtLeastInt(a, b symbol.Word, c *score.CompiledInt, atLeas
 		if len(pos) == 0 {
 			continue // row max and suffix bound both unchanged
 		}
-		intSkipRow(arr, pos, val)
+		skipRow(arr, 0, pos, val, 0)
 		// arr[n] is the row maximum (rows are monotone nondecreasing).
 		if ub := c.Dequantize(int64(arr[n]) + remaining); ub <= atLeast {
 			return ub

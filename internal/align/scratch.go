@@ -9,7 +9,7 @@ import (
 
 // Scratch is a reusable arena for every buffer the alignment kernels need:
 // rolled DP row pairs (float64 and int32), start-index rows, the column-index
-// word of b, the sparse positive-column tables of the dense Score fast path,
+// word of b, the per-call sparse σ tables of the fast paths,
 // Hirschberg boundary rows, and the full DP matrix of Align. All kernels are
 // methods on Scratch; the package-level functions borrow one from an internal
 // sync.Pool, so steady-state alignment — thousands of candidate simulations
@@ -28,20 +28,26 @@ type Scratch struct {
 	sa, sb []int32   // placement start-index rows
 	bi     []int32   // column indices of b
 
-	// Sparse positive-column table of the dense Score fast path: rowOf maps
-	// an oriented symbol index to 1+its span, spans[k] indexes pos/val.
-	// spanMax[k] is the largest value of span k (0 when empty) — the int32
-	// kernels' per-row maximum gain, powering the early-exit suffix bounds
-	// of ScoreAtLeast and the placement kernels.
-	rowOf   []int32
-	rowIdx  []int32 // oriented indices set in rowOf, for O(touched) reset
-	spans   [][2]int32
-	pos     []int32
-	valF    []float64
-	valI    []int32
-	spanMax []int32
+	// Per-call sparse σ tables of the fast paths: pos holds positions in
+	// b, valF/valI the σ values of the float64/int32 kernels. Tables over
+	// a whole word key its distinct symbols: rowOf maps an oriented symbol
+	// index to 1+its span, spans[k] indexes pos/val. spanMax[k] is the
+	// largest value of span k (0 when empty) — the int32 kernels' per-row
+	// maximum gain, powering the early-exit suffix bounds of ScoreAtLeast
+	// and the placement kernels. aSpan[i] spans row i of a float64
+	// floatTable, and positive records whether its rows list positive
+	// cells only (see sigmaRows).
+	rowOf    []int32
+	rowIdx   []int32 // oriented indices set in rowOf, for O(touched) reset
+	spans    [][2]int32
+	aSpan    [][2]int32
+	positive bool
+	pos      []int32
+	valF     []float64
+	valI     []int32
+	spanMax  []int32
 
-	// Inverse index of b for the int32 sparse build: bHead[col] chains the
+	// Inverse index of b for the sparse table builds: bHead[col] chains the
 	// positions of b holding oriented column col (1-based indices into
 	// bNext, ascending). bTouched lists the set bHead cells for O(touched)
 	// reset, mirroring rowIdx.
@@ -55,6 +61,8 @@ type Scratch struct {
 	// int32 placement kernel.
 	gv []int32
 	pk []int64
+	// gf is the float64 banded kernel's σ row, scattered across the band.
+	gf []float64
 
 	// Full DP matrix of Align: flat cells plus row headers.
 	cellsF []float64
@@ -148,7 +156,7 @@ func (s *Scratch) matrixI(m, n int) [][]int32 {
 	return d
 }
 
-// resetSparse prepares the sparse positive-column table for a matrix of the
+// resetSparse prepares the symbol-keyed sparse table for a matrix of the
 // given oriented dimension. rowOf is kept all-zero between calls by undoing
 // exactly the entries the last build set (rowIdx) — words are a handful of
 // symbols while dim is the full oriented alphabet, so clearing only the
@@ -165,7 +173,6 @@ func (s *Scratch) resetSparse(dim int) {
 	s.rowIdx = s.rowIdx[:0]
 	s.spans = s.spans[:0]
 	s.pos = s.pos[:0]
-	s.valF = s.valF[:0]
 	s.valI = s.valI[:0]
 	s.spanMax = s.spanMax[:0]
 }

@@ -1,0 +1,156 @@
+package align
+
+import (
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/score"
+	"repro/internal/symbol"
+)
+
+// diffTable builds a random table over n regions with negative, ±0 and
+// (unless integral) fractional entries, set in both species orders and both
+// orientations. Integral tables make equal-score ties common.
+func diffTable(r *rand.Rand, n int32, entries int, integral bool) *score.Table {
+	tb := score.NewTable()
+	sym := func() symbol.Symbol {
+		s := symbol.Symbol(1 + r.Int31n(n))
+		if r.Intn(2) == 0 {
+			s = s.Rev()
+		}
+		return s
+	}
+	val := func() float64 {
+		v := float64(r.Intn(15) - 5)
+		if !integral && r.Intn(2) == 0 {
+			v += r.Float64()
+		}
+		return v
+	}
+	for i := 0; i < entries; i++ {
+		a, b := sym(), sym()
+		switch r.Intn(6) {
+		case 0:
+			tb.Set(a, b, math.Copysign(0, -1))
+		case 1:
+			tb.Set(a, b, 0)
+		case 2: // both species orders, distinct values
+			tb.Set(a, b, val())
+			tb.Set(b, a, val())
+		default:
+			tb.Set(a, b, val())
+		}
+	}
+	return tb
+}
+
+// nonNegative returns tb with every negative entry dropped.
+func nonNegative(tb *score.Table) *score.Table {
+	out := score.NewTable()
+	tb.Pairs(func(a, b symbol.Symbol, v float64) {
+		if v > 0 {
+			out.Set(a, b, v)
+		}
+	})
+	return out
+}
+
+// kernelRun is every float64 kernel's output on one word pair.
+type kernelRun struct {
+	score, atLeast, banded     float64
+	alignScore, hirschScore    float64
+	alignCols, hirschCols      []Col
+	placements                 []Placement
+	best                       Placement
+	bestOK                     bool
+	wavefront, wavefrontPar    float64
+	bandedAdjacent, bandedWide float64
+}
+
+// runKernels runs the kernels on (a, b) under sc. bandAdj is a band
+// half-width for which consecutive rows' bands touch only diagonally.
+func runKernels(s *Scratch, a, b symbol.Word, sc score.Scorer, bandAdj int) kernelRun {
+	var k kernelRun
+	k.score = s.Score(a, b, sc)
+	k.atLeast = s.ScoreAtLeast(a, b, sc, 1.5)
+	k.banded = s.ScoreBanded(a, b, sc, 2)
+	k.bandedAdjacent = s.ScoreBanded(a, b, sc, bandAdj)
+	k.bandedWide = s.ScoreBanded(a, b, sc, len(a)+len(b))
+	k.alignScore, k.alignCols = s.Align(a, b, sc)
+	k.hirschScore, k.hirschCols = s.Hirschberg(a, b, sc)
+	k.placements = slices.Clone(s.Placements(a, b, sc, 0.5))
+	k.best, k.bestOK = s.BestPlacement(a, b, sc, 0)
+	k.wavefront = WavefrontAligner{Workers: 1, BlockRows: 3, BlockCols: 5}.Score(a, b, sc)
+	k.wavefrontPar = WavefrontAligner{Workers: 2, BlockRows: 4, BlockCols: 3}.Score(a, b, sc)
+	return k
+}
+
+func sameRun(x, y kernelRun) bool {
+	return x.score == y.score && x.atLeast == y.atLeast && x.banded == y.banded &&
+		x.bandedAdjacent == y.bandedAdjacent && x.bandedWide == y.bandedWide &&
+		x.alignScore == y.alignScore && slices.Equal(x.alignCols, y.alignCols) &&
+		x.hirschScore == y.hirschScore && slices.Equal(x.hirschCols, y.hirschCols) &&
+		slices.Equal(x.placements, y.placements) && x.best == y.best && x.bestOK == y.bestOK &&
+		x.wavefront == y.wavefront && x.wavefrontPar == y.wavefrontPar
+}
+
+// TestSparseKernelsMatchInterface is the differential test of the sparse
+// float64 kernels: on random tables with negative, ±0 and fractional
+// entries, every kernel run on the compiled matrix (and on its transpose,
+// for the other species order) equals the interface path over the raw
+// scorer exactly — Score, ScoreAtLeast, ScoreBanded, Align and Hirschberg
+// (score and columns), Placements, BestPlacement and the wavefront, serial
+// and parallel. Word sizes cover both table builds (short words scan b,
+// long ones index it), and the banded runs include bands that touch only
+// diagonally, where a cell's one finite input is its diagonal and a
+// negative σ decides it.
+func TestSparseKernelsMatchInterface(t *testing.T) {
+	r := rand.New(rand.NewSource(16))
+	s := NewScratch()
+	defer s.Release()
+	const n = 12
+	dim := 2*n + 1
+	negativeDecided := 0
+	for trial := 0; trial < 300; trial++ {
+		tb := diffTable(r, n, 5+r.Intn(120), trial%2 == 1)
+		c := score.Compile(tb, n)
+		// Band half-width w with row step 2w+1: row i's band starts right
+		// after row i−1's ends.
+		w := 1 + r.Intn(2)
+		la := 1 + r.Intn(12)
+		lb := la * (2*w + 1)
+		if trial%3 == 0 {
+			la, lb = 1+r.Intn(4), 1+r.Intn(8)
+		}
+		a := randOrientedWord(r, la, n)
+		b := randOrientedWord(r, lb, n)
+		if la*lb >= 4*dim*dim {
+			t.Fatalf("words too long: the reference would compile σ")
+		}
+		orders := []struct {
+			name     string
+			x, y     symbol.Word
+			fast, sc score.Scorer
+		}{
+			{"σ", a, b, c, tb},
+			{"σᵀ", b, a, c.Transposed(), score.Transpose(tb)},
+		}
+		for _, o := range orders {
+			got := runKernels(s, o.x, o.y, o.fast, w)
+			want := runKernels(s, o.x, o.y, o.sc, w)
+			if !sameRun(got, want) {
+				t.Fatalf("trial %d %s: sparse kernels\n%+v\nwant interface path\n%+v\na=%v b=%v",
+					trial, o.name, got, want, o.x, o.y)
+			}
+		}
+		if ScoreBanded(a, b, nonNegative(tb), w) != ScoreBanded(a, b, tb, w) {
+			negativeDecided++
+		}
+	}
+	// The adjacent-band case must really hinge on negative cells somewhere.
+	if negativeDecided == 0 {
+		t.Fatal("no trial had a banded score decided by a negative σ")
+	}
+}

@@ -2,6 +2,7 @@ package align
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -45,13 +46,15 @@ type WavefrontAligner struct {
 
 // wfState is the pooled per-call state of one wavefront run: the retained
 // tile boundary rows and right-boundary carry columns (float64 and int32
-// variants), the column index word, and the tile dependency counters.
+// variants), the int32 tiles' column index word, the float64 tiles' σ
+// table, and the tile dependency counters.
 type wfState struct {
 	a, b   symbol.Word
 	sc     score.Scorer
 	cm     *score.Compiled
 	ci     *score.CompiledInt
 	bi     []int32
+	tab    Scratch // float64 σ table of a against b (floatTable), read by every tile
 	m, n   int
 	br, bc int
 	nI, nJ int
@@ -134,7 +137,9 @@ func (w WavefrontAligner) ScoreCtx(a, b symbol.Word, sc score.Scorer) (float64, 
 		}
 	} else {
 		if ws.cm != nil {
-			ws.bi = ws.cm.IndexWordInto(growI(ws.bi, n)[:0], b)
+			// The tiles only read the table, so parallel workers share it.
+			ws.tab.indexF(b, ws.cm)
+			ws.tab.floatTable(a, ws.cm, true)
 		}
 		ws.rowBuf = growRowsF(ws.rowBuf, ws.nI+1, n+1)
 		clear(ws.rowBuf[0])
@@ -278,43 +283,49 @@ func (ws *wfState) tile(I, J int, s *Scratch) {
 
 	top := ws.rowBuf[I][colLo : colHi+1]
 	left := ws.carry[I]
+	if ws.cm != nil {
+		// One rolled row, advanced by the skip sweep over each row's
+		// positive cells that fall inside the tile's columns.
+		arr, _ := s.floatRows(wdt + 1)
+		copy(arr, top)
+		left[0] = arr[wdt]
+		for r := 1; r <= h; r++ {
+			pos, val := ws.tab.row(rowLo + r - 1)
+			lo, _ := slices.BinarySearch(pos, int32(colLo))
+			hi, _ := slices.BinarySearch(pos, int32(colHi))
+			skipRow(arr, left[r], pos[lo:hi], val[lo:hi], int32(colLo))
+			left[r] = arr[wdt]
+		}
+		ws.publish(I, colLo, colHi, arr)
+		return
+	}
 	prev, cur := s.floatRows(wdt + 1)
 	copy(prev, top)
 	left[0] = prev[wdt]
 	for r := 1; r <= h; r++ {
 		ai := ws.a[rowLo+r-1]
 		cur[0] = left[r]
-		if ws.cm != nil {
-			row := ws.cm.Row(ai)
-			bi := ws.bi[colLo:colHi]
-			for c := 1; c <= wdt; c++ {
-				best := prev[c-1] + row[bi[c-1]]
-				if prev[c] > best {
-					best = prev[c]
-				}
-				if cur[c-1] > best {
-					best = cur[c-1]
-				}
-				cur[c] = best
+		for c := 1; c <= wdt; c++ {
+			best := prev[c-1] + ws.sc.Score(ai, ws.b[colLo+c-1])
+			if prev[c] > best {
+				best = prev[c]
 			}
-		} else {
-			for c := 1; c <= wdt; c++ {
-				best := prev[c-1] + ws.sc.Score(ai, ws.b[colLo+c-1])
-				if prev[c] > best {
-					best = prev[c]
-				}
-				if cur[c-1] > best {
-					best = cur[c-1]
-				}
-				cur[c] = best
+			if cur[c-1] > best {
+				best = cur[c-1]
 			}
+			cur[c] = best
 		}
 		left[r] = cur[wdt]
 		prev, cur = cur, prev
 	}
-	// Publish the bottom boundary row segment; the right column was carried
-	// in place above.
-	copy(ws.rowBuf[I+1][colLo+1:colHi+1], prev[1:])
+	ws.publish(I, colLo, colHi, prev)
+}
+
+// publish writes a finished float64 tile's bottom row (row[1:], columns
+// colLo+1 … colHi) into the boundary row below tile-row I; the right column
+// was carried in place.
+func (ws *wfState) publish(I, colLo, colHi int, row []float64) {
+	copy(ws.rowBuf[I+1][colLo+1:colHi+1], row[1:])
 	if colLo == 0 {
 		ws.rowBuf[I+1][0] = 0
 	}

@@ -18,7 +18,7 @@
 //     another on the same workers.
 //   - A per-alphabet cache of compiled σ matrices keyed by scorer
 //     identity: thousands of instances sharing one score table compile σ
-//     into the dense matrix once, and the lazily cached transpose
+//     into the sparse matrix once, and the lazily cached transpose
 //     (score.Compiled.Transposed) is likewise shared. The JSONL reader
 //     (encoding.ReadJSONL) content-deduplicates σ tables, so streamed
 //     pipelines hit this cache across process boundaries too.

@@ -3,19 +3,25 @@ package batch
 // Memory-budget admission: a cost model estimating the peak bytes one
 // instance's solve pins, gated at submit so a pool (or the daemon in front
 // of it) refuses work it cannot fit instead of dying on OOM. The genome
-// presets make the failure mode concrete: genome-small's dense compiled σ
-// alone is ~6.5 GB, so a single mis-sized instance can take down a daemon
-// serving thousands of small ones.
+// presets make the failure mode concrete: in int32 score mode
+// genome-small's dense quantized σ pair alone is ~3 GB, so a single
+// mis-sized instance can take down a daemon serving thousands of small
+// ones.
 //
 // The model is deliberately simple and inspectable — three structural terms
 // any operator can recompute from the instance shape:
 //
-//   - σ compile bytes: the dense float64 matrix is dim² cells for
-//     dim = 2·MaxSymbolID+1, and its transpose (cached on the matrix, built
-//     by every improvement solve) doubles it. Int-score mode adds int32
-//     copies; the float term dominates and is what we charge. Each matrix
-//     also keeps a sorted index of its nonzero cells (4 bytes per nonzero,
-//     small beside the dim² term for a sparse σ), which is not charged.
+//   - σ compile bytes: the compiled matrix is sparse, so it costs bytes per
+//     nonzero cell — a column index and a float64 value each in the matrix,
+//     its transpose (cached on the matrix, built by every improvement
+//     solve) and the positive-cell index (PosRow) of both — plus row
+//     offsets and build cursors per oriented symbol, dim = 2·MaxSymbolID+1
+//     of them.
+//     The nonzero count is exact for a Table (two oriented cells per stored
+//     entry) and an Identity (the diagonal); any other scorer is charged
+//     every cell. A solve that quantizes σ (int32 score mode) adds the
+//     dense int32 matrix and its transpose, dim² cells each, which then
+//     dominate.
 //   - DP scratch: alignment kernels sweep rolled rows, but the two-phase
 //     scoring path materializes O(maxH·maxM) cells for the longest fragment
 //     pair, plus per-worker row scratch.
@@ -23,22 +29,27 @@ package batch
 //     counters, enumeration pieces) and per-match bookkeeping across the
 //     live state and its simulation clones.
 //
-// Constants are calibrated to observed live-heap profiles of the pinned
-// 60-region and genome-small workloads — intentionally on the conservative
-// side, since the budget guards against death, not fragmentation.
+// The σ term is pinned against measured allocations (memcost_test.go); the
+// other constants are calibrated to observed live-heap profiles of the
+// pinned 60-region and genome-small workloads — intentionally on the
+// conservative side, since the budget guards against death, not
+// fragmentation.
 
 import (
 	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/encoding"
+	"repro/internal/score"
 )
 
 // MemEstimate is the per-instance cost-model breakdown, in bytes.
 type MemEstimate struct {
-	// SigmaBytes is the dense σ compile cost (matrix + cached transpose).
-	// Zero when the pool's σ cache already holds this scorer's matrix — the
-	// admission question is what ADDITIONAL memory the solve pins.
+	// SigmaBytes is the σ compile cost (matrix, cached transpose and
+	// positive-cell index, plus the dense int32 pair when the solve
+	// quantizes). Zero when the pool's σ cache already holds this scorer's
+	// matrix — the admission question is what ADDITIONAL memory the solve
+	// pins.
 	SigmaBytes int64 `json:"sigma_bytes"`
 	// ScratchBytes is the DP scratch high-water mark.
 	ScratchBytes int64 `json:"scratch_bytes"`
@@ -57,20 +68,23 @@ func (e MemEstimate) String() string {
 
 // Per-unit constants of the cost model (see the package comment above).
 const (
-	sigmaCellBytes   = 2 * 8 // float64 matrix cell + its cached transpose's
-	scratchCellBytes = 8     // one two-phase DP cell
-	regionBytes      = 192   // sites, fragment index slots, enum pieces, versions
-	matchBytes       = 96    // live match + memo + clone share
+	sigmaCellBytes   = 4 * (4 + 8) // column + float64 value: matrix, transpose, and their PosRow indexes
+	sigmaSymbolBytes = 6 * 4       // four row-offset arrays + two counting-sort cursors
+	intCellBytes     = 2 * 4       // dense int32 cell: quantized matrix + its transpose
+	scratchCellBytes = 8           // one two-phase DP cell
+	regionBytes      = 192         // sites, fragment index slots, enum pieces, versions
+	matchBytes       = 96          // live match + memo + clone share
 )
 
-// EstimateMem runs the admission cost model on one instance.
-func EstimateMem(in *core.Instance) MemEstimate {
-	return estimateMem(in, in.MaxSymbolID())
+// EstimateMem runs the admission cost model on one instance; quantized
+// charges the dense int32 σ pair of int32 score mode.
+func EstimateMem(in *core.Instance, quantized bool) MemEstimate {
+	return estimateMem(in, in.MaxSymbolID(), quantized)
 }
 
 // estimateMem is EstimateMem with the MaxSymbolID scan hoisted, for callers
 // that already need the ID (the submit gate reuses it for the σ-cache peek).
-func estimateMem(in *core.Instance, maxID int32) MemEstimate {
+func estimateMem(in *core.Instance, maxID int32, quantized bool) MemEstimate {
 	dim := 2*int64(maxID) + 1
 	var maxH, maxM int64
 	for i := range in.H {
@@ -83,11 +97,35 @@ func estimateMem(in *core.Instance, maxID int32) MemEstimate {
 			maxM = l
 		}
 	}
+	sigma := sigmaCellBytes*sigmaCells(in.Sigma, maxID) + sigmaSymbolBytes*dim
+	if quantized {
+		stride := (dim + score.LaneWidth - 1) &^ (score.LaneWidth - 1)
+		sigma += intCellBytes * dim * stride
+	}
 	return MemEstimate{
-		SigmaBytes:   sigmaCellBytes * dim * dim,
+		SigmaBytes:   sigma,
 		ScratchBytes: scratchCellBytes * (maxH + 2) * (maxM + 2),
 		StateBytes:   regionBytes*int64(in.TotalRegions()) + matchBytes*int64(in.MaxMatches()),
 	}
+}
+
+// sigmaCells bounds the nonzero cells sc compiles to over region IDs up to
+// maxID: tight for the stored forms, every cell for an opaque scorer.
+func sigmaCells(sc score.Scorer, maxID int32) int64 {
+	switch s := sc.(type) {
+	case *score.Table:
+		return 2 * int64(s.Len())
+	case *score.Identity:
+		return 2 * int64(maxID)
+	case *score.Compiled:
+		if s.MaxID() >= maxID {
+			return int64(s.Nonzeros())
+		}
+	case score.Quantized:
+		return sigmaCells(s.Base, maxID)
+	}
+	dim := 2*int64(maxID) + 1
+	return dim * dim
 }
 
 // OverBudgetError is returned by Submit/TrySubmit when the cost model puts
@@ -112,7 +150,7 @@ func (p *Pool) admitMem(in *core.Instance) error {
 		return nil
 	}
 	maxID := in.MaxSymbolID()
-	est := estimateMem(in, maxID)
+	est := estimateMem(in, maxID, p.opts.Quantized)
 	if p.sigs.peek(in.Sigma, maxID) {
 		est.SigmaBytes = 0
 	}

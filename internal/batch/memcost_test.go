@@ -3,30 +3,41 @@ package batch
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/score"
 )
 
 func TestEstimateMemShape(t *testing.T) {
 	in := testInstances(t, 1, 30)[0]
-	est := EstimateMem(in)
+	est := EstimateMem(in, false)
 	if est.SigmaBytes <= 0 || est.ScratchBytes <= 0 || est.StateBytes <= 0 {
 		t.Fatalf("estimate has non-positive terms: %+v", est)
 	}
 	if est.Total() != est.SigmaBytes+est.ScratchBytes+est.StateBytes {
 		t.Fatalf("Total() != sum of terms: %+v", est)
 	}
+	// Float mode charges σ per nonzero cell (two per stored table entry)
+	// plus per oriented symbol; int32 mode adds the dense quantized pair.
 	dim := 2*int64(in.MaxSymbolID()) + 1
-	if est.SigmaBytes != sigmaCellBytes*dim*dim {
-		t.Fatalf("SigmaBytes = %d, want %d·dim² = %d", est.SigmaBytes, int64(sigmaCellBytes), sigmaCellBytes*dim*dim)
+	nnz := 2 * int64(in.Sigma.(*score.Table).Len())
+	if want := sigmaCellBytes*nnz + sigmaSymbolBytes*dim; est.SigmaBytes != want {
+		t.Fatalf("SigmaBytes = %d, want %d·nonzeros + %d·dim = %d",
+			est.SigmaBytes, int64(sigmaCellBytes), int64(sigmaSymbolBytes), want)
+	}
+	stride := (dim + score.LaneWidth - 1) &^ (score.LaneWidth - 1)
+	if q := EstimateMem(in, true); q.SigmaBytes != est.SigmaBytes+intCellBytes*dim*stride ||
+		q.ScratchBytes != est.ScratchBytes || q.StateBytes != est.StateBytes {
+		t.Fatalf("quantized estimate %+v is not the float one %+v plus the int32 pair", q, est)
 	}
 
 	// The model must be monotone in instance size: more regions, more bytes.
 	big := testInstances(t, 1, 120)[0]
-	if eb := EstimateMem(big); eb.Total() <= est.Total() {
+	if eb := EstimateMem(big, false); eb.Total() <= est.Total() {
 		t.Fatalf("4× regions estimated no bigger: %v vs %v", eb.Total(), est.Total())
 	}
 
@@ -39,9 +50,63 @@ func TestEstimateMemShape(t *testing.T) {
 	}
 }
 
+// sigmaAllocated measures the bytes allocated preparing in's σ as a solve
+// does: Compile, Transposed and both positive-cell indexes, plus the int32
+// pair and its indexes when quantized. The table is cloned first so its
+// compile cache cannot hit.
+func sigmaAllocated(in *core.Instance, quantized bool) int64 {
+	sc := score.Scorer(in.Sigma.(*score.Table).Clone())
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	c := score.Compile(sc, in.MaxSymbolID())
+	c.PosRow(1)
+	c.Transposed().PosRow(1)
+	if quantized {
+		ci := c.Int()
+		ci.PosRow(1)
+		ci.Transposed().PosRow(1)
+	}
+	runtime.ReadMemStats(&m1)
+	return int64(m1.TotalAlloc - m0.TotalAlloc)
+}
+
+// TestEstimateMemSigmaMatchesMeasured pins the σ term against the bytes σ
+// preparation really allocates, on a genome-shaped and a batch-shaped
+// instance, in both score modes: predicted / measured must stay in
+// [0.8, 1.25].
+func TestEstimateMemSigmaMatchesMeasured(t *testing.T) {
+	cfg := gen.DefaultConfig(1)
+	cfg.Regions = 1000
+	cfg.MeanContig = 6
+	cfg.Inversions = 8
+	cfg.InversionLen = 25
+	cfg.Translocations = 2
+	cfg.Spurious = 100
+	cases := []struct {
+		name string
+		in   *core.Instance
+	}{
+		{"genome-1000", gen.Generate(cfg).Instance},
+		{"batch-60", testInstances(t, 1, 60)[0]},
+	}
+	for _, tc := range cases {
+		for _, quantized := range []bool{false, true} {
+			pred := EstimateMem(tc.in, quantized).SigmaBytes
+			got := sigmaAllocated(tc.in, quantized)
+			ratio := float64(pred) / float64(got)
+			t.Logf("%s quantized=%v: predicted %d, measured %d (ratio %.3f)", tc.name, quantized, pred, got, ratio)
+			if ratio < 0.8 || ratio > 1.25 {
+				t.Errorf("%s quantized=%v: σ predicted %d bytes, measured %d (ratio %.3f, want [0.8, 1.25])",
+					tc.name, quantized, pred, got, ratio)
+			}
+		}
+	}
+}
+
 func TestMemBudgetGate(t *testing.T) {
 	ins := testInstances(t, 2, 30)
-	need := EstimateMem(ins[0]).Total()
+	need := EstimateMem(ins[0], false).Total()
 
 	// A budget below the estimate refuses both submission paths with the
 	// typed error, before any queue interaction.
@@ -74,6 +139,17 @@ func TestMemBudgetGate(t *testing.T) {
 	if got := ok.Counters().OverBudget; got != 0 {
 		t.Fatalf("admitted pool counted %d over-budget", got)
 	}
+
+	// A quantizing pool charges the dense int32 σ pair: the float-mode
+	// budget that admits above refuses the same instance there.
+	q := New(Options{Shards: 1, Solve: improveSolver, MemBudget: 4 * need, Quantized: true})
+	defer q.Close()
+	if EstimateMem(ins[0], true).Total() <= 4*need {
+		t.Fatalf("int32 σ pair too small to test: %v", EstimateMem(ins[0], true))
+	}
+	if _, err := q.Submit(context.Background(), ins[0]); !errors.As(err, &ob) {
+		t.Fatalf("quantizing pool Submit err = %v, want *OverBudgetError", err)
+	}
 }
 
 func TestMemBudgetZeroDisables(t *testing.T) {
@@ -94,7 +170,7 @@ func TestMemBudgetZeroDisables(t *testing.T) {
 // so a budget too small for a fresh compile still admits the warm alphabet.
 func TestMemBudgetSigmaResidencyWaiver(t *testing.T) {
 	ins := testInstances(t, 2, 30)
-	est := EstimateMem(ins[0])
+	est := EstimateMem(ins[0], false)
 	budget := est.ScratchBytes + est.StateBytes + est.SigmaBytes/2 // fits iff σ waived
 
 	p := New(Options{Shards: 1, Solve: improveSolver, MemBudget: budget})
@@ -130,15 +206,24 @@ func TestMemBudgetSigmaResidencyWaiver(t *testing.T) {
 
 func TestEstimateMemGenomePreset(t *testing.T) {
 	// The motivating case from the cost-model comment: a genome-scale σ
-	// (alphabet width grows with the region count) is gigabytes on its own,
-	// so any sane daemon budget must refuse it while the same budget passes
-	// the small instances by orders of magnitude.
+	// (alphabet width grows with the region count) costs bytes per nonzero
+	// cell in float mode — a small term a modest budget admits — while
+	// int32 mode's dense quantized pair is gigabytes, so any sane daemon
+	// budget must refuse it while the same budget passes the small
+	// instances by orders of magnitude.
 	small := testInstances(t, 1, 30)[0]
 	cfg := gen.DefaultConfig(1)
 	cfg.Regions = 5000
 	big := gen.Generate(cfg).Instance
-	if EstimateMem(big).SigmaBytes < 100*EstimateMem(small).Total() {
-		t.Fatalf("genome-scale σ (%v) not dominating small instance (%v)",
-			EstimateMem(big).SigmaBytes, EstimateMem(small).Total())
+	float, quant := EstimateMem(big, false), EstimateMem(big, true)
+	if float.SigmaBytes > 4<<20 {
+		t.Fatalf("genome-scale float σ estimated at %v bytes, want O(nonzeros) under 4 MiB", float.SigmaBytes)
+	}
+	if quant.SigmaBytes < 100*EstimateMem(small, true).Total() {
+		t.Fatalf("genome-scale int32 σ (%v) not dominating small instance (%v)",
+			quant.SigmaBytes, EstimateMem(small, true).Total())
+	}
+	if quant.SigmaBytes < 100*float.SigmaBytes {
+		t.Fatalf("int32 σ pair (%v) not dominating the sparse float σ (%v)", quant.SigmaBytes, float.SigmaBytes)
 	}
 }

@@ -59,6 +59,9 @@ type Options struct {
 	// the pool's cache) are charged only scratch + state. 0 disables the
 	// gate.
 	MemBudget int64
+	// Quantized tells the memory budget that solves run in int32 score
+	// mode, which adds the dense quantized σ pair to the σ term.
+	Quantized bool
 }
 
 // Ticket is the handle for one submitted instance.
@@ -109,7 +112,7 @@ type Counters struct {
 	Failed    int64
 	// SigmaHits and SigmaMisses count the per-alphabet compiled-σ cache:
 	// a hit is a submission whose scorer was already compiled (or arrived
-	// pre-compiled), a miss paid the dense compile.
+	// pre-compiled), a miss paid the compile.
 	SigmaHits   int64
 	SigmaMisses int64
 	// ShardBusy is the cumulative wall time each shard spent solving,

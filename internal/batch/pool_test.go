@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -213,24 +215,46 @@ func TestPerInstanceContext(t *testing.T) {
 	}
 }
 
+// pollDeadlineCtx is a deterministic deadline: Err reports
+// context.DeadlineExceeded from poll after+1 on, and Done closes at that
+// same poll, so the two always agree. It cancels mid-solve at a chosen
+// depth without racing a wall clock against the solve.
+type pollDeadlineCtx struct {
+	context.Context
+	polls atomic.Int64
+	after int64
+	once  sync.Once
+	done  chan struct{}
+}
+
+func newPollDeadlineCtx(after int64) *pollDeadlineCtx {
+	return &pollDeadlineCtx{Context: context.Background(), after: after, done: make(chan struct{})}
+}
+
+func (c *pollDeadlineCtx) Done() <-chan struct{} { return c.done }
+
+func (c *pollDeadlineCtx) Err() error {
+	if c.polls.Add(1) > c.after {
+		c.once.Do(func() { close(c.done) })
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
 // TestPerInstanceDeadlineSubRound pins the fine-grained cancellation path:
 // a deadline that fires mid-solve on a large instance must surface as that
-// instance's error well before the solve would have finished, while other
+// instance's error before the solve would have finished, while other
 // instances sharing the pool (and its eval workers) complete normally with
-// results identical to an undisturbed pool.
+// results identical to an undisturbed pool. The deadline is poll-counted:
+// the undisturbed run counts the big solve's context polls, and the
+// disturbed run expires at half that count.
 func TestPerInstanceDeadlineSubRound(t *testing.T) {
 	big := testInstances(t, 1, 90)[0]
 	small := testInstances(t, 3, 30)
-	run := func(cancelBig bool) ([]any, []error) {
+	run := func(bigCtx context.Context) ([]any, []error) {
 		p := New(Options{Shards: 2, EvalWorkers: 2, Solve: improveSolver})
 		defer p.Close()
 		ctx := context.Background()
-		bigCtx := ctx
-		var cancel context.CancelFunc
-		if cancelBig {
-			bigCtx, cancel = context.WithTimeout(ctx, 5*time.Millisecond)
-			defer cancel()
-		}
 		var tickets []*Ticket
 		tb, err := p.Submit(bigCtx, big)
 		if err != nil {
@@ -251,15 +275,26 @@ func TestPerInstanceDeadlineSubRound(t *testing.T) {
 		}
 		return results, errs
 	}
-	ref, refErrs := run(false)
-	got, errs := run(true)
+	never := newPollDeadlineCtx(math.MaxInt64)
+	ref, refErrs := run(never)
 	for i, err := range refErrs {
 		if err != nil {
 			t.Fatalf("reference instance %d: %v", i, err)
 		}
 	}
+	total := never.polls.Load()
+	if total < 4 {
+		t.Fatalf("undisturbed big solve polled its context %d times; too few to cancel mid-solve", total)
+	}
+	dl := newPollDeadlineCtx(total / 2)
+	got, errs := run(dl)
 	if !errors.Is(errs[0], context.DeadlineExceeded) {
 		t.Fatalf("big instance error = %v, want deadline exceeded", errs[0])
+	}
+	// The deadline passed the pool's pre-solve check (poll 1) and expired
+	// inside the solve, well before its last poll.
+	if n := dl.polls.Load(); n <= dl.after || dl.after < 2 {
+		t.Fatalf("deadline never fired mid-solve: %d polls, expiry after %d", n, dl.after)
 	}
 	for i := 1; i < len(got); i++ {
 		if errs[i] != nil {

@@ -8,7 +8,7 @@ import (
 	"repro/internal/score"
 )
 
-// sigCache maps scorer identity to its compiled dense matrix, so the many
+// sigCache maps scorer identity to its compiled matrix, so the many
 // instances of one alphabet that share a σ table compile it exactly once.
 // The matrix's derived forms ride along: Transposed and the
 // integer-quantized Int matrix are both cached on the Compiled itself

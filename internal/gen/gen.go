@@ -135,8 +135,9 @@ func DefaultConfig(seed int64) Config {
 // batch of instances at different seeds exercises the same score model.
 //
 //	genome-small — 5,000 regions; the CI-sized seeded benchmark target.
-//	genome-large — 50,000 regions; offline only (the dense σ table alone
-//	               is tens of GB — run with seeded mode on big-memory hosts).
+//	genome-large — 50,000 regions; offline only (run with seeded mode;
+//	               σ compiles to ~10 MB, but int32 score mode's dense σ
+//	               pair alone is hundreds of GB).
 //
 // Unknown names return ok == false.
 func Preset(name string, seed int64) (Config, bool) {

@@ -16,7 +16,7 @@
 //
 // # Evaluation fast path
 //
-// The driver compiles σ into a dense matrix once per solve (score.Compile)
+// The driver compiles σ into a sparse matrix once per solve (score.Compile)
 // and shares it — together with a site-word alignment memo and a Pareto
 // placement memo, both keyed purely by instance data — across every
 // simulation, TPA batch, and replay. Candidate gains are evaluated

@@ -12,7 +12,7 @@ import (
 // σ transposed). A solution of the transposed instance maps back by
 // swapping the sides of every match. A compiled σ transposes into a
 // compiled matrix, so both halves of the Theorem 3 doubling stay on the
-// dense fast path.
+// compiled fast path.
 func Transpose(in *core.Instance) *core.Instance {
 	return &core.Instance{
 		Name:  in.Name + "ᵀ",

@@ -59,13 +59,24 @@ func TestCompiledAgreesWithTable(t *testing.T) {
 		if a, b, ok := Verify(c, univ); !ok {
 			t.Fatalf("trial %d: compiled scorer violates laws at (%d, %d)", trial, a, b)
 		}
-		// Row/Index agreement with Score.
+		// Cells/Index agreement with Score: the listed cells are exactly
+		// the nonzero ones, in ascending column order.
 		for _, a := range univ {
-			row := c.Row(a)
+			cols, vals := c.Cells(a)
+			k := 0
 			for _, b := range univ {
-				if row[c.Index(b)] != c.Score(a, b) {
-					t.Fatalf("trial %d: Row(%d)[Index(%d)] != Score", trial, a, b)
+				want := c.Score(a, b)
+				if k < len(cols) && cols[k] == c.Index(b) {
+					if vals[k] != want || want == 0 {
+						t.Fatalf("trial %d: Cells(%d) lists %d as %v, Score %v", trial, a, b, vals[k], want)
+					}
+					k++
+				} else if want != 0 {
+					t.Fatalf("trial %d: Cells(%d) misses nonzero column %d", trial, a, b)
 				}
+			}
+			if k != len(cols) {
+				t.Fatalf("trial %d: Cells(%d) has out-of-order columns %v", trial, a, cols)
 			}
 		}
 	}
@@ -167,8 +178,8 @@ func TestCompileIdempotent(t *testing.T) {
 }
 
 // BenchmarkScorerDispatch compares per-pair lookup cost: the sparse map
-// table (hash + canonicalization per call) versus the compiled dense matrix
-// (one slice load).
+// table (hash + canonicalization per call) versus the compiled matrix (a
+// search of one short sparse row).
 func BenchmarkScorerDispatch(b *testing.B) {
 	r := rand.New(rand.NewSource(4))
 	const n = 40
@@ -193,14 +204,6 @@ func BenchmarkScorerDispatch(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			p := pairs[i&1023]
 			sink += c.Score(p[0], p[1])
-		}
-		_ = sink
-	})
-	b.Run("compiled-row", func(b *testing.B) {
-		var sink float64
-		for i := 0; i < b.N; i++ {
-			p := pairs[i&1023]
-			sink += c.Row(p[0])[c.Index(p[1])]
 		}
 		_ = sink
 	})

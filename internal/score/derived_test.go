@@ -9,11 +9,42 @@ import (
 	"repro/internal/symbol"
 )
 
-// Reference implementations of the derived forms: plain scans over every
-// dim² cell, with no nonzero index. The production forms walk the index;
-// TestDerivedFormsMatchDenseScan pins them to these bit for bit.
+// Reference implementations of the compiled forms: plain scans over every
+// dim² cell of a dense matrix evaluated from the base scorer, with no
+// sparse index. The production forms never materialize a dense float64
+// matrix; TestDerivedFormsMatchDenseScan pins them to these bit for bit.
 
-func refNonzeros[T float64 | int32](flat []T, dim, stride int32) []int32 {
+// refDense evaluates base on every oriented pair with region IDs up to n
+// into a dense dim×dim matrix (a ±0 score reads as +0, as compiled).
+func refDense(base Scorer, n int32) []float64 {
+	dim := 2*n + 1
+	flat := make([]float64, dim*dim)
+	for a := -n; a <= n; a++ {
+		for b := -n; b <= n; b++ {
+			if v := base.Score(symbol.Symbol(a), symbol.Symbol(b)); v != 0 {
+				flat[(a+n)*dim+(b+n)] = v
+			}
+		}
+	}
+	return flat
+}
+
+// refCSR lists the nonzero cells of a dense dim×dim matrix row by row.
+func refCSR(flat []float64, dim int32) (off, col []int32, val []float64) {
+	off = make([]int32, dim+1)
+	for i := int32(0); i < dim; i++ {
+		for j := int32(0); j < dim; j++ {
+			if v := flat[i*dim+j]; v != 0 {
+				col = append(col, j)
+				val = append(val, v)
+			}
+		}
+		off[i+1] = int32(len(col))
+	}
+	return off, col, val
+}
+
+func refNonzeros(flat []int32, dim, stride int32) []int32 {
 	var nz []int32
 	for i := int32(0); i < dim; i++ {
 		for j := int32(0); j < dim; j++ {
@@ -49,9 +80,9 @@ func refPosRows[T float64 | int32](flat []T, dim, stride int32) (off, col []int3
 	return off, col, val
 }
 
-func refMaxAbsCell(c *Compiled) float64 {
+func refMaxAbsCell(flat []float64) float64 {
 	v := 0.0
-	for _, x := range c.flat {
+	for _, x := range flat {
 		if a := math.Abs(x); a > v {
 			v = a
 		}
@@ -59,17 +90,17 @@ func refMaxAbsCell(c *Compiled) float64 {
 	return v
 }
 
-func refChooseUnit(c *Compiled) float64 {
-	maxAbs := refMaxAbsCell(c)
+func refChooseUnit(base Scorer, flat []float64) float64 {
+	maxAbs := refMaxAbsCell(flat)
 	if maxAbs == 0 {
 		return 1
 	}
 	headroom := float64(int32(1) << intHeadroomBits)
-	if q, ok := c.base.(Quantized); ok && q.Unit > 0 && maxAbs/q.Unit <= 2*headroom {
+	if q, ok := base.(Quantized); ok && q.Unit > 0 && maxAbs/q.Unit <= 2*headroom {
 		return q.Unit
 	}
 	integral := true
-	for _, v := range c.flat {
+	for _, v := range flat {
 		if v != math.Trunc(v) {
 			integral = false
 			break
@@ -81,28 +112,23 @@ func refChooseUnit(c *Compiled) float64 {
 	return maxAbs / headroom
 }
 
-// refQuantize returns the quantized flat matrix (row pitch padStride(dim)),
-// its largest |cell| and its largest per-cell rounding error.
-func refQuantize(c *Compiled, unit float64) (flat []int32, maxAbs int32, cellErr float64) {
-	d, st := int(c.dim), int(padStride(c.dim))
-	flat = make([]int32, st*d)
+// refQuantize returns the quantized matrix (row pitch padStride(dim)) of
+// the dense dim×dim matrix flat, its largest |cell| and its largest
+// per-cell rounding error.
+func refQuantize(flat []float64, dim int32, unit float64) (q []int32, maxAbs int32, cellErr float64) {
+	d, st := int(dim), int(padStride(dim))
+	q = make([]int32, st*d)
 	for r := 0; r < d; r++ {
-		for j, v := range c.flat[r*d : (r+1)*d] {
-			q := int32(math.Round(v / unit))
-			flat[r*st+j] = q
-			a := q
-			if a < 0 {
-				a = -a
-			}
-			if a > maxAbs {
-				maxAbs = a
-			}
-			if e := math.Abs(v - float64(q)*unit); e > cellErr {
+		for j, v := range flat[r*d : (r+1)*d] {
+			x := int32(math.Round(v / unit))
+			q[r*st+j] = x
+			maxAbs = max(maxAbs, x, -x)
+			if e := math.Abs(v - float64(x)*unit); e > cellErr {
 				cellErr = e
 			}
 		}
 	}
-	return flat, maxAbs, cellErr
+	return q, maxAbs, cellErr
 }
 
 // sameBits reports float64 slice equality bit for bit (so −0 ≠ +0).
@@ -110,21 +136,17 @@ func sameBits(a, b []float64) bool {
 	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
-// checkFloatIndex asserts c's nonzero index lists exactly its nonzero cells
-// in ascending order, every other cell is +0, and its positive-row index
-// matches the dense scan.
-func checkFloatIndex(t *testing.T, name string, c *Compiled) {
+// checkFloatIndex asserts c's sparse rows list exactly the nonzero cells of
+// the dense reference ref, row by row in ascending column order (so no
+// stored cell is ±0), and its positive-row index matches the dense scan.
+func checkFloatIndex(t *testing.T, name string, c *Compiled, ref []float64) {
 	t.Helper()
-	if got, want := c.nz, refNonzeros(c.flat, c.dim, c.dim); !slices.Equal(got, want) {
-		t.Fatalf("%s: nz = %v, want %v", name, got, want)
+	off, col, val := refCSR(ref, c.dim)
+	if !slices.Equal(c.rowOff, off) || !slices.Equal(c.col, col) || !sameBits(c.val, val) {
+		t.Fatalf("%s: CSR cells differ from the dense scan:\n%v %v %v\nwant\n%v %v %v",
+			name, c.rowOff, c.col, c.val, off, col, val)
 	}
-	for i, v := range c.flat {
-		if v == 0 && math.Signbit(v) {
-			t.Fatalf("%s: cell %d is −0", name, i)
-		}
-	}
-	c.PosRow(0)
-	off, col, val := refPosRows(c.flat, c.dim, c.dim)
+	off, col, val = refPosRows(ref, c.dim, c.dim)
 	if !slices.Equal(c.posOff, off) || !slices.Equal(c.posCol, col) || !sameBits(c.posVal, val) {
 		t.Fatalf("%s: PosRow index differs from the dense scan", name)
 	}
@@ -142,9 +164,9 @@ func checkIntIndex(t *testing.T, name string, ci *CompiledInt) {
 	}
 }
 
-func checkQuantized(t *testing.T, name string, c *Compiled, ci *CompiledInt, unit float64) {
+func checkQuantized(t *testing.T, name string, ref []float64, ci *CompiledInt, unit float64) {
 	t.Helper()
-	flat, maxAbs, cellErr := refQuantize(c, unit)
+	flat, maxAbs, cellErr := refQuantize(ref, ci.dim, unit)
 	if math.Float64bits(ci.unit) != math.Float64bits(unit) || ci.maxAbs != maxAbs ||
 		math.Float64bits(ci.cellErr) != math.Float64bits(cellErr) {
 		t.Fatalf("%s: unit/maxAbs/cellErr = %v/%v/%v, want %v/%v/%v",
@@ -156,36 +178,38 @@ func checkQuantized(t *testing.T, name string, c *Compiled, ci *CompiledInt, uni
 	checkIntIndex(t, name, ci)
 }
 
-// checkDerived checks c scores as base does on every covered pair, then
-// compares every derived form of c against the dense-scan references.
+// checkDerived checks c against a dense scan of base over every covered
+// pair, then compares every derived form of c against the dense-scan
+// references.
 func checkDerived(t *testing.T, name string, c *Compiled, base Scorer) {
 	t.Helper()
+	ref := refDense(base, c.n)
 	for _, a := range orientedUniverse(c.n) {
 		for _, b := range orientedUniverse(c.n) {
-			if got, want := c.Row(a)[c.Index(b)], base.Score(a, b); got != want {
+			if got, want := c.Score(a, b), base.Score(a, b); got != want {
 				t.Fatalf("%s: compiled σ(%d,%d) = %v, want %v", name, a, b, got, want)
 			}
 		}
 	}
-	checkFloatIndex(t, name, c)
+	checkFloatIndex(t, name, c, ref)
 
 	ct := c.Transposed()
-	if !sameBits(ct.flat, refTranspose(c.flat, c.dim, c.dim)) {
-		t.Fatalf("%s: Transposed flat differs from the dense transpose", name)
-	}
-	checkFloatIndex(t, name+"/T", ct)
+	checkFloatIndex(t, name+"/T", ct, refTranspose(ref, c.dim, c.dim))
 	if ct.Transposed() != c {
 		t.Fatalf("%s: Transposed().Transposed() is not the original matrix", name)
 	}
 
 	ci := c.Int()
-	checkQuantized(t, name+"/int", c, ci, refChooseUnit(c))
+	checkQuantized(t, name+"/int", ref, ci, refChooseUnit(c.base, ref))
 	cit := ci.Transposed()
 	if !slices.Equal(cit.flat, refTranspose(ci.flat, ci.dim, ci.stride)) {
 		t.Fatalf("%s: int Transposed flat differs from the dense transpose", name)
 	}
 	if cit.unit != ci.unit || cit.maxAbs != ci.maxAbs || cit.cellErr != ci.cellErr {
 		t.Fatalf("%s: int transpose changed unit/maxAbs/cellErr", name)
+	}
+	if cit.Source() != ct {
+		t.Fatalf("%s: int transpose's source is not the float transpose", name)
 	}
 	checkIntIndex(t, name+"/int/T", cit)
 	if cit.Transposed() != ci {
@@ -198,12 +222,12 @@ func checkDerived(t *testing.T, name string, c *Compiled, base Scorer) {
 	for _, u := range []float64{0.37, 0, 1e-12, 64} {
 		want := u
 		if want <= 0 {
-			want = refChooseUnit(c)
+			want = refChooseUnit(c.base, ref)
 		}
-		if m := refMaxAbsCell(c); m/want > float64(int32(1)<<30) {
+		if m := refMaxAbsCell(ref); m/want > float64(int32(1)<<30) {
 			want = m / float64(int32(1)<<30)
 		}
-		checkQuantized(t, name+"/int-unit", c, c.IntWithUnit(u), want)
+		checkQuantized(t, name+"/int-unit", ref, c.IntWithUnit(u), want)
 	}
 }
 
@@ -265,10 +289,11 @@ func (z negZero) Score(a, b symbol.Symbol) float64 {
 	return math.Copysign(0, -1)
 }
 
-// TestDerivedFormsMatchDenseScan is the differential test of the nonzero
-// index: on every compile path, the transpose, the positive-row indexes and
-// the int32 quantization built from the index are bit-identical to plain
-// dense scans, and the index lists exactly the nonzero cells.
+// TestDerivedFormsMatchDenseScan is the differential test of the sparse
+// layout: on every compile path, the matrix, its transpose, the
+// positive-row indexes and the int32 quantization are bit-identical to
+// plain dense scans of the base scorer, and the sparse rows list exactly
+// the nonzero cells.
 func TestDerivedFormsMatchDenseScan(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 40; trial++ {
@@ -306,7 +331,7 @@ func TestDerivedFormsMatchDenseScan(t *testing.T) {
 		// Mutating the table invalidates its compile cache: the recompile
 		// is a new matrix with a fresh, correct index, and the old matrix
 		// keeps its own.
-		before := slices.Clone(c.nz)
+		before := slices.Clone(c.col)
 		a, b := symbol.Symbol(1+r.Int31n(n)), symbol.Symbol(1+r.Int31n(n)).Rev()
 		tb.Set(a, b, 9.5)
 		tb.Pairs(func(x, y symbol.Symbol, v float64) {
@@ -322,7 +347,7 @@ func TestDerivedFormsMatchDenseScan(t *testing.T) {
 			t.Fatalf("trial %d: recompile misses the new entry", trial)
 		}
 		checkDerived(t, "table-mutated", c2, tb)
-		if !slices.Equal(c.nz, before) {
+		if !slices.Equal(c.col, before) {
 			t.Fatalf("trial %d: recompiling changed the old matrix's index", trial)
 		}
 	}

@@ -35,17 +35,13 @@ const intHeadroomBits = 20
 // it can flow through every kernel and solver interface unchanged; the exact
 // float64 matrix it was built from stays reachable via Source.
 type CompiledInt struct {
-	// src is the exact float64 matrix the quantization was built from. On a
-	// transposed matrix it is materialized lazily (see source): the integer
-	// kernels never touch it, and although the float64 transpose only
-	// touches its nonzero cells, it still pins a dim² float64 matrix per
-	// alphabet that only the rare fallback paths (out-of-range symbols,
-	// alignments too long for int32 headroom) would ever read.
-	src     *Compiled
-	srcOnce sync.Once
-	unit    float64
-	n       int32 // maximum region ID covered
-	dim     int32 // 2n+1 oriented symbols
+	// src is the exact float64 matrix the quantization was built from, read
+	// by the fallback paths (out-of-range symbols, alignments too long for
+	// int32 headroom).
+	src  *Compiled
+	unit float64
+	n    int32 // maximum region ID covered
+	dim  int32 // 2n+1 oriented symbols
 	// stride is the row pitch of flat: dim rounded up to the lane width
 	// (LaneWidth), so every row starts lane-aligned and the lane-blocked
 	// kernels can read full 8-cell blocks without a per-row remainder
@@ -55,7 +51,8 @@ type CompiledInt struct {
 	maxAbs  int32   // largest |cell|, for overflow headroom checks
 	cellErr float64 // max over cells of |v − q·unit|
 	// nz lists the flat offsets (row pitch stride) of the nonzero cells in
-	// ascending order, as Compiled.nz does for the float64 matrix.
+	// ascending order, so the transpose and the positive-row index walk the
+	// nonzero cells instead of all dim·stride of them.
 	nz []int32
 
 	// trans caches Transposed, mirroring Compiled.
@@ -72,18 +69,6 @@ type CompiledInt struct {
 	posOff  []int32
 	posCol  []int32
 	posVal  []int32
-}
-
-// source returns the exact float64 matrix, materializing a transposed
-// matrix's source on first use (c.trans is then the original, whose source
-// is always present).
-func (c *CompiledInt) source() *Compiled {
-	c.srcOnce.Do(func() {
-		if c.src == nil {
-			c.src = c.trans.src.Transposed()
-		}
-	})
-	return c.src
 }
 
 // Int returns the integer-quantized form of the matrix, computed once and
@@ -113,8 +98,8 @@ func (c *Compiled) IntWithUnit(unit float64) *CompiledInt {
 // maxAbsCell returns the largest |cell| of the compiled matrix.
 func maxAbsCell(c *Compiled) float64 {
 	v := 0.0
-	for _, off := range c.nz {
-		if a := math.Abs(c.flat[off]); a > v {
+	for _, x := range c.val {
+		if a := math.Abs(x); a > v {
 			v = a
 		}
 	}
@@ -137,8 +122,8 @@ func chooseUnit(c *Compiled) float64 {
 		return q.Unit
 	}
 	integral := true
-	for _, off := range c.nz {
-		if v := c.flat[off]; v != math.Trunc(v) {
+	for _, v := range c.val {
+		if v != math.Trunc(v) {
 			integral = false
 			break
 		}
@@ -156,9 +141,11 @@ const LaneWidth = 8
 // padStride rounds a row length up to the lane width.
 func padStride(dim int32) int32 { return (dim + LaneWidth - 1) &^ (LaneWidth - 1) }
 
-// quantize rounds the nonzero cells of c to multiples of unit. A zero cell
-// quantizes to exactly 0 with no error, so walking c.nz yields the same
-// cells, maxAbs and cellErr as a pass over every cell.
+// quantize rounds the nonzero cells of c to multiples of unit into a dense
+// int32 matrix (row pitch padStride(dim)). A zero cell quantizes to exactly
+// 0 with no error, so walking c's cells yields the same cells, maxAbs and
+// cellErr as a pass over every cell. CSR order is row-major with ascending
+// columns, so the quantized nonzero offsets come out ascending.
 func quantize(c *Compiled, unit float64) *CompiledInt {
 	ci := &CompiledInt{
 		src:    c,
@@ -168,32 +155,27 @@ func quantize(c *Compiled, unit float64) *CompiledInt {
 		stride: padStride(c.dim),
 	}
 	ci.flat = make([]int32, int(ci.stride)*int(c.dim))
-	for _, off := range c.nz {
-		v := c.flat[off]
-		q := int32(math.Round(v / unit))
-		if e := math.Abs(v - float64(q)*unit); e > ci.cellErr {
-			ci.cellErr = e
+	for i := int32(0); i < c.dim; i++ {
+		for k := c.rowOff[i]; k < c.rowOff[i+1]; k++ {
+			v := c.val[k]
+			q := int32(math.Round(v / unit))
+			if e := math.Abs(v - float64(q)*unit); e > ci.cellErr {
+				ci.cellErr = e
+			}
+			if q == 0 {
+				continue
+			}
+			ci.maxAbs = max(ci.maxAbs, q, -q)
+			to := i*ci.stride + c.col[k]
+			ci.flat[to] = q
+			ci.nz = append(ci.nz, to)
 		}
-		if q == 0 {
-			continue
-		}
-		a := q
-		if a < 0 {
-			a = -a
-		}
-		if a > ci.maxAbs {
-			ci.maxAbs = a
-		}
-		to := off/c.dim*ci.stride + off%c.dim
-		ci.flat[to] = q
-		ci.nz = append(ci.nz, to)
 	}
 	return ci
 }
 
-// Source returns the exact float64 matrix the quantization was built from
-// (built on demand for transposed matrices).
-func (c *CompiledInt) Source() *Compiled { return c.source() }
+// Source returns the exact float64 matrix the quantization was built from.
+func (c *CompiledInt) Source() *Compiled { return c.src }
 
 // MaxID returns the largest region ID the matrix covers.
 func (c *CompiledInt) MaxID() int32 { return c.n }
@@ -235,7 +217,7 @@ func (c *CompiledInt) Dequantize(q int64) float64 { return float64(q) * c.unit }
 func (c *CompiledInt) Score(a, b symbol.Symbol) float64 {
 	ia, ib := int32(a)+c.n, int32(b)+c.n
 	if uint32(ia) >= uint32(c.dim) || uint32(ib) >= uint32(c.dim) {
-		return c.source().Score(a, b)
+		return c.src.Score(a, b)
 	}
 	return float64(c.flat[ia*c.stride+ib]) * c.unit
 }
@@ -273,18 +255,31 @@ func (c *CompiledInt) PosRow(a symbol.Symbol) (cols, vals []int32) {
 	return c.posCol[lo:hi], c.posVal[lo:hi]
 }
 
+// buildPosRows builds the positive-cell index from the ascending nonzero
+// offsets: row i's positive cells are posCol/posVal[posOff[i]:posOff[i+1]],
+// in column order.
 func (c *CompiledInt) buildPosRows() {
-	c.posOff, c.posCol, c.posVal = posRows(c.flat, c.nz, c.dim, c.stride)
+	c.posOff = make([]int32, c.dim+1)
+	for _, o := range c.nz {
+		if v := c.flat[o]; v > 0 {
+			c.posOff[o/c.stride+1]++
+			c.posCol = append(c.posCol, o%c.stride)
+			c.posVal = append(c.posVal, v)
+		}
+	}
+	for i := int32(1); i <= c.dim; i++ {
+		c.posOff[i] += c.posOff[i-1]
+	}
 }
 
 // Transposed returns the quantized matrix of σᵀ, cached like
 // Compiled.Transposed and linked back so t.Transposed() == c. The transpose
-// shares the unit, error bound, and headroom of the original; its float64
-// source matrix is NOT built here — the int32 kernels never read it, so it
-// materializes only if a fallback path asks (Source/source).
+// shares the unit, error bound, and headroom of the original; its source is
+// the transposed float64 matrix.
 func (c *CompiledInt) Transposed() *CompiledInt {
 	c.transOnce.Do(func() {
 		t := &CompiledInt{
+			src:     c.src.Transposed(),
 			unit:    c.unit,
 			n:       c.n,
 			dim:     c.dim,
@@ -302,8 +297,8 @@ func (c *CompiledInt) Transposed() *CompiledInt {
 }
 
 // Prepare returns a kernel-ready scorer covering region IDs up to maxID:
-// dense matrices (float64 or int32-quantized) that already cover the range
-// pass through unchanged, anything else compiles to a dense float64 matrix.
+// compiled matrices (float64 or int32-quantized) that already cover the
+// range pass through unchanged, anything else compiles to a float64 matrix.
 // Solvers use it so a caller-selected scoring mode survives their internal
 // compile step.
 func Prepare(sc Scorer, maxID int32) Scorer {
@@ -311,4 +306,28 @@ func Prepare(sc Scorer, maxID int32) Scorer {
 		return ci
 	}
 	return Compile(sc, maxID)
+}
+
+// transposeCells scatters the nonzero cells of the dim×dim matrix src (row
+// pitch stride, nonzero offsets nz in ascending order) into the zeroed dst
+// at their transposed positions, and returns dst's ascending nonzero index.
+// The index is a counting sort of nz by column: nz is row-major, so rows
+// stay ascending within each column. Cost is O(len(nz) + dim).
+func transposeCells(dst, src []int32, nz []int32, dim, stride int32) []int32 {
+	next := make([]int32, dim+1) // next[j]: where column j's next cell goes
+	for _, off := range nz {
+		next[off%stride+1]++
+	}
+	for j := int32(1); j <= dim; j++ {
+		next[j] += next[j-1]
+	}
+	out := make([]int32, len(nz))
+	for _, off := range nz {
+		i, j := off/stride, off%stride
+		to := j*stride + i
+		dst[to] = src[off]
+		out[next[j]] = to
+		next[j]++
+	}
+	return out
 }

@@ -9,25 +9,27 @@
 // a ≠ b. A Quantized wrapper implements the Chandra–Halldórsson scaling step
 // used to bound the number of local improvements.
 //
-// # Compiled dense matrices
+// # Compiled sparse matrices
 //
-// Any Scorer can be compiled into a Compiled dense matrix (Compile): a flat
-// []float64 indexed by oriented symbol index, covering region IDs up to a
-// chosen bound. Solvers compile σ once per solve and pass the matrix through
-// every alignment kernel, turning each DP cell's score lookup from an
-// interface call plus map hash into a single slice load (Row/Index expose
-// the raw rows for inner loops). Entries are the exact float64 values the
-// base scorer returned at compile time, so compiled and sparse paths score
-// bit-identically; out-of-range symbols fall back to the base scorer.
+// Any Scorer can be compiled into a Compiled matrix (Compile): a compressed
+// sparse row (CSR) layout over oriented symbol indices, holding the column
+// and float64 value of every nonzero cell and covering region IDs up to a
+// chosen bound. Solvers compile σ once per solve and pass the matrix
+// through every alignment kernel, which build per-call tables of the cells
+// that hit their words (Cells, PosRow) and touch only those — no interface
+// call or map hash per DP cell. Stored values are the exact float64 values
+// the base scorer returned at compile time and every unlisted cell is +0,
+// so compiled and sparse paths score bit-identically; out-of-range symbols
+// fall back to the base scorer.
 //
-// σ is sparse, so every compiled matrix also carries a sorted index of its
-// nonzero cells. Table and Identity fill the matrix and its index in
-// O(stored entries), Quantized in O(nonzero cells of its base), and only
-// other scorers evaluate every cell. The derived forms — the transpose, the
-// per-row positive-cell lists (PosRow) and the int32 quantization (Int) —
-// walk the index, so beyond the zeroed dim² allocation each one costs
-// O(nonzeros + dim). Transpose exchanges species sides, transposing the
-// dense matrix when given one.
+// No form allocates dim² float64 cells. Table and Identity compile in
+// O(stored entries + dim), Quantized in O(nonzero cells of its base), and
+// only other scorers evaluate every cell. The derived forms — the
+// transpose (a counting sort, CSR to CSC) and the per-row positive-cell
+// lists (PosRow) — cost O(nonzeros + dim). The int32 quantization (Int) is
+// the one dense form: a dim×dim int32 matrix pair for the lane-blocked
+// kernels, built only when a solve asks for integer scoring. Transpose
+// exchanges species sides, transposing the compiled matrix when given one.
 package score
 
 import (
@@ -64,7 +66,7 @@ type Table struct {
 	m map[pairKey]float64
 	// gen counts mutations; compiled caches the last Compile result stamped
 	// with the gen it saw, so repeated solves over one table — every batch
-	// driver's steady state — reuse one dense matrix (and, through its
+	// driver's steady state — reuse one compiled matrix (and, through its
 	// sub-caches, one quantization and one transpose) instead of
 	// re-densifying per pool. Mutating and compiling a table concurrently
 	// is as unsynchronized as mutating and scoring one; the cache pointer
@@ -73,7 +75,7 @@ type Table struct {
 	compiled atomic.Pointer[tableCompiled]
 }
 
-// tableCompiled stamps a cached dense matrix with the table generation it
+// tableCompiled stamps a cached compiled matrix with the table generation it
 // was built from.
 type tableCompiled struct {
 	gen uint64

@@ -135,7 +135,7 @@ type Result struct {
 }
 
 // Candidates runs the seeding pipeline over the instance. σ is prepared
-// (dense-compiled) if the instance has not already done so; the improve
+// (compiled) if the instance has not already done so; the improve
 // driver passes instances whose Sigma is the solve's shared matrix, so no
 // extra compilation happens there.
 func Candidates(in *core.Instance, p Params) *Result {

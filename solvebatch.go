@@ -43,10 +43,13 @@ type MemEstimate = batch.MemEstimate
 type OverBudgetError = batch.OverBudgetError
 
 // EstimateMem runs the admission cost model on one instance: the bytes a
-// solve would pin for the dense compiled σ, DP scratch, and solver state.
-// The same model gates WithMemBudget pools (which additionally waive the σ
-// term for cached alphabets).
-func EstimateMem(in *Instance) MemEstimate { return batch.EstimateMem(in) }
+// solve would pin for the compiled σ, DP scratch, and solver state. Solve
+// options shape the σ term: WithIntScore(true) adds the dense int32 σ pair
+// of integer scoring. The same model gates WithMemBudget pools (which
+// additionally waive the σ term for cached alphabets).
+func EstimateMem(in *Instance, opts ...Option) MemEstimate {
+	return batch.EstimateMem(in, newSolveCfg(opts).intScore)
+}
 
 // BatchCounters is a snapshot of a BatchPool's queue, solve, and σ-cache
 // counters (see internal/batch.Counters); csrserve exports it at /metrics.
@@ -111,6 +114,7 @@ func NewBatchPool(alg Algorithm, opts ...Option) *BatchPool {
 		EvalWorkers: evalWorkers,
 		Inject:      cfg.inject,
 		MemBudget:   cfg.memBudget,
+		Quantized:   cfg.intScore,
 		Solve: func(ctx context.Context, in *core.Instance, rt batch.Runtime) (any, error) {
 			sc, ok := ctx.Value(submitCfgKey{}).(*solveCfg)
 			if !ok {
@@ -129,7 +133,8 @@ func NewBatchPool(alg Algorithm, opts ...Option) *BatchPool {
 // WithPartialResults, WithSeededCandidates, WithCheckpoint, WithResume.
 // Options that shape the pool itself (WithShards, WithQueueDepth,
 // WithPerInstanceTimeout, WithMemBudget, WithFaultInjector) have no
-// per-submission effect, and WithWorkers sizes only this solve's own
+// per-submission effect (the memory budget also charges the pool's own
+// WithIntScore mode), and WithWorkers sizes only this solve's own
 // evaluation, never the pool's shared workers.
 func (bp *BatchPool) Submit(ctx context.Context, in *Instance, opts ...Option) (*BatchTicket, error) {
 	return bp.submit(ctx, in, opts, bp.pool.Submit)
