@@ -503,7 +503,8 @@ func BenchmarkSigmaPrepare(b *testing.B) {
 // BenchmarkFourApproxPlacements measures the placement DPs of the
 // 4-approximation's shape on the genome-shaped instance: every H fragment,
 // in both orientations, against the concatenation of all M fragments, over
-// the compiled σ. ns/cell is per DP cell.
+// the compiled σ, through the one-zone entry point FourApprox runs. ns/cell
+// is per cell of the dense DP the kernel stands in for.
 func BenchmarkFourApproxPlacements(b *testing.B) {
 	in := genomeShaped()
 	c := score.Compile(in.Sigma, in.MaxSymbolID())
@@ -521,9 +522,22 @@ func BenchmarkFourApproxPlacements(b *testing.B) {
 	defer s.Release()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, q := range queries {
-			s.Placements(q, zone, c, 0)
-		}
+		s.PlacementsEach(zone, queries, c, 0, func(int, []align.Placement) {})
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(cells)), "ns/cell")
+}
+
+// BenchmarkFourApproxGenome measures the whole 4-approximation — both
+// Theorem 3 halves, their ISP selections, the split back onto fragments
+// and the validations — on the genome-shaped instance with σ prepared
+// once, as a seeded solve hands it over.
+func BenchmarkFourApproxGenome(b *testing.B) {
+	in := *genomeShaped()
+	in.Sigma = score.Prepare(in.Sigma, in.MaxSymbolID())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := onecsr.FourApprox(&in); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -5,8 +5,8 @@ import (
 	"repro/internal/symbol"
 )
 
-// fastPath returns a compiled matrix covering every symbol of the given
-// words, or nil when the interface path is preferable.
+// fastPath returns a compiled matrix covering symbol IDs up to need (the
+// largest ID of the words), or nil when the interface path is preferable.
 //
 // A pre-compiled scorer is used whenever it covers the words — callers that
 // compile once per solve (improve, onecsr, greedy, exact) always hit the
@@ -15,8 +15,7 @@ import (
 // their kernel actually computes, e.g. the band area for ScoreBanded)
 // dwarfs the O(dim²) compilation cost, so small one-off alignments never
 // pay for a matrix they cannot amortize.
-func fastPath(sc score.Scorer, a, b symbol.Word, area int) *score.Compiled {
-	need := wordsMaxID(a, b)
+func fastPath(sc score.Scorer, need int32, area int) *score.Compiled {
 	if c, ok := sc.(*score.Compiled); ok {
 		if c.MaxID() >= need {
 			return c
@@ -37,26 +36,28 @@ func fastPath(sc score.Scorer, a, b symbol.Word, area int) *score.Compiled {
 // lengths; when the headroom fails, the alignment silently falls back to the
 // exact float64 source matrix, so integer mode is safe at any input size.
 func resolve(sc score.Scorer, a, b symbol.Word, area int) (*score.CompiledInt, *score.Compiled) {
+	return resolveID(sc, max(maxID(a), maxID(b)), min(len(a), len(b)), area)
+}
+
+// resolveID is resolve for words whose largest symbol ID is need and whose
+// shorter length is short.
+func resolveID(sc score.Scorer, need int32, short, area int) (*score.CompiledInt, *score.Compiled) {
 	if ci, ok := sc.(*score.CompiledInt); ok {
-		if ci.MaxID() < wordsMaxID(a, b) {
+		if ci.MaxID() < need {
 			return nil, nil // out-of-range symbols: interface path (dequantized cells)
 		}
-		if ci.Fits(min(len(a), len(b))) {
+		if ci.Fits(short) {
 			return ci, nil
 		}
 		return nil, ci.Source()
 	}
-	return nil, fastPath(sc, a, b, area)
+	return nil, fastPath(sc, need, area)
 }
 
-func wordsMaxID(a, b symbol.Word) int32 {
+// maxID returns the largest symbol ID in w (0 for an empty word).
+func maxID(w symbol.Word) int32 {
 	var m int32
-	for _, s := range a {
-		if id := s.ID(); id > m {
-			m = id
-		}
-	}
-	for _, s := range b {
+	for _, s := range w {
 		if id := s.ID(); id > m {
 			m = id
 		}
@@ -118,10 +119,16 @@ func (s *Scratch) hits(c *score.Compiled, sym symbol.Symbol, positive bool) ([]i
 	return pos, val
 }
 
-// sigmaRows prepares one kernel call's σ rows of a against b (see hits): a
-// long a gets a floatTable, a short one is listed row by row (sigmaRow).
+// sigmaRows prepares one kernel call's σ rows of a against b (see hits).
 func (s *Scratch) sigmaRows(a, b symbol.Word, c *score.Compiled, positive bool) {
 	s.indexF(b, c)
+	s.queryRows(a, c, positive)
+}
+
+// queryRows prepares the σ rows of a against the b that indexF last
+// indexed: a long a gets a floatTable, a short one is listed row by row
+// (sigmaRow).
+func (s *Scratch) queryRows(a symbol.Word, c *score.Compiled, positive bool) {
 	s.positive = positive
 	s.aSpan = s.aSpan[:0]
 	if len(a) > shortWord {
@@ -129,7 +136,7 @@ func (s *Scratch) sigmaRows(a, b symbol.Word, c *score.Compiled, positive bool) 
 	}
 }
 
-// sigmaRow returns the cells of row i of a, whose symbol is sym (sigmaRows
+// sigmaRow returns the cells of row i of a, whose symbol is sym (queryRows
 // must have run).
 func (s *Scratch) sigmaRow(c *score.Compiled, i int, sym symbol.Symbol) ([]int32, []float64) {
 	if len(s.aSpan) > 0 {
@@ -335,80 +342,4 @@ func (s *Scratch) scoreBandedCompiled(a, b symbol.Word, c *score.Compiled, band 
 		}
 	}
 	return best
-}
-
-// placementsCompiled is Placements on the sparse fast path: the skip sweep
-// over (value, start) pairs. A cell's pair is the lexicographic maximum of
-// its candidates (larger value wins, ties prefer the larger start — the
-// interface kernel's tie-break), so rows are lexicographically monotone
-// nondecreasing exactly as score rows are numerically, and the same
-// absorption argument applies: add-free spans are unchanged, rows whose
-// symbol has no positive cell in b are skipped whole, and the sweep touches
-// only positive cells plus active ripples.
-func (s *Scratch) placementsCompiled(a, b symbol.Word, c *score.Compiled, minScore float64) []Placement {
-	n := len(b)
-	s.sigmaRows(a, b, c, true)
-	const noStart = int32(1) << 30
-	dv, _ := s.floatRows(n + 1)
-	s.sa = growI(s.sa, n+1)
-	ds := s.sa
-	for j := range ds {
-		ds[j] = noStart
-	}
-	// lexLE reports (v1, s1) ≤ (v2, s2) lexicographically.
-	lexLE := func(v1 float64, s1 int32, v2 float64, s2 int32) bool {
-		return v1 < v2 || (v1 == v2 && s1 <= s2)
-	}
-	for i, sym := range a {
-		pos, val := s.sigmaRow(c, i, sym)
-		if len(pos) == 0 {
-			continue // no adds: the row is provably unchanged
-		}
-		// (bestV, bestS) is the new pair at j-1 and (oldV, oldS) the
-		// previous row's pair at j-1 (the diagonal input).
-		j := 1
-		bestV, bestS := dv[0], ds[0]
-		oldV, oldS := bestV, bestS
-		for k, p := range pos {
-			pj := int(p) + 1
-			for j < pj {
-				ov, os := dv[j], ds[j]
-				if lexLE(bestV, bestS, ov, os) {
-					j = pj
-					bestV, bestS = dv[pj-1], ds[pj-1]
-					oldV, oldS = bestV, bestS
-					break
-				}
-				dv[j], ds[j] = bestV, bestS
-				oldV, oldS = ov, os
-				j++
-			}
-			upV, upS := dv[pj], ds[pj]
-			v, st := oldV+val[k], oldS
-			if st == noStart {
-				st = int32(pj - 1) // this diagonal is the first scoring column
-			}
-			if lexLE(v, st, upV, upS) {
-				v, st = upV, upS
-			}
-			if lexLE(v, st, bestV, bestS) {
-				v, st = bestV, bestS
-			}
-			dv[pj], ds[pj] = v, st
-			bestV, bestS = v, st
-			oldV, oldS = upV, upS
-			j = pj + 1
-		}
-		for j <= n && !lexLE(bestV, bestS, dv[j], ds[j]) {
-			dv[j], ds[j] = bestV, bestS
-			j++
-		}
-	}
-	var out []Placement
-	for j := 1; j <= n; j++ {
-		if dv[j] > dv[j-1] && dv[j] > minScore && ds[j] != noStart {
-			out = append(out, Placement{Lo: int(ds[j]), Hi: j, Score: dv[j]})
-		}
-	}
-	return out
 }

@@ -105,7 +105,7 @@ func (s *Scratch) hirschInt(a, b symbol.Word, ioff, joff int, c *score.CompiledI
 // (This is positional reversal only; symbol reversal is handled by the
 // caller via Word.Rev when orientation matters.)
 func (s *Scratch) lastRowInto(dst []float64, a, b symbol.Word, sc score.Scorer) []float64 {
-	if cf := fastPath(sc, a, b, len(a)*len(b)); cf != nil {
+	if cf := fastPath(sc, max(maxID(a), maxID(b)), len(a)*len(b)); cf != nil {
 		return s.lastRowCompiledInto(dst, a, b, cf)
 	}
 	n := len(b)

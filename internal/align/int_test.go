@@ -3,6 +3,7 @@ package align
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/score"
@@ -130,6 +131,23 @@ func TestIntOverflowFallback(t *testing.T) {
 	if got, want := ScoreBanded(a, b, ci, 5), ScoreBanded(a, b, c, 5); got != want {
 		t.Fatalf("fallback ScoreBanded %v != float %v", got, want)
 	}
+	// A headroom that holds for short queries only: one PlacementsEach
+	// zone serves int32 and float64 queries in turn, each as per-call
+	// Placements would run it.
+	var mixed *score.CompiledInt
+	for unit := 1e-9; mixed == nil; unit *= 2 {
+		if m := c.IntWithUnit(unit); m.Fits(2) && !m.Fits(len(b)) {
+			mixed = m
+		}
+	}
+	queries := []symbol.Word{a[:2], a, b[:2], b}
+	s := NewScratch()
+	defer s.Release()
+	s.PlacementsEach(b, queries, mixed, 0, func(q int, ps []Placement) {
+		if want := Placements(queries[q], b, mixed, 0); !slices.Equal(ps, want) {
+			t.Fatalf("query %d: PlacementsEach %v != Placements %v", q, ps, want)
+		}
+	})
 }
 
 // TestIntOutOfRangeSymbols: symbols beyond the compiled range push the

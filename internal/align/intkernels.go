@@ -288,8 +288,8 @@ func pkStart(p int64) int32    { return int32(uint32(p)) }
 // common case for the low-similarity fragment pairs that dominate TPA
 // candidate evaluation. minScore is compared on dequantized values, so the
 // emitted windows satisfy the caller's float64 threshold exactly as the
-// float kernel would.
-func (s *Scratch) placementsInt(a, b symbol.Word, c *score.CompiledInt, minScore float64) []Placement {
+// float kernel would. The frontier is appended to dst.
+func (s *Scratch) placementsInt(dst []Placement, a, b symbol.Word, c *score.CompiledInt, minScore float64) []Placement {
 	m, n := len(a), len(b)
 	s.indexWordInt(c, b)
 	s.sparseRowsI(a, c)
@@ -298,9 +298,8 @@ func (s *Scratch) placementsInt(a, b symbol.Word, c *score.CompiledInt, minScore
 		remaining += int64(s.spanMax[s.rowOf[c.Index(sym)]-1])
 	}
 	if c.Dequantize(remaining) <= minScore {
-		return nil // even the sum of per-row best gains cannot clear it
+		return dst // even the sum of per-row best gains cannot clear it
 	}
-	const noStart = int32(1) << 30
 	pk0 := pkPack(0, noStart)
 	arr := growI64(s.pk, n+1)
 	s.pk = arr
@@ -349,28 +348,22 @@ func (s *Scratch) placementsInt(a, b symbol.Word, c *score.CompiledInt, minScore
 			j++
 		}
 		if c.Dequantize(int64(pkVal(arr[n]))+remaining) <= minScore {
-			return nil // no remaining row can lift the frontier above minScore
+			return dst // no remaining row can lift the frontier above minScore
 		}
 	}
-	// Count emissions first so the result is a single exact-size allocation
-	// (the caller memoizes it, so it cannot live in the scratch arena).
-	cnt := 0
+	emits := func(j int) bool {
+		return pkVal(arr[j]) > pkVal(arr[j-1]) && pkStart(arr[j]) != noStart &&
+			c.Dequantize(int64(pkVal(arr[j]))) > minScore
+	}
+	if dst == nil {
+		if dst = exactPlacements(n, emits); dst == nil {
+			return nil
+		}
+	}
 	for j := 1; j <= n; j++ {
-		if pkVal(arr[j]) > pkVal(arr[j-1]) && pkStart(arr[j]) != noStart &&
-			c.Dequantize(int64(pkVal(arr[j]))) > minScore {
-			cnt++
+		if emits(j) {
+			dst = append(dst, Placement{Lo: int(pkStart(arr[j])), Hi: j, Score: c.Dequantize(int64(pkVal(arr[j])))})
 		}
 	}
-	if cnt == 0 {
-		return nil
-	}
-	out := make([]Placement, 0, cnt)
-	for j := 1; j <= n; j++ {
-		if pkVal(arr[j]) > pkVal(arr[j-1]) && pkStart(arr[j]) != noStart {
-			if v := c.Dequantize(int64(pkVal(arr[j]))); v > minScore {
-				out = append(out, Placement{Lo: int(pkStart(arr[j])), Hi: j, Score: v})
-			}
-		}
-	}
-	return out
+	return dst
 }

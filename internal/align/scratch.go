@@ -8,7 +8,7 @@ import (
 )
 
 // Scratch is a reusable arena for every buffer the alignment kernels need:
-// rolled DP row pairs (float64 and int32), start-index rows, the column-index
+// rolled DP row pairs (float64 and int32), placement rows, the column-index
 // word of b, the per-call sparse σ tables of the fast paths,
 // Hirschberg boundary rows, and the full DP matrix of Align. All kernels are
 // methods on Scratch; the package-level functions borrow one from an internal
@@ -25,8 +25,14 @@ type Scratch struct {
 	ga, gb []float64 // Hirschberg float64 boundary rows (fwd/bwd)
 	ia, ib []int32   // rolled int32 DP rows
 	ja, jb []int32   // Hirschberg int32 boundary rows
-	sa, sb []int32   // placement start-index rows
+	sa, sb []int32   // start-index rows of the interface placement kernel
 	bi     []int32   // column indices of b
+
+	// Placement rows of the compiled float64 kernel, held as breakpoints
+	// (see stepRow): the current row and the one being built. out holds
+	// the frontier PlacementsEach hands to its callback.
+	steps, stepsNext []step
+	out              []Placement
 
 	// Per-call sparse σ tables of the fast paths: pos holds positions in
 	// b, valF/valI the σ values of the float64/int32 kernels. Tables over
@@ -36,7 +42,7 @@ type Scratch struct {
 	// maximum gain, powering the early-exit suffix bounds of ScoreAtLeast
 	// and the placement kernels. aSpan[i] spans row i of a float64
 	// floatTable, and positive records whether its rows list positive
-	// cells only (see sigmaRows).
+	// cells only (see queryRows).
 	rowOf    []int32
 	rowIdx   []int32 // oriented indices set in rowOf, for O(touched) reset
 	spans    [][2]int32
@@ -50,7 +56,8 @@ type Scratch struct {
 	// Inverse index of b for the sparse table builds: bHead[col] chains the
 	// positions of b holding oriented column col (1-based indices into
 	// bNext, ascending). bTouched lists the set bHead cells for O(touched)
-	// reset, mirroring rowIdx.
+	// reset, mirroring rowIdx. PlacementsEach builds it, with bi, once per
+	// zone and reads it for every query.
 	bHead    []int32
 	bNext    []int32
 	bTouched []int32

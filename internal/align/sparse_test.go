@@ -105,14 +105,16 @@ func sameRun(x, y kernelRun) bool {
 // and parallel. Word sizes cover both table builds (short words scan b,
 // long ones index it), and the banded runs include bands that touch only
 // diagonally, where a cell's one finite input is its diagonal and a
-// negative σ decides it.
+// negative σ decides it. PlacementsEach runs several queries against each
+// zone, under minScore 0 and above, and must equal per-call Placements and
+// the interface path query by query.
 func TestSparseKernelsMatchInterface(t *testing.T) {
 	r := rand.New(rand.NewSource(16))
 	s := NewScratch()
 	defer s.Release()
 	const n = 12
 	dim := 2*n + 1
-	negativeDecided := 0
+	negativeDecided, noHits := 0, 0
 	for trial := 0; trial < 300; trial++ {
 		tb := diffTable(r, n, 5+r.Intn(120), trial%2 == 1)
 		c := score.Compile(tb, n)
@@ -137,6 +139,7 @@ func TestSparseKernelsMatchInterface(t *testing.T) {
 			{"σ", a, b, c, tb},
 			{"σᵀ", b, a, c.Transposed(), score.Transpose(tb)},
 		}
+		minScore := []float64{0, 0.5, 3}[trial%3]
 		for _, o := range orders {
 			got := runKernels(s, o.x, o.y, o.fast, w)
 			want := runKernels(s, o.x, o.y, o.sc, w)
@@ -144,6 +147,28 @@ func TestSparseKernelsMatchInterface(t *testing.T) {
 				t.Fatalf("trial %d %s: sparse kernels\n%+v\nwant interface path\n%+v\na=%v b=%v",
 					trial, o.name, got, want, o.x, o.y)
 			}
+			// Several queries against the one zone o.y: a long one (a
+			// floatTable) after short ones, an empty query, one holding a
+			// symbol above the matrix's MaxID (the interface path, per
+			// query) and one that hits nothing in the zone.
+			noHit := noHitWord(o.y, o.fast, n)
+			if len(noHit) > 0 {
+				noHits++
+			}
+			queries := []symbol.Word{
+				o.x, randOrientedWord(r, 1+r.Intn(4), n), randOrientedWord(r, shortWord+1+r.Intn(4), n),
+				nil, append(slices.Clone(o.x), symbol.Symbol(n+1)), noHit, o.x.Rev(),
+			}
+			checkZone(t, s, o.y, queries, o.fast, o.sc, minScore)
+		}
+		if trial%10 == 0 {
+			// A raw table over a long zone is compiled per query, as wide
+			// as the query's symbols need: the zone's index must follow the
+			// matrix when a query needs a wider one.
+			raw := diffTable(r, n, 60, false)
+			zone := randOrientedWord(r, 70, n/2)
+			queries := []symbol.Word{randOrientedWord(r, 50, n/2), randOrientedWord(r, 50, n), randOrientedWord(r, 50, n/2)}
+			checkZone(t, s, zone, queries, raw, score.Compile(raw.Clone(), n), minScore) // a clone keeps raw's compile cache cold
 		}
 		if ScoreBanded(a, b, nonNegative(tb), w) != ScoreBanded(a, b, tb, w) {
 			negativeDecided++
@@ -153,4 +178,46 @@ func TestSparseKernelsMatchInterface(t *testing.T) {
 	if negativeDecided == 0 {
 		t.Fatal("no trial had a banded score decided by a negative σ")
 	}
+	if noHits == 0 {
+		t.Fatal("no zone had a symbol that scores positively against none of it")
+	}
+}
+
+// checkZone holds PlacementsEach over one zone to per-call Placements
+// under fast and to Placements under the reference scorer ref, exactly,
+// query by query.
+func checkZone(t *testing.T, s *Scratch, zone symbol.Word, queries []symbol.Word, fast, ref score.Scorer, minScore float64) {
+	t.Helper()
+	var got [][]Placement
+	s.PlacementsEach(zone, queries, fast, minScore, func(q int, ps []Placement) {
+		if q != len(got) {
+			t.Fatalf("emit for query %d, want %d", q, len(got))
+		}
+		got = append(got, slices.Clone(ps))
+	})
+	if len(got) != len(queries) {
+		t.Fatalf("%d emits for %d queries", len(got), len(queries))
+	}
+	for q, a := range queries {
+		one := s.Placements(a, zone, fast, minScore)
+		want := s.Placements(a, zone, ref, minScore)
+		if !slices.Equal(got[q], want) || !slices.Equal(one, want) {
+			t.Fatalf("query %d (minScore %v): PlacementsEach %v, Placements %v, want reference %v\na=%v zone=%v",
+				q, minScore, got[q], one, want, a, zone)
+		}
+	}
+}
+
+// noHitWord returns the symbols of alphabet 1..n, in both orientations,
+// that score positively under sc against no symbol of zone.
+func noHitWord(zone symbol.Word, sc score.Scorer, n int) symbol.Word {
+	var w symbol.Word
+	for id := 1; id <= n; id++ {
+		for _, x := range []symbol.Symbol{symbol.Symbol(id), symbol.Symbol(id).Rev()} {
+			if !slices.ContainsFunc(zone, func(y symbol.Symbol) bool { return sc.Score(x, y) > 0 }) {
+				w = append(w, x)
+			}
+		}
+	}
+	return w
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/align"
 	"repro/internal/core"
 	"repro/internal/score"
+	"repro/internal/symbol"
 )
 
 // Matching is the simplest credible heuristic: score every H×M fragment
@@ -79,19 +80,20 @@ func Placement(in *core.Instance) *core.Solution {
 		lo, hi int
 		score  float64
 	}
-	var cands []cand
-	for hi := range in.H {
-		h := in.H[hi].Regions
-		for mi := range in.M {
-			m := in.M[mi].Regions
-			for o := 0; o < 2; o++ {
-				rev := o == 1
-				for _, p := range scr.Placements(h.Orient(rev), m, sigma, 0) {
-					cands = append(cands, cand{h: hi, m: mi, rev: rev, lo: p.Lo, hi: p.Hi, score: p.Score})
-				}
-			}
-		}
+	queries := make([]symbol.Word, 0, 2*len(in.H))
+	for _, h := range in.H {
+		queries = append(queries, h.Regions, h.Regions.Rev())
 	}
+	var cands []cand
+	for mi := range in.M {
+		scr.PlacementsEach(in.M[mi].Regions, queries, sigma, 0, func(q int, ps []align.Placement) {
+			for _, p := range ps {
+				cands = append(cands, cand{h: q >> 1, m: mi, rev: q&1 == 1, lo: p.Lo, hi: p.Hi, score: p.Score})
+			}
+		})
+	}
+	// The sort's keys identify a candidate (a frontier's scores strictly
+	// rise), so the result does not depend on the order cands were built in.
 	sort.Slice(cands, func(i, j int) bool {
 		a, b := cands[i], cands[j]
 		if a.score != b.score {

@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/isp"
 	"repro/internal/score"
+	"repro/internal/symbol"
 )
 
 // placementSet builds the ISP instance of §3.4 for fragments H against a
@@ -20,25 +21,25 @@ import (
 // fit placement of every H fragment, in both orientations, becomes an
 // interval with profit MS(hᵢ, m(d,e)).
 func placementSet(scr *align.Scratch, in *core.Instance, mIdx int) []isp.Interval {
-	m := in.M[mIdx].Regions
+	queries := make([]symbol.Word, 0, 2*len(in.H))
+	for _, h := range in.H {
+		queries = append(queries, h.Regions, h.Regions.Rev())
+	}
 	var out []isp.Interval
 	id := 0
-	for hi := range in.H {
-		h := in.H[hi].Regions
-		for orient := 0; orient < 2; orient++ {
-			rev := orient == 1
-			for _, p := range scr.Placements(h.Orient(rev), m, in.Sigma, 0) {
-				out = append(out, isp.Interval{
-					ID:     id<<1 | orient,
-					Job:    hi,
-					Lo:     p.Lo,
-					Hi:     p.Hi,
-					Profit: p.Score,
-				})
-				id++
-			}
+	scr.PlacementsEach(in.M[mIdx].Regions, queries, in.Sigma, 0, func(q int, ps []align.Placement) {
+		orient := q & 1 // queries alternate forward, reversed
+		for _, p := range ps {
+			out = append(out, isp.Interval{
+				ID:     id<<1 | orient,
+				Job:    q >> 1,
+				Lo:     p.Lo,
+				Hi:     p.Hi,
+				Profit: p.Score,
+			})
+			id++
 		}
-	}
+	})
 	return out
 }
 
