@@ -250,18 +250,13 @@ func runI3(st *state, k candKey) float64 {
 // its pair-universe partners except exclude, on the current (simulation)
 // state. End depths are computed on the fly — the reads go through st and
 // are thus recorded by the simulation's readRecorder, exactly like the rest
-// of the attempt's work.
+// of the attempt's work. AppendI2's restricted form computes them for only
+// and its non-excluded partners and nothing else, so the enclosing I3 gain
+// depends on the fragments that can re-link with only, not on every
+// fragment of the other species.
 func i2CandsFor(st *state, only, exclude core.FragRef, dst []candKey) []candKey {
-	onlyDepths := stateEndDepths(st, only)
-	return enum.AppendI2(dst,
-		st.pairs,
-		only, exclude,
-		func(fr core.FragRef) [2]enum.Depths {
-			if fr == only {
-				return onlyDepths
-			}
-			return stateEndDepths(st, fr)
-		})
+	return enum.AppendI2(dst, st.pairs, only, exclude,
+		func(fr core.FragRef) [2]enum.Depths { return stateEndDepths(st, fr) })
 }
 
 // stateEndDepths computes both end-depth sets of fr against st's current

@@ -281,39 +281,70 @@ func WindowsOf(sites []core.Site, n int) [][2]int {
 // single fragment and exclude drops one fragment from pairing (Idx < 0
 // sentinels disable either filter); depths supplies the per-end window
 // depths of a fragment — the Enumerator passes its cached pieces, the I3
-// rewiring path computes them on the fly against its simulation state. A
-// dense universe iterates exactly the classic nested (fi, gi) loops.
+// rewiring path computes them on the fly against its simulation state, so
+// every fragment depths is called for lands in that simulation's read set.
+//
+// The unrestricted form (only.Idx < 0) iterates every H fragment fi
+// ascending, then fi's M partners ascending, calling depths once per H
+// fragment and once per pair for its M partner; on a dense universe these
+// are exactly the classic nested (fi, gi) loops. The restricted forms visit
+// only the pairs that can emit a candidate: they call depths once for only,
+// then walk only's partners ascending (PartnersOf: the M partners of an H
+// only, the H partners of an M only), calling depths once for each partner
+// that is not exclude — never for a fragment that cannot pair with only.
+// An excluded only emits nothing and calls depths for nothing. Both forms
+// emit pairs in ascending (fi, gi) order, so a restricted list is the
+// unrestricted one filtered to only's pairs.
 func AppendI2(dst []Cand, ps *PairSet, only, exclude core.FragRef, depths func(core.FragRef) [2]Depths) []Cand {
+	isExcluded := func(fr core.FragRef) bool { return exclude.Idx >= 0 && exclude == fr }
+	if only.Idx >= 0 {
+		if isExcluded(only) {
+			return dst
+		}
+		d := depths(only)
+		osp := only.Sp.Other()
+		for _, pi := range ps.PartnersOf(only) {
+			p := core.FragRef{Sp: osp, Idx: int(pi)}
+			if isExcluded(p) {
+				continue
+			}
+			if only.Sp == core.SpeciesH {
+				dst = appendPair(dst, only, p, d, depths(p))
+			} else {
+				dst = appendPair(dst, p, only, depths(p), d)
+			}
+		}
+		return dst
+	}
 	for fi := 0; fi < ps.NumH(); fi++ {
 		f := core.FragRef{Sp: core.SpeciesH, Idx: fi}
-		if only.Idx >= 0 && only.Sp == core.SpeciesH && only.Idx != fi {
-			continue
-		}
-		if exclude.Idx >= 0 && exclude == f {
+		if isExcluded(f) {
 			continue
 		}
 		df := depths(f)
-		for _, gi32 := range ps.MPartners(fi) {
-			gi := int(gi32)
-			g := core.FragRef{Sp: core.SpeciesM, Idx: gi}
-			if only.Idx >= 0 && only.Sp == core.SpeciesM && only.Idx != gi {
+		for _, gi := range ps.MPartners(fi) {
+			g := core.FragRef{Sp: core.SpeciesM, Idx: int(gi)}
+			if isExcluded(g) {
 				continue
 			}
-			if exclude.Idx >= 0 && exclude == g {
-				continue
-			}
-			dg := depths(g)
-			for fe := LeftEnd; fe <= RightEnd; fe++ {
-				for ge := LeftEnd; ge <= RightEnd; ge++ {
-					for wi := 0; wi < df[fe].Len(); wi++ {
-						for wj := 0; wj < dg[ge].Len(); wj++ {
-							dst = append(dst, Cand{
-								Kind: KindI2, F: f, G: g,
-								A1: fe, A2: df[fe].At(wi),
-								B1: ge, B2: dg[ge].At(wj),
-							})
-						}
-					}
+			dst = appendPair(dst, f, g, df, depths(g))
+		}
+	}
+	return dst
+}
+
+// appendPair appends the I2 candidates of the H fragment f paired with the
+// M fragment g, in (fe, ge, fw, gw) order.
+func appendPair(dst []Cand, f, g core.FragRef, df, dg [2]Depths) []Cand {
+	for fe := LeftEnd; fe <= RightEnd; fe++ {
+		for ge := LeftEnd; ge <= RightEnd; ge++ {
+			for wi := 0; wi < df[fe].Len(); wi++ {
+				for wj := 0; wj < dg[ge].Len(); wj++ {
+					dst = append(dst, Cand{
+						Kind: KindI2, F: f, G: g,
+						A1: fe, A2: df[fe].At(wi),
+						B1: ge, B2: dg[ge].At(wj),
+					})
 				}
 			}
 		}

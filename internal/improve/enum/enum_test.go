@@ -1,6 +1,7 @@
 package enum
 
 import (
+	"maps"
 	"slices"
 	"testing"
 
@@ -140,5 +141,75 @@ func TestCandidatesRespectPairUniverse(t *testing.T) {
 	dense := New(true, true, nil).Candidates(src, nil)
 	if len(cands) >= len(dense) {
 		t.Fatalf("sparse universe kept %d of %d candidates", len(cands), len(dense))
+	}
+}
+
+// TestAppendI2Restricted checks the restricted forms of AppendI2 — the I3
+// rewiring path's inner I2 scan — against the unrestricted form on a dense
+// and a sparse universe, for every choice of only and exclude: the output
+// must be the unrestricted list filtered to pairs with only and without
+// exclude, in the same order, and depths must be called exactly once for
+// only and once for each non-excluded partner of only — never for a
+// fragment that cannot pair with it, so an I3 gain's read set stays within
+// the re-linked fragments' partners.
+func TestAppendI2Restricted(t *testing.T) {
+	const nh, nm = 3, 4
+	// Fragment lengths and sites give distinct depth sets: some ends have a
+	// partial free depth (two candidate depths), others only the full one.
+	lens := [2][]int{{4, 6, 3}, {5, 2, 7, 4}}
+	sites := map[core.FragRef][]core.Site{
+		{Sp: core.SpeciesH, Idx: 1}: {{Species: core.SpeciesH, Frag: 1, Lo: 2, Hi: 4}},
+		{Sp: core.SpeciesM, Idx: 0}: {{Species: core.SpeciesM, Frag: 0, Lo: 0, Hi: 3}},
+		{Sp: core.SpeciesM, Idx: 2}: {{Species: core.SpeciesM, Frag: 2, Lo: 1, Hi: 5}},
+	}
+	depthsOf := func(fr core.FragRef) [2]Depths {
+		n := lens[fr.Sp][fr.Idx]
+		return [2]Depths{EndDepthsAt(sites[fr], n, LeftEnd), EndDepthsAt(sites[fr], n, RightEnd)}
+	}
+	var frags []core.FragRef
+	for sp := core.SpeciesH; sp <= core.SpeciesM; sp++ {
+		for i := range lens[sp] {
+			frags = append(frags, core.FragRef{Sp: sp, Idx: i})
+		}
+	}
+	none := core.FragRef{Idx: -1}
+	for _, u := range []struct {
+		name string
+		ps   *PairSet
+	}{
+		{"dense", AllPairs(nh, nm)},
+		{"sparse", NewPairSet(nh, nm, [][2]int32{{0, 1}, {0, 3}, {1, 0}, {2, 1}, {2, 2}, {2, 3}})},
+	} {
+		all := AppendI2(nil, u.ps, none, none, depthsOf)
+		for _, only := range frags {
+			for _, exclude := range append([]core.FragRef{none}, frags...) {
+				var want []Cand
+				for _, c := range all {
+					if (c.F == only || c.G == only) && c.F != exclude && c.G != exclude {
+						want = append(want, c)
+					}
+				}
+				calls := map[core.FragRef]int{}
+				got := AppendI2(nil, u.ps, only, exclude, func(fr core.FragRef) [2]Depths {
+					calls[fr]++
+					return depthsOf(fr)
+				})
+				if !slices.Equal(got, want) {
+					t.Errorf("%s only %v exclude %v:\ngot  %v\nwant %v", u.name, only, exclude, got, want)
+				}
+				wantCalls := map[core.FragRef]int{}
+				if only != exclude {
+					wantCalls[only] = 1
+					for _, pi := range u.ps.PartnersOf(only) {
+						if p := (core.FragRef{Sp: only.Sp.Other(), Idx: int(pi)}); p != exclude {
+							wantCalls[p] = 1
+						}
+					}
+				}
+				if !maps.Equal(calls, wantCalls) {
+					t.Errorf("%s only %v exclude %v: depths calls %v, want %v", u.name, only, exclude, calls, wantCalls)
+				}
+			}
+		}
 	}
 }

@@ -21,6 +21,11 @@ import (
 //     at read time. A cached gain is reusable iff every recorded fragment
 //     still has its recorded version: the simulation would replay the exact
 //     same event sequence, so the gain is bit-identical to a fresh run.
+//     A producer must therefore read only fragments that can emit a
+//     candidate (the I3 path enumerates its inner I2 attempts over the
+//     re-linked fragment's partners alone, enum.AppendI2): over-reading
+//     stays correct, but every extra read is a way for the gain to go stale
+//     and be re-simulated for nothing.
 //
 //  3. Value-independent gains. Attempt gains are accumulated as a running
 //     delta over match additions/removals/restrictions (state.delta), never

@@ -2,12 +2,14 @@ package improve
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/improve/enum"
+	"repro/internal/seed"
 )
 
 // TestLazySelectionMatchesFull is the lazy selection engine's oracle test:
@@ -17,6 +19,12 @@ import (
 // oracle_test.go), across seeds and all three method families. The accepted
 // sequence is observed through the onAccept hook, so divergence is caught at
 // the first differing attempt, not just in the final solution.
+//
+// The seeded rows repeat the comparison on sparse pair universes (minimizer
+// and exhaustive seeding) over short-contig instances, where an I3 gain
+// reads only the re-linked fragments' partners: the shrunken read sets must
+// still cover everything a gain depends on. The set must accept at least one
+// I3, so those rows cannot pass without exercising the rewiring path.
 func TestLazySelectionMatchesFull(t *testing.T) {
 	for _, seed := range []int64{2, 3, 5, 7, 11, 13, 17, 19, 23} {
 		for _, m := range []struct {
@@ -31,55 +39,89 @@ func TestLazySelectionMatchesFull(t *testing.T) {
 			cfg.Regions = 40
 			w := gen.Generate(cfg)
 			base := Options{Methods: m.methods, Eps: 0.05, SeedWithFourApprox: seed%2 == 0}
-			type run struct {
-				name     string
-				opt      Options
-				accepted []candKey
-				stats    Stats
-				score    float64
-				matches  any
-			}
-			runs := []*run{
-				{name: "lazy", opt: base},
-				{name: "oracle", opt: base},
-			}
-			runs[1].opt.engine = fullReeval
-			for _, r := range runs {
-				r.opt.onAccept = func(k candKey) { r.accepted = append(r.accepted, k) }
-				sol, stats, err := Improve(w.Instance, r.opt)
-				if err != nil {
-					t.Fatalf("seed %d %s %s: %v", seed, m.name, r.name, err)
-				}
-				r.stats, r.score, r.matches = stats, sol.Score(), sol.Matches
-			}
-			lazy, ref := runs[0], runs[1]
-			if !reflect.DeepEqual(lazy.accepted, ref.accepted) {
-				t.Errorf("seed %d %s: accepted sequence diverges:\n%v\nwant\n%v",
-					seed, m.name, lazy.accepted, ref.accepted)
-			}
-			if lazy.stats.Rounds != ref.stats.Rounds || lazy.stats.Accepted != ref.stats.Accepted {
-				t.Errorf("seed %d %s: rounds/accepted diverge: %+v vs %+v",
-					seed, m.name, lazy.stats, ref.stats)
-			}
-			if lazy.score != ref.score || !reflect.DeepEqual(lazy.matches, ref.matches) {
-				t.Errorf("seed %d %s: solution diverges (score %v vs %v)",
-					seed, m.name, lazy.score, ref.score)
-			}
+			name := fmt.Sprintf("seed %d %s", seed, m.name)
+			lazy, ref := lazyVsOracle(t, name, w.Instance, base)
 			// The engine must actually be lazy: on a multi-round solve the
 			// gains computed must undercut the oracle's full-list walks, and
 			// some candidates must be carried untouched.
 			if lazy.stats.Rounds > 1 {
 				if lazy.stats.Evaluated >= ref.stats.Evaluated {
-					t.Errorf("seed %d %s: lazy evaluated %d ≥ oracle %d — no laziness",
-						seed, m.name, lazy.stats.Evaluated, ref.stats.Evaluated)
+					t.Errorf("%s: lazy evaluated %d ≥ oracle %d — no laziness",
+						name, lazy.stats.Evaluated, ref.stats.Evaluated)
 				}
 				if lazy.stats.Skipped == 0 {
-					t.Errorf("seed %d %s: lazy run skipped no cached candidates: %+v",
-						seed, m.name, lazy.stats)
+					t.Errorf("%s: lazy run skipped no cached candidates: %+v",
+						name, lazy.stats)
 				}
 			}
 		}
 	}
+
+	i3 := 0
+	for _, gseed := range []int64{2, 6, 7, 9} {
+		cfg := gen.DefaultConfig(gseed)
+		cfg.Regions = 120
+		cfg.MeanContig = 6
+		w := gen.Generate(cfg)
+		for _, sp := range []struct {
+			name   string
+			params seed.Params
+		}{
+			{"minimizer", seed.Params{}},
+			{"exhaustive", seed.Params{Exhaustive: true}},
+		} {
+			// An empty start leaves the rounds to the improvement methods,
+			// which is where exhaustive seeding accepts its I3s.
+			base := Options{Methods: AllMethods, Eps: 0.05, Seeded: true, SeedParams: sp.params}
+			lazy, _ := lazyVsOracle(t, fmt.Sprintf("seed %d seeded-%s", gseed, sp.name), w.Instance, base)
+			for _, k := range lazy.accepted {
+				if k.Kind == enum.KindI3 {
+					i3++
+				}
+			}
+		}
+	}
+	if i3 == 0 {
+		t.Error("seeded rows accepted no I3 rewiring: the sparse I3 path went unexercised")
+	}
+}
+
+// oracleRun is one solve of a lazy-vs-oracle comparison.
+type oracleRun struct {
+	accepted []candKey
+	stats    Stats
+	score    float64
+	matches  any
+}
+
+// lazyVsOracle solves in under opt with the production engine and with the
+// fullReeval oracle and reports any divergence in the accepted sequence,
+// rounds, accepted count, score or match set.
+func lazyVsOracle(t *testing.T, name string, in *core.Instance, opt Options) (lazy, ref *oracleRun) {
+	t.Helper()
+	solve := func(engine string, opt Options) *oracleRun {
+		r := &oracleRun{}
+		opt.onAccept = func(k candKey) { r.accepted = append(r.accepted, k) }
+		sol, stats, err := Improve(in, opt)
+		if err != nil {
+			t.Fatalf("%s %s: %v", name, engine, err)
+		}
+		r.stats, r.score, r.matches = stats, sol.Score(), sol.Matches
+		return r
+	}
+	lazy = solve("lazy", opt)
+	opt.engine = fullReeval
+	ref = solve("oracle", opt)
+	if !reflect.DeepEqual(lazy.accepted, ref.accepted) {
+		t.Errorf("%s: accepted sequence diverges:\n%v\nwant\n%v", name, lazy.accepted, ref.accepted)
+	}
+	if lazy.stats.Rounds != ref.stats.Rounds || lazy.stats.Accepted != ref.stats.Accepted {
+		t.Errorf("%s: rounds/accepted diverge: %+v vs %+v", name, lazy.stats, ref.stats)
+	}
+	if lazy.score != ref.score || !reflect.DeepEqual(lazy.matches, ref.matches) {
+		t.Errorf("%s: solution diverges (score %v vs %v)", name, lazy.score, ref.score)
+	}
+	return lazy, ref
 }
 
 // TestLazySelectionModes covers the lazy engine under the remaining solver
