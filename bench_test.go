@@ -563,3 +563,22 @@ func BenchmarkImproveGenomeSeeded(b *testing.B) {
 	b.ReportMetric(float64(stats.Evaluated), "evaluated")
 	b.ReportMetric(float64(stats.Resimulated), "resimulated")
 }
+
+// BenchmarkSolveGenomeSeeded measures a whole seeded Solve as the
+// genome-seeded perfbench workload runs it: the options it passes, and a
+// fresh σ table per iteration, so σ compilation, the 4-approximation,
+// seeding, the improvement rounds and the conjecture check are all inside
+// the timing.
+func BenchmarkSolveGenomeSeeded(b *testing.B) {
+	in := *genomeShaped()
+	sigma := in.Sigma.(*score.Table)
+	opts := []Option{WithFourApproxSeed(true), WithIntScore(false), WithSeededCandidates(true)}
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		in.Sigma = sigma.Clone()
+		b.StartTimer()
+		if _, err := Solve(&in, CSRImprove, opts...); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -271,7 +271,8 @@ type solveCfg struct {
 func WithWorkers(n int) Option { return func(c *solveCfg) { c.workers = n } }
 
 // WithEps sets the §4.1 scaling slack for the improvement algorithms
-// (default 0.05). Zero accepts every positive gain.
+// (default 0.05). Zero accepts every attempt that strictly raises the
+// score, down to the last ulp, and still terminates.
 func WithEps(eps float64) Option { return func(c *solveCfg) { c.eps = eps } }
 
 // WithFourApproxSeed starts the improvement algorithms from the Corollary 1
@@ -495,7 +496,13 @@ func solveInstance(ctx context.Context, in *Instance, alg Algorithm, cfg solveCf
 		// The solver built sol for this call alone, so mutate it directly.
 		improve.RescoreInPlace(in, sol, denseSigma)
 	}
-	conj, err := sol.BuildConjecture(in)
+	// Validate over the compiled σ: the check re-aligns every match, and the
+	// compiled kernels read σ from its sparse rows instead of one interface
+	// lookup per cell. Scores are bit-identical, and a Table caches its
+	// compiled matrix, so after a solve this costs a lookup.
+	checkIn := *in
+	checkIn.Sigma = score.Prepare(in.Sigma, in.MaxSymbolID())
+	conj, err := sol.BuildConjecture(&checkIn)
 	if err != nil {
 		return nil, fmt.Errorf("fragalign: %s produced an inconsistent solution: %w", alg, err)
 	}

@@ -1,6 +1,8 @@
 package improve
 
 import (
+	"context"
+
 	"repro/internal/align"
 	"repro/internal/core"
 	"repro/internal/improve/enum"
@@ -10,9 +12,43 @@ import (
 // candKey is the structural identity of an attempt: the comparable cache
 // key of the incremental driver, produced by the enumeration subsystem.
 // Identical keys denote identical attempt behavior; attempts are simulated
-// on clones during evaluation and replayed on the live state when accepted,
-// dispatched by runCand — candidate lists carry no per-candidate closures.
+// in place under a trail mark during evaluation (state.simulate) and
+// replayed on the live state when accepted, dispatched by runCand —
+// candidate lists carry no per-candidate closures.
 type candKey = enum.Cand
+
+// simulate evaluates candidate k in place on st — the live state, or a
+// pooled replica of it — and unwinds every edit before returning the gain.
+// The read recorder, cancellation probe and alignment scratch are installed
+// for the call only, and the accumulator starts from zero, so the gain is
+// the same float addition sequence as the replay that may follow. A
+// simulation cut short (a cancelled TPA batch, an early return) unwinds
+// just the same.
+func (st *state) simulate(k candKey, rec *readRecorder, ctx context.Context, scr *align.Scratch) float64 {
+	own := st.scr
+	st.rec, st.ctx, st.scr = rec, ctx, scr
+	m := st.mark()
+	st.delta = 0
+	gain := runCand(st, k)
+	st.rollback(m)
+	st.rec, st.ctx, st.scr = nil, nil, own
+	return gain
+}
+
+// raisesTotal reports whether applying k to st strictly raises the total
+// summed in fixed ascending-ID order (state.score), which it finds by
+// applying k under a mark and rolling it back. This, not the delta-tracked
+// gain, is what acceptance requires: a gain that only re-rounds the total
+// could otherwise be accepted forever at Eps = 0, while a strictly rising
+// total can never revisit a state.
+func (st *state) raisesTotal(k candKey, before float64) bool {
+	m := st.mark()
+	st.delta = 0
+	runCand(st, k)
+	after := st.score()
+	st.rollback(m)
+	return after > before
+}
 
 // runCand applies the attempt identified by k and returns the gain.
 func runCand(st *state, k candKey) float64 {
@@ -232,9 +268,11 @@ func runI3(st *state, k candKey) float64 {
 		buf = i2CandsFor(st, x, exclude, buf[:0])
 		bestGain, bestIdx := 0.0, -1
 		for i := range buf {
-			sim := st.clone() // inherits this goroutine's scratch
-			gain := runCand(sim, buf[i])
-			sim.release()
+			// A nested mark: the inner attempt starts from this attempt's
+			// accumulator, exactly as the chosen one's application below.
+			m := st.mark()
+			gain := runCand(st, buf[i])
+			st.rollback(m)
 			if gain > bestGain {
 				bestGain, bestIdx = gain, i
 			}

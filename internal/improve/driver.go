@@ -31,7 +31,9 @@ type Options struct {
 	// Eps tunes the §4.1 scaling threshold: gains must exceed
 	// Eps·X/k where X is the 4-approximate score and k the match bound
 	// (the paper's X/k² with k replaced by k/Eps; Eps=0 accepts every
-	// positive gain — exact local optimum, no polynomial bound).
+	// positive gain — exact local optimum, no polynomial bound). At any Eps
+	// an accepted attempt must also strictly raise the solution's total
+	// summed in fixed match-ID order, so float noise never cycles the loop.
 	Eps float64
 	// Seed is the starting solution; nil starts empty (as in the paper).
 	Seed *core.Solution
@@ -52,8 +54,9 @@ type Options struct {
 	// Ctx cancels the solve; nil means never. Cancellation is sub-round:
 	// the driver checks between rounds, between candidate simulations,
 	// between enumeration shards, and inside TPA batches, and returns the
-	// context's error without mutating the live state — an accepted attempt
-	// is always applied atomically.
+	// context's error with the live state at the last accepted attempt — a
+	// simulation cut short unwinds its trail, and an accepted attempt is
+	// always applied atomically.
 	Ctx context.Context
 	// Quantize applies the literal §4.1 scaling: run the search under a
 	// scorer truncated to multiples of X/k² (X the 4-approximate score, k
@@ -84,8 +87,8 @@ type Options struct {
 	SeedParams seed.Params
 	// Checkpoint, when set, observes every accepted candidate in acceptance
 	// order — the driver's crash-recovery tap. Because the live state evolves
-	// only through accepted attempts (simulations run on pooled clones) and
-	// each attempt replays deterministically, the accepted-candidate log IS
+	// only through accepted attempts (every simulation rolls its edits back)
+	// and each attempt replays deterministically, the accepted-candidate log IS
 	// the solve's recovery state: persist it and a crashed solve resumes via
 	// Resume, bit-identical. A sink error aborts the solve — the durability
 	// contract forbids running ahead of the log. Candidates fast-forwarded

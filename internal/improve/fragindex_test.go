@@ -99,6 +99,28 @@ func TestFragIndexMatchesMapOracle(t *testing.T) {
 		mutate(&fi, o, 400)
 		checkFragIndex(t, "post-drain", &fi, o)
 
+		// Edits under tracing — relocations included, compaction deferred —
+		// must roll back to the exact layout, not just the same sets.
+		var before fragIndex
+		before.copyFrom(&fi)
+		fi.tracing = true
+		for k := 0; k < 500; k++ {
+			f := r.Intn(nFrags)
+			if l := fi.list(f); len(l) > 0 && r.Intn(3) == 0 {
+				fi.remove(f, l[r.Intn(len(l))])
+			} else {
+				fi.add(f, nextID)
+				nextID++
+			}
+		}
+		fi.rollback(0)
+		fi.tracing = false
+		if !slices.Equal(fi.ids, before.ids) || !slices.Equal(fi.off, before.off) ||
+			!slices.Equal(fi.ln, before.ln) || !slices.Equal(fi.cp, before.cp) || fi.sumCp != before.sumCp {
+			t.Fatalf("round %d: rollback did not restore the index layout", round)
+		}
+		checkFragIndex(t, "rolled back", &fi, o)
+
 		// reset must clear every list while reusing the arena.
 		fi.reset(nFrags)
 		for f := 0; f < nFrags; f++ {

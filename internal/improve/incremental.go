@@ -12,8 +12,9 @@ import (
 //
 //  1. Per-fragment versions. The live state carries a version counter per
 //     fragment, bumped whenever a match touching that fragment is added,
-//     removed, or restricted. Simulations never bump versions (clones drop
-//     the counters).
+//     removed, or restricted. Simulations never bump versions: they run
+//     under a trail mark, which suppresses bumps (state.bump), whether on
+//     the live state itself or on a pooled replica, which has no counters.
 //
 //  2. Recorded read sets. A simulation records every fragment whose match
 //     data it consults (all per-fragment reads funnel through
@@ -63,10 +64,6 @@ type readEntry struct {
 type readRecorder struct {
 	vers  *versions
 	reads []readEntry
-}
-
-func newReadRecorder(vers *versions) *readRecorder {
-	return &readRecorder{vers: vers}
 }
 
 func (r *readRecorder) note(fr core.FragRef) {
@@ -340,3 +337,53 @@ func (b *evalBatch) do(f func(*align.Scratch)) {
 }
 
 func (b *evalBatch) wait() { b.wg.Wait() }
+
+// replicaSet holds one solve's simulation replicas for pooled evaluation:
+// copies of the live state that concurrent simulation tasks run their
+// mark/rollback simulations on, at most one per task running at once (the
+// live state itself hosts inline simulations). A replica is brought up to
+// date by one copy of the live match set and index the first time a task
+// takes it after the live state moved, so it costs at most one copy per
+// batch, however many candidates it then simulates.
+type replicaSet struct {
+	live *state
+	gen  uint64 // advanced whenever the live state may have moved
+
+	mu   sync.Mutex
+	idle []*replica
+}
+
+// replica is one simulation replica and the generation it last copied.
+type replica struct {
+	st  *state
+	gen uint64
+}
+
+// invalidate marks every replica out of date. Call only while no task
+// holds a replica.
+func (rs *replicaSet) invalidate() { rs.gen++ }
+
+// get takes an idle replica, or makes one, current with the live state.
+// The live state must stay quiescent while tasks hold replicas.
+func (rs *replicaSet) get() *replica {
+	rs.mu.Lock()
+	var r *replica
+	if n := len(rs.idle); n > 0 {
+		r, rs.idle = rs.idle[n-1], rs.idle[:n-1]
+	} else {
+		r = &replica{st: rs.live.newReplica()}
+	}
+	rs.mu.Unlock()
+	if r.gen != rs.gen {
+		r.st.copyMatches(rs.live)
+		r.gen = rs.gen
+	}
+	return r
+}
+
+// put returns a replica whose simulations have all rolled back.
+func (rs *replicaSet) put(r *replica) {
+	rs.mu.Lock()
+	rs.idle = append(rs.idle, r)
+	rs.mu.Unlock()
+}

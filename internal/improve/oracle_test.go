@@ -11,7 +11,9 @@ import (
 // strictly best gain, ties to the enum.Less-least candidate. It shares
 // nothing incremental with improveLazy, so agreement between the two
 // triangulates the lazy engine's staleness tracking and the enumerator's
-// piece cache together. Simulations run inline; the oracle ignores the eval
+// piece cache together. It applies the same acceptance rule (the accepted
+// attempt must strictly raise the fixed-order total, state.raisesTotal).
+// Simulations run inline on the live state; the oracle ignores the eval
 // pool, and cancellation is honored at round boundaries only.
 func fullReeval(opt Options, st *state, _ *enum.Enumerator,
 	_ *EvalPool, _ enum.Runner, canceled func() error,
@@ -28,20 +30,36 @@ func fullReeval(opt Options, st *state, _ *enum.Enumerator,
 		}
 		cands := enum.New(full, border, st.pairs).Candidates(enumView{st: st}, nil)
 		stats.Evaluated += len(cands)
-		best, bestGain := -1, floor
+		gains := make([]float64, len(cands))
 		for i, c := range cands {
-			sim := st.clone() // no read recorder: nothing is cached
-			sim.delta = 0
-			g := runCand(sim, c)
-			sim.release()
-			if g > bestGain || (best >= 0 && g == bestGain && enum.Less(c, cands[best])) {
-				best, bestGain = i, g
+			gains[i] = st.simulate(c, nil, nil, st.scr) // no read recorder: nothing is cached
+		}
+		// Accept the argmax whose application strictly raises the
+		// fixed-order total; a candidate failing that is passed over for
+		// this round only.
+		before := st.score()
+		passed := make([]bool, len(cands))
+		var best int
+		for {
+			best = -1
+			bestGain := floor
+			for i, g := range gains {
+				if passed[i] {
+					continue
+				}
+				if g > bestGain || (best >= 0 && g == bestGain && enum.Less(cands[i], cands[best])) {
+					best, bestGain = i, g
+				}
 			}
+			if best < 0 || st.raisesTotal(cands[best], before) {
+				break
+			}
+			passed[best] = true
 		}
 		if best < 0 {
 			return nil
 		}
-		if err := replayAccept(st, &opt, stats, cands[best], bestGain); err != nil {
+		if err := replayAccept(st, &opt, stats, cands[best], gains[best]); err != nil {
 			return err
 		}
 	}

@@ -31,7 +31,11 @@ import (
 //     raise it); popping until the top is current therefore pops exactly the
 //     stale set first. The implementation keeps that frontier on staleList
 //     instead of materializing infinities, which is the same pop order with
-//     fewer sift operations.
+//     fewer sift operations. The one exception is local to a round's
+//     acceptance step: a candidate whose application would not strictly
+//     raise the fixed-order total is held out of the heap until the
+//     round's accept, then pushed back (or dropped, if that accept made it
+//     stale).
 //  2. A dependency entry (slot, stamp) in deps[fr] is live iff the slot's
 //     current stamp equals it. Stamps advance whenever a slot's recorded
 //     gain stops being trustworthy — on dirty-marking, and on free (which
@@ -383,8 +387,10 @@ func improveLazy(opt Options, st *state, en *enum.Enumerator,
 	var (
 		frontier []int32
 		gains    []float64
-		recs     []*readRecorder
+		recs     []readRecorder // reused round to round: record copies the reads out
+		held     []int32
 	)
+	reps := replicaSet{live: st}
 	// Rounds starts at the resumed-op count (zero on fresh solves) so a
 	// resumed run's round numbering continues the interrupted one's.
 	for ; stats.Rounds < maxRounds; stats.Rounds++ {
@@ -418,30 +424,27 @@ func improveLazy(opt Options, st *state, en *enum.Enumerator,
 		sel.staleList = sel.staleList[:0]
 		if cap(gains) < len(frontier) {
 			gains = make([]float64, len(frontier))
-			recs = make([]*readRecorder, len(frontier))
-		} else {
-			gains = gains[:len(frontier)]
-			recs = recs[:len(frontier)]
 		}
-		eval := func(i int, scr *align.Scratch) {
-			rec := newReadRecorder(st.vers)
-			sim := st.clone()
-			sim.rec = rec
-			sim.scr = scr
-			sim.ctx = opt.Ctx
-			sim.delta = 0 // identical float additions as any fresh evaluation
-			gains[i] = runCand(sim, sel.slots[frontier[i]].cand)
-			sim.release()
-			recs[i] = rec
+		gains = gains[:len(frontier)]
+		if n := len(frontier) - cap(recs); n > 0 {
+			recs = append(recs[:cap(recs)], make([]readRecorder, n)...)
+		}
+		recs = recs[:len(frontier)]
+		eval := func(sim *state, i int, scr *align.Scratch) {
+			rec := &recs[i]
+			rec.vers, rec.reads = st.vers, rec.reads[:0]
+			gains[i] = sim.simulate(sel.slots[frontier[i]].cand, rec, opt.Ctx, scr)
 		}
 		if pool == nil || len(frontier) < 2 {
+			// Inline: every simulation runs on the live state itself.
 			for i := range frontier {
 				if canceled() != nil {
 					break
 				}
-				eval(i, st.scr)
+				eval(st, i, st.scr)
 			}
 		} else {
+			reps.invalidate() // the live state moved since the last batch
 			batch := evalBatch{p: pool}
 			for i := range frontier {
 				i := i
@@ -449,7 +452,9 @@ func improveLazy(opt Options, st *state, en *enum.Enumerator,
 					if canceled() != nil {
 						return // discarded: the round aborts below
 					}
-					eval(i, scr)
+					r := reps.get()
+					eval(r.st, i, scr)
+					reps.put(r)
 				})
 			}
 			batch.wait()
@@ -474,10 +479,33 @@ func improveLazy(opt Options, st *state, en *enum.Enumerator,
 		stats.Popped += len(frontier) // the stale pops of the refill...
 		stats.Skipped += sel.liveCount - len(frontier)
 
-		top, ok := sel.peek()
-		stats.Popped++ // ...plus the current-top inspection deciding the round
-		if !ok || sel.slots[top].gain <= floor {
-			break // local optimum: every candidate gains ≤ the floor
+		// Acceptance: the best current candidate above the floor whose
+		// application strictly raises the fixed-order total. A candidate
+		// that fails the check is held out of the heap for the rest of the
+		// round and returns, with its recorded gain and read set, once an
+		// accept has moved the total — the oracle checks every round afresh,
+		// and so does this.
+		held = held[:0]
+		var before float64
+		top, found := int32(0), false
+		for {
+			id, ok := sel.peek()
+			stats.Popped++ // ...plus each current-top inspection deciding the round
+			if !ok || sel.slots[id].gain <= floor {
+				break // local optimum: every candidate gains ≤ the floor
+			}
+			if len(held) == 0 {
+				before = st.score()
+			}
+			if st.raisesTotal(sel.slots[id].cand, before) {
+				top, found = id, true
+				break
+			}
+			sel.heapRemove(id)
+			held = append(held, id)
+		}
+		if !found {
+			break
 		}
 		// Replay on the live state, collecting the bumped fragments as the
 		// next round's dirty set.
@@ -486,6 +514,11 @@ func improveLazy(opt Options, st *state, en *enum.Enumerator,
 			return err
 		}
 		sel.dirty(st.bumpLog)
+		for _, id := range held {
+			if sl := &sel.slots[id]; sl.live && !sl.stale {
+				sel.heapPush(id)
+			}
+		}
 	}
 	return nil
 }

@@ -34,7 +34,6 @@ package improve
 
 import (
 	"context"
-	"sync"
 
 	"repro/internal/align"
 	"repro/internal/core"
@@ -67,24 +66,25 @@ func (vs *versions) of(fr core.FragRef) uint64 { return vs.v[fr.Sp][fr.Idx] }
 //
 // Storage is slice-backed throughout — match IDs are indices into a dense
 // slice with a liveness mask, and the per-fragment match index is a slice
-// of small ID lists — so cloning a state for a candidate simulation is a
-// handful of memcpys instead of map rebuilds, and clones are recycled
-// through a pool (clone/release) to make steady-state simulation
-// allocation-free.
+// of small ID lists. Candidates are simulated in place: mark opens an undo
+// trail, every match and index edit logs its inverse while a mark is open,
+// and rollback unwinds the trail, so a simulation costs what it touches
+// rather than a copy of the whole state. Marks nest (I3's inner I2
+// simulations are marks inside the I3 simulation's mark).
 //
-// Shared across the whole solve (pointers copied by clone): the compiled σ
-// matrices sig/sigT and the site-alignment memo. Owned per state: the match
-// set and the attempt gain accumulator delta. The live driver state
-// additionally owns the per-fragment version counters vers (clones drop
-// them); simulations may carry a readRecorder rec and a cancellation probe
-// ctx (clones keep both).
+// Shared across the whole solve: the compiled σ matrices sig/sigT and the
+// site-alignment and placement memos. Owned per state: the match set, the
+// trail and the attempt gain accumulator delta. The live driver state
+// additionally owns the per-fragment version counters vers; pooled
+// simulation replicas (replicaSet, incremental.go) carry none. A simulation
+// installs a readRecorder rec and a cancellation probe ctx for its duration.
 type state struct {
 	in *core.Instance
 	// matches is the ID-indexed match store; alive masks the live entries
 	// and free recycles dead IDs (LIFO), keeping the store at roughly the
-	// live match count so clones stay small. ID allocation is still fully
-	// deterministic: a simulation and its replay perform the same operation
-	// sequence from the same start state (free list included), so they
+	// live match count. ID allocation is fully deterministic: a simulation
+	// and its replay perform the same operation sequence from the same start
+	// state (free list included; rollback restores its order), so they
 	// allocate identical IDs — and a cached gain's validity implies its
 	// referenced IDs are unchanged, since freeing an ID bumps the versions
 	// of the fragments its match touched.
@@ -92,9 +92,8 @@ type state struct {
 	alive   []bool
 	free    []int32
 	// byFrag[sp] indexes the IDs of live matches by the fragment of species
-	// sp they touch, arena-backed (fragindex.go) so clones copy four flat
-	// slices per species. Lists are unsorted; fragMatchIDs sorts a copy on
-	// demand.
+	// sp they touch, arena-backed (fragindex.go). Lists are unsorted;
+	// fragMatchIDs sorts a copy on demand.
 	byFrag [2]fragIndex
 	// locked lists fragments pinned by the attempt being simulated (at most
 	// a few entries; linear scans beat a map here).
@@ -110,45 +109,49 @@ type state struct {
 	sigT  score.Scorer // σᵀ for M-first alignments
 	memo  *alignMemo
 	pmemo *placeMemo
-	// scr is the goroutine-local alignment scratch arena, never nil: the
-	// driver's on the live state, an eval worker's on the simulations it
-	// runs. Clones inherit it (correct for same-goroutine sub-simulations);
-	// the driver overwrites it with the worker's arena before a simulation
-	// crosses goroutines (see eval in driver.go).
+	// scr is the goroutine-local alignment scratch arena: the driver's on
+	// the live state, an eval worker's for the duration of each simulation
+	// it runs (state.simulate); never nil while attempts run.
 	scr *align.Scratch
 	// revWords[sp][i] is fragment i of species sp reversed, materialized
-	// once per solve (shared by clones) so hot loops never re-allocate it.
+	// once per solve (shared by replicas) so hot loops never re-allocate it.
 	revWords [2][]symbol.Word
 
 	// delta accumulates the score change of the attempt being applied:
 	// +score on add, −score on remove, the difference on restriction.
 	delta float64
 	// vers is the live state's per-fragment version counters (nil on
-	// clones: simulations never bump live versions).
+	// replicas). Bumps are suppressed while a mark is open: simulations
+	// never bump live versions.
 	vers *versions
 	// bumpLog, when non-nil on the live state, collects every fragment
 	// whose version bumps during an accepted-attempt replay — the lazy
 	// selection engine's dirty set (selection.go). Fragments may repeat;
-	// consumers sweep idempotently. Nil on clones and before the selection
-	// engine starts (Resume replays log nothing).
+	// consumers sweep idempotently. Nil on replicas and before the
+	// selection engine starts (Resume replays log nothing).
 	bumpLog []core.FragRef
-	// rec records fragment reads during a simulation (nil on the live
-	// state and on replays).
+	// rec records fragment reads during a simulation (nil outside one and
+	// on replays).
 	rec *readRecorder
 	// ctx, when non-nil, is the solve's cancellation probe: long-running
 	// simulation work (the TPA batches) aborts early once it fires. Only
-	// simulations carry it — the live state and replays keep it nil, so an
-	// accepted attempt is always applied atomically.
+	// simulations carry it — replays run with it nil, so an accepted
+	// attempt is always applied atomically.
 	ctx context.Context
 
+	// trail logs the inverse of every match edit made while a mark is open
+	// (the index edits log on byFrag's own undo lists); marks holds the
+	// open marks, innermost last.
+	trail []stUndo
+	marks []stMark
+
 	// Per-state scratch buffers, reused across the thousands of accessor
-	// calls one simulation makes and — because simulation states are
-	// pool-recycled (clone/release) — across every simulation a pooled
-	// object ever serves. Each holds transient results valid only until the
-	// next call of its producer; no producer is re-entered while a caller
-	// still iterates its result (the accessors document this contract).
-	// They are owned per state object: clone() leaves them alone and
-	// release() keeps their capacity in the pool.
+	// calls one simulation makes and across every simulation the state
+	// hosts. Each holds transient results valid only until the next call
+	// of its producer; no producer is re-entered while a caller still
+	// iterates its result (the accessors document this contract). Nested
+	// simulations share them: runI3 holds none of them across its inner
+	// marks.
 	idsBuf   []int          // fragMatchIDs result
 	sitesBuf []core.Site    // sitesOn result
 	gapsBuf  [][2]int       // freeGaps result
@@ -188,68 +191,107 @@ func newState(in *core.Instance, seed *core.Solution) *state {
 			id := len(st.matches)
 			st.matches = append(st.matches, mt)
 			st.alive = append(st.alive, true)
-			st.index(id, mt)
+			st.index(id, &mt)
 		}
 	}
 	return st
 }
 
 // index adds match id to both fragments' ID lists.
-func (st *state) index(id int, mt core.Match) {
+func (st *state) index(id int, mt *core.Match) {
 	st.byFrag[core.SpeciesH].add(mt.HSite.Frag, int32(id))
 	st.byFrag[core.SpeciesM].add(mt.MSite.Frag, int32(id))
 }
 
 // unindex removes match id from both fragments' ID lists.
-func (st *state) unindex(id int, mt core.Match) {
+func (st *state) unindex(id int, mt *core.Match) {
 	st.byFrag[core.SpeciesH].remove(mt.HSite.Frag, int32(id))
 	st.byFrag[core.SpeciesM].remove(mt.MSite.Frag, int32(id))
 }
 
-// statePool recycles simulation clones: candidate evaluation clones the
-// live state thousands of times per round, and the backing arrays of a
-// released clone are reused wholesale by the next one.
-var statePool = sync.Pool{New: func() any { return new(state) }}
+// undoKind tags a trail entry with the match edit it inverts.
+type undoKind uint8
 
-// clone returns a pooled copy of st for simulation. The caller must release
-// it when the simulation is done and must not use it afterwards.
-func (st *state) clone() *state {
-	c := statePool.Get().(*state)
-	c.in = st.in
-	c.matches = append(c.matches[:0], st.matches...)
-	c.alive = append(c.alive[:0], st.alive...)
-	c.free = append(c.free[:0], st.free...)
-	c.byFrag[0].copyFrom(&st.byFrag[0])
-	c.byFrag[1].copyFrom(&st.byFrag[1])
-	c.locked = append(c.locked[:0], st.locked...)
-	c.pairs = st.pairs
-	c.sig, c.sigT = st.sig, st.sigT
-	c.memo, c.pmemo = st.memo, st.pmemo
-	c.scr = st.scr // overwritten by the worker on cross-goroutine evals
-	c.revWords = st.revWords
-	c.delta = st.delta
-	c.vers = nil    // simulations never bump live versions
-	c.bumpLog = nil // (and therefore never log bumps)
-	c.rec = st.rec  // sub-simulations keep recording
-	c.ctx = st.ctx  // sub-simulations stay cancelable
-	return c
+const (
+	undoAppend undoKind = iota // addMatch grew the store: shrink it
+	undoPop                    // addMatch reused a free ID: restore the dead entry, re-free
+	undoSet                    // setMatch: restore the old match
+	undoRemove                 // removeMatch: revive the ID, take it off free
+)
+
+// stUndo is one trail entry: the inverse of a match edit on ID id. old is
+// the overwritten match (undoPop, undoSet).
+type stUndo struct {
+	kind undoKind
+	id   int32
+	old  core.Match
 }
 
-// release returns a simulation clone to the pool, dropping its references
-// to solve-shared structures.
-func (st *state) release() {
-	st.in = nil
-	st.pairs = nil
-	st.sig, st.sigT = nil, nil
-	st.memo, st.pmemo = nil, nil
-	st.scr = nil
-	st.revWords = [2][]symbol.Word{}
-	st.vers = nil
-	st.bumpLog = nil
-	st.rec = nil
-	st.ctx = nil
-	statePool.Put(st)
+// stMark is an open mark: the trail and index-log lengths and the
+// accumulator at the time it was opened.
+type stMark struct {
+	trail int
+	undo  [2]int
+	delta float64
 }
+
+// markHook, when set, observes every mark as it opens (opened true) and
+// every rollback as it completes — the trail test's probe. It must be safe
+// for concurrent use when the solve has an eval pool.
+var markHook func(st *state, m int, opened bool)
+
+// mark opens a (possibly nested) trail mark: from here until the matching
+// rollback, every edit is logged, version bumps are suppressed and the
+// index defers compaction.
+func (st *state) mark() int {
+	m := len(st.marks)
+	if markHook != nil {
+		markHook(st, m, true)
+	}
+	st.marks = append(st.marks, stMark{
+		trail: len(st.trail),
+		undo:  [2]int{len(st.byFrag[0].undo), len(st.byFrag[1].undo)},
+		delta: st.delta,
+	})
+	st.byFrag[0].tracing, st.byFrag[1].tracing = true, true
+	return m
+}
+
+// rollback restores st exactly — matches, liveness, free-list order, index
+// layout and delta — to its state when mark m was opened, closing m and
+// every mark nested inside it.
+func (st *state) rollback(m int) {
+	mk := st.marks[m]
+	for k := len(st.trail) - 1; k >= mk.trail; k-- {
+		u := &st.trail[k]
+		switch u.kind {
+		case undoAppend:
+			st.matches, st.alive = st.matches[:u.id], st.alive[:u.id]
+		case undoPop:
+			st.matches[u.id], st.alive[u.id] = u.old, false
+			st.free = append(st.free, u.id)
+		case undoSet:
+			st.matches[u.id] = u.old
+		case undoRemove:
+			st.alive[u.id] = true
+			st.free = st.free[:len(st.free)-1]
+		}
+	}
+	st.trail = st.trail[:mk.trail]
+	st.byFrag[0].rollback(mk.undo[0])
+	st.byFrag[1].rollback(mk.undo[1])
+	st.delta = mk.delta
+	st.marks = st.marks[:m]
+	if m == 0 {
+		st.byFrag[0].tracing, st.byFrag[1].tracing = false, false
+	}
+	if markHook != nil {
+		markHook(st, m, false)
+	}
+}
+
+// tracing reports whether a mark is open.
+func (st *state) tracing() bool { return len(st.marks) > 0 }
 
 // note records a read of fragment fr's match data during a simulation.
 func (st *state) note(fr core.FragRef) {
@@ -259,9 +301,9 @@ func (st *state) note(fr core.FragRef) {
 }
 
 // bump advances the version of both fragments a match touches (live state
-// only; a no-op on simulations), logging them when a bump log is attached.
-func (st *state) bump(mt core.Match) {
-	if st.vers == nil {
+// only; a no-op under a mark), logging them when a bump log is attached.
+func (st *state) bump(mt *core.Match) {
+	if st.vers == nil || st.tracing() {
 		return
 	}
 	st.vers.v[core.SpeciesH][mt.HSite.Frag]++
@@ -338,26 +380,35 @@ func (st *state) addMatch(mt core.Match) int {
 	var id int
 	if n := len(st.free); n > 0 {
 		id = int(st.free[n-1])
+		if st.tracing() {
+			st.trail = append(st.trail, stUndo{kind: undoPop, id: int32(id), old: st.matches[id]})
+		}
 		st.free = st.free[:n-1]
 		st.matches[id] = mt
 		st.alive[id] = true
 	} else {
 		id = len(st.matches)
+		if st.tracing() {
+			st.trail = append(st.trail, stUndo{kind: undoAppend, id: int32(id)})
+		}
 		st.matches = append(st.matches, mt)
 		st.alive = append(st.alive, true)
 	}
-	st.index(id, mt)
+	st.index(id, &mt)
 	st.delta += mt.Score
-	st.bump(mt)
+	st.bump(&mt)
 	return id
 }
 
 // setMatch replaces match id in place (site restriction), keeping its ID.
 func (st *state) setMatch(id int, mt core.Match) {
 	old := st.matches[id]
+	if st.tracing() {
+		st.trail = append(st.trail, stUndo{kind: undoSet, id: int32(id), old: old})
+	}
 	st.matches[id] = mt
 	st.delta += mt.Score - old.Score
-	st.bump(mt)
+	st.bump(&mt)
 }
 
 // fragMatchIDs returns the IDs of matches touching fragment fr, sorted by
@@ -540,15 +591,17 @@ func (st *state) mkMatch(x core.FragRef, rev bool, z core.FragRef, lo, hi int) c
 	return mt
 }
 
-// removeMatch deletes a match and returns it.
-func (st *state) removeMatch(id int) core.Match {
-	mt := st.matches[id]
+// removeMatch deletes match id.
+func (st *state) removeMatch(id int) {
+	mt := &st.matches[id]
+	if st.tracing() {
+		st.trail = append(st.trail, stUndo{kind: undoRemove, id: int32(id)})
+	}
 	st.alive[id] = false
 	st.free = append(st.free, int32(id))
 	st.unindex(id, mt)
 	st.delta -= mt.Score
 	st.bump(mt)
-	return mt
 }
 
 // otherSite returns the site of match mt on the species opposite to sp.
@@ -625,4 +678,32 @@ func (st *state) prepare(freed []core.Site, fr core.FragRef, lo, hi int) []core.
 		st.setMatch(id, mt)
 	}
 	return freed
+}
+
+// newReplica returns an empty simulation replica of st sharing its
+// solve-wide structures; copyMatches brings it up to date. Replicas carry
+// no version counters and no bump log, and get their alignment scratch from
+// the worker running each simulation.
+func (st *state) newReplica() *state {
+	return &state{
+		in:       st.in,
+		pairs:    st.pairs,
+		sig:      st.sig,
+		sigT:     st.sigT,
+		memo:     st.memo,
+		pmemo:    st.pmemo,
+		revWords: st.revWords,
+	}
+}
+
+// copyMatches makes st's match set, free list and index an exact copy of
+// src's (free-list order and index layout included), so simulations on st
+// allocate the IDs they would on src.
+func (st *state) copyMatches(src *state) {
+	st.matches = append(st.matches[:0], src.matches...)
+	st.alive = append(st.alive[:0], src.alive...)
+	st.free = append(st.free[:0], src.free...)
+	st.byFrag[0].copyFrom(&src.byFrag[0])
+	st.byFrag[1].copyFrom(&src.byFrag[1])
+	st.locked = append(st.locked[:0], src.locked...)
 }

@@ -3,7 +3,6 @@ package onecsr
 import (
 	"fmt"
 
-	"repro/internal/align"
 	"repro/internal/core"
 	"repro/internal/score"
 )
@@ -45,27 +44,27 @@ func FourApprox(in *core.Instance) (*core.Solution, error) {
 	}
 	// One prepared σ — dense float64, or the caller's int32-quantized
 	// matrix — serves both doubling halves, every placement DP, and the
-	// final validations.
+	// final validations; one scratch set serves both halves.
 	cin := *in
 	cin.Sigma = score.Prepare(in.Sigma, in.MaxSymbolID())
-	a, err := HalfOnConcat(&cin)
+	w := newWork()
+	defer w.release()
+	a, err := w.halfOnConcat(&cin)
 	if err != nil {
 		return nil, err
 	}
 	tin := Transpose(&cin)
-	bT, err := HalfOnConcat(tin)
+	bT, err := w.halfOnConcat(tin)
 	if err != nil {
 		return nil, err
 	}
 	b := transposeSolution(bT)
 	// Recompute scores under the original σ orientation (they are equal,
 	// but the cached values must verify against in.Sigma).
-	scr := align.NewScratch()
 	for i := range b.Matches {
 		mt := &b.Matches[i]
-		mt.Score = scr.Score(in.SiteWord(mt.HSite), in.SiteWord(mt.MSite).Orient(mt.Rev), cin.Sigma)
+		mt.Score = w.scr.Score(in.SiteWord(mt.HSite), in.SiteWord(mt.MSite).Orient(mt.Rev), cin.Sigma)
 	}
-	scr.Release()
 	if err := b.Validate(&cin); err != nil {
 		return nil, fmt.Errorf("onecsr: transposed solution invalid: %w", err)
 	}
@@ -80,8 +79,15 @@ func FourApprox(in *core.Instance) (*core.Solution, error) {
 // fragment boundaries. By inequality (2) of Theorem 3, the better of this
 // and its transpose is a 4-approximation.
 func HalfOnConcat(in *core.Instance) (*core.Solution, error) {
+	w := newWork()
+	defer w.release()
+	return w.halfOnConcat(in)
+}
+
+// halfOnConcat is HalfOnConcat on w's scratch.
+func (w *work) halfOnConcat(in *core.Instance) (*core.Solution, error) {
 	if len(in.M) == 1 {
-		sol, err := SolveOne(in)
+		sol, err := w.solveOne(in, true)
 		if err != nil {
 			return nil, err
 		}
@@ -91,9 +97,9 @@ func HalfOnConcat(in *core.Instance) (*core.Solution, error) {
 		return sol, nil
 	}
 	cat, bounds := concatM(in)
-	sol, err := SolveOne(cat)
+	sol, err := w.solveOne(cat, false)
 	if err != nil {
 		return nil, err
 	}
-	return splitByBounds(in, cat, bounds, sol)
+	return splitByBounds(w.scr, in, cat, bounds, sol)
 }

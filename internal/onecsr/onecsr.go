@@ -8,6 +8,7 @@ package onecsr
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/align"
 	"repro/internal/core"
@@ -47,6 +48,36 @@ func placementSet(scr *align.Scratch, in *core.Instance, mIdx int) []isp.Interva
 // ISP algorithm, returning a consistent solution of full H-site matches
 // into disjoint windows of m — ratio 2 by Berman–DasGupta.
 func SolveOne(in *core.Instance) (*core.Solution, error) {
+	w := newWork()
+	defer w.release()
+	return w.solveOne(in, true)
+}
+
+// work is the scratch state one 4-approximation threads through both
+// Theorem 3 halves: one alignment arena for every placement DP, split and
+// re-score, and one ISP scratch for both two-phase selections. The ISP
+// scratch is recycled across calls, so its per-job tables and interval
+// buffers stop growing once they have seen the largest instance.
+type work struct {
+	scr *align.Scratch
+	isp *isp.Scratch
+}
+
+var ispPool = sync.Pool{New: func() any { return new(isp.Scratch) }}
+
+func newWork() *work {
+	return &work{scr: align.NewScratch(), isp: ispPool.Get().(*isp.Scratch)}
+}
+
+func (w *work) release() {
+	w.scr.Release()
+	ispPool.Put(w.isp)
+}
+
+// solveOne is SolveOne on w's scratch. With scored false the matches carry
+// no score: the concatenation path re-scores every part after splitting, so
+// scoring the concatenated matches would be thrown away.
+func (w *work) solveOne(in *core.Instance, scored bool) (*core.Solution, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
@@ -54,25 +85,23 @@ func SolveOne(in *core.Instance) (*core.Solution, error) {
 		return nil, fmt.Errorf("onecsr: instance has %d M fragments, want 1", len(in.M))
 	}
 	// Prepare σ once for the whole placement sweep (a no-op when the caller
-	// already passed a prepared instance, as FourApprox does); one scratch
-	// arena serves every placement DP and match re-score of the solve.
+	// already passed a prepared instance, as FourApprox does).
 	cin := *in
 	cin.Sigma = score.Prepare(in.Sigma, in.MaxSymbolID())
-	scr := align.NewScratch()
-	defer scr.Release()
-	res := isp.TwoPhase(placementSet(scr, &cin, 0))
+	// Jobs are H fragments, so len(H) bounds the job ids; the selection is
+	// the same as TwoPhase's, which sizes by the largest id present.
+	res := isp.TwoPhaseScratch(w.isp, placementSet(w.scr, &cin, 0), len(in.H))
 	sol := &core.Solution{}
 	for _, iv := range res.Selected {
 		rev := iv.ID&1 == 1
 		h := in.H[iv.Job].Regions
 		hs := core.Site{Species: core.SpeciesH, Frag: iv.Job, Lo: 0, Hi: len(h)}
 		ms := core.Site{Species: core.SpeciesM, Frag: 0, Lo: iv.Lo, Hi: iv.Hi}
-		sol.Matches = append(sol.Matches, core.Match{
-			HSite: hs,
-			MSite: ms,
-			Rev:   rev,
-			Score: scr.Score(h, in.SiteWord(ms).Orient(rev), cin.Sigma),
-		})
+		mt := core.Match{HSite: hs, MSite: ms, Rev: rev}
+		if scored {
+			mt.Score = w.scr.Score(h, in.SiteWord(ms).Orient(rev), cin.Sigma)
+		}
+		sol.Matches = append(sol.Matches, mt)
 	}
 	return sol, nil
 }
@@ -106,10 +135,8 @@ func concatM(in *core.Instance) (*core.Instance, []int) {
 // match against the original fragment. Scores are re-computed per part (they
 // can only grow). H fragments whose window spans several M fragments become
 // chain (caterpillar) fragments, which remain consistent.
-func splitByBounds(in *core.Instance, cat *core.Instance, bounds []int, sol *core.Solution) (*core.Solution, error) {
+func splitByBounds(scr *align.Scratch, in *core.Instance, cat *core.Instance, bounds []int, sol *core.Solution) (*core.Solution, error) {
 	out := &core.Solution{}
-	scr := align.NewScratch()
-	defer scr.Release()
 	fragOf := func(pos int) int {
 		return sort.SearchInts(bounds, pos+1) - 1
 	}
