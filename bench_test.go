@@ -190,7 +190,7 @@ func BenchmarkE9Wavefront(b *testing.B) {
 			}
 		})
 	}
-	// Integer tiles: this σ is integral, so the quantized wavefront is exact.
+	// Quantized σ: this σ is integral, so the quantized wavefront is exact.
 	ci := score.Compile(tb, 40).Int()
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d-int32", workers), func(b *testing.B) {
@@ -373,8 +373,8 @@ func BenchmarkAlignmentKernels(b *testing.B) {
 		}
 	})
 	// Integer-quantized variants on the same inputs (this σ is integral, so
-	// the int32 kernels return bit-identical scores). The float64 dense path
-	// above is the baseline the ISSUE's ≥1.5× acceptance compares against.
+	// the quantized matrix returns bit-identical scores): the same sparse
+	// kernels over the quantized cells, exercising the int API.
 	ci := score.Compile(tb, 30).Int()
 	b.Run("score-int32", func(b *testing.B) {
 		b.ReportAllocs()

@@ -207,10 +207,10 @@ func main() {
 	tw.Flush()
 
 	// Relative mode gate: within the CURRENT run, the quantized batch solve
-	// must keep its wall-time win over the float64 path. Both rows come from
-	// the same runner and run, so their ratio is far more stable than either
-	// absolute wall — this is the gate that protects the int32 kernels' payoff
-	// from eroding silently while absolute thresholds absorb runner drift.
+	// must stay at the float64 path's wall. Both rows come from the same
+	// runner and run, so their ratio is far more stable than either
+	// absolute wall — this gate keeps int mode's cost from growing silently
+	// while absolute thresholds absorb runner drift.
 	// Gated rows: csr-improve at instances > 1 (the pinned batch workload;
 	// single-instance rows are too close to the wall floor to ratio-gate).
 	if *maxIntRatio > 0 {

@@ -61,7 +61,7 @@ func main() {
 		eps       = flag.Float64("eps", 0.05, "scaling slack for improvement algorithms")
 		seed4     = flag.Bool("seed4", true, "seed improvement with the 4-approximation")
 		timeout   = flag.Duration("timeout", 0, "per-instance solve deadline (0 = none)")
-		intMode   = flag.Bool("int", false, "solve with the int32-quantized score kernels (results re-scored under the exact σ)")
+		intMode   = flag.Bool("int", false, "solve under the integer-quantized σ (results re-scored under the exact σ)")
 		unordered = flag.Bool("unordered", false, "emit results in completion order instead of submission order")
 		seeded    = flag.Bool("seeded", false, "minimizer-seeded sparse candidate generation (genome-scale mode; see README)")
 		partial   = flag.Bool("partial", false, "graceful degradation: a -timeout firing mid-improvement yields the last accepted solution as a partial record instead of an error")

@@ -101,7 +101,7 @@ func main() {
 		repeat    = flag.Int("repeat", 1, "repetitions per algorithm for -json; the minimum is reported")
 		shards    = flag.Int("shards", 0, "batch-pool shards for -json (0 = GOMAXPROCS)")
 		algsFlag  = flag.String("algs", "", "comma-separated algorithms for -json (default all but exact)")
-		intMode   = flag.Bool("int", false, "solve with the int32-quantized score kernels (records carry mode=int32)")
+		intMode   = flag.Bool("int", false, "solve under the integer-quantized σ (records carry mode=int32)")
 		sharedAl  = flag.Bool("shared-alphabet", false, "generate all -json instances over one canonical alphabet/σ table (exercises the batch pool's per-alphabet cache)")
 		seeded    = flag.Bool("seeded", false, "solve with minimizer-seeded sparse candidates (records carry mode=seeded)")
 		preset    = flag.String("preset", "", "generate -json workloads from a named preset (genome-small, genome-large) instead of -regions")

@@ -81,7 +81,7 @@ func main() {
 		workers    = flag.Int("workers", 1, "shared candidate-evaluation workers (>1 adds a shared eval pool)")
 		eps        = flag.Float64("eps", 0.05, "scaling slack for improvement algorithms")
 		seed4      = flag.Bool("seed4", true, "seed improvement with the 4-approximation")
-		intMode    = flag.Bool("int", false, "solve with the int32-quantized score kernels")
+		intMode    = flag.Bool("int", false, "solve under the integer-quantized σ")
 		seeded     = flag.Bool("seeded", false, "default to minimizer-seeded candidate generation (requests override with ?seeded=0/1)")
 		memBudget  = flag.String("mem-budget", "", "per-instance memory budget, e.g. 512M or 2G; over-budget submissions are refused 413 (empty = no budget)")
 		timeout    = flag.Duration("timeout", 0, "default per-instance solve deadline when a request sets none (0 = none)")

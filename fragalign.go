@@ -291,15 +291,16 @@ func WithConsistencyChecks(on bool) Option { return func(c *solveCfg) { c.check 
 // multiples of X/k², re-score under the true σ at the end.
 func WithQuantizedScaling(on bool) Option { return func(c *solveCfg) { c.quantize = on } }
 
-// WithIntScore runs the solver's alignment kernels over the
-// integer-quantized σ matrix: σ compiles to a flat []int32 (unit auto-derived
-// from the value range, or exact when every score is an integer multiple of
-// one unit) and every DP sweeps contiguous int32 rows — measurably faster
-// than the float64 path. The final solution is re-scored under the
-// true σ, so Result.Score is always exact; only the search itself sees
-// quantized values, deviating from float64 mode by at most the
-// score.CompiledInt error bound (zero for integral σ). Off by default:
-// results are then bit-identical to float64 mode.
+// WithIntScore runs the solver's search over the integer-quantized σ
+// matrix (score.CompiledInt): every cell is rounded to a whole number of
+// units (unit auto-derived from the value range, or exact when every score
+// is an integer multiple of one unit), and the usual alignment kernels run
+// on those cells, scaling by the unit at the boundary. It is not faster
+// than float64 mode: the kernels and the matrix size are the same. The
+// final solution is re-scored under the true σ, so Result.Score is always
+// exact; only the search itself sees quantized values, deviating from
+// float64 mode by at most the score.CompiledInt error bound (zero for
+// integral σ). Off by default.
 func WithIntScore(on bool) Option { return func(c *solveCfg) { c.intScore = on } }
 
 // WithSeededCandidates replaces all-pairs candidate enumeration in the
@@ -361,7 +362,8 @@ func WithPerInstanceTimeout(d time.Duration) Option {
 
 // WithMemBudget caps the estimated memory footprint of any single instance a
 // batch pool admits: submissions whose cost-model estimate (σ compile bytes
-// from σ's nonzero cells, plus the dense int32 σ pair under WithIntScore;
+// from σ's nonzero cells, doubled under WithIntScore for the quantized
+// matrix and its transpose;
 // DP scratch from the fragment-length profile; solver state) exceeds bytes
 // are refused with an *OverBudgetError instead of being queued to die on
 // OOM. Instances whose σ is already resident in the pool's per-alphabet

@@ -39,12 +39,8 @@ func (s *Scratch) Score(a, b symbol.Word, sc score.Scorer) float64 {
 	if len(a) == 0 || len(b) == 0 {
 		return 0
 	}
-	ci, cf := resolve(sc, a, b, len(a)*len(b))
-	if ci != nil {
-		return s.scoreInt(a, b, ci)
-	}
-	if cf != nil {
-		return s.scoreCompiled(a, b, cf)
+	if c, unit := resolve(sc, a, b, len(a)*len(b)); c != nil {
+		return s.scoreCompiled(a, b, c) * unit
 	}
 	// σ is not symmetric in its species sides, so the argument order is
 	// significant and the words are never swapped.
@@ -66,38 +62,6 @@ func (s *Scratch) Score(a, b symbol.Word, sc score.Scorer) float64 {
 		prev, cur = cur, prev
 	}
 	return prev[n]
-}
-
-// ScoreAtLeast returns an upper bound on P_score(a, b) that is exact
-// whenever it exceeds atLeast. Callers that only act on scores above a
-// threshold (candidate screens, acceptance floors) can therefore treat the
-// result exactly like Score: any returned value ≤ atLeast would have been
-// rejected anyway, and any value > atLeast is the true score. On the
-// quantized fast path the kernel stops as soon as a per-row suffix gain
-// bound proves the remaining rows cannot lift the score above atLeast —
-// the bound arithmetic is exact in integers, so the early exit cannot
-// misclassify. Other σ tiers compute the exact score (a float-tier bound
-// would need directed rounding to stay sound).
-func ScoreAtLeast(a, b symbol.Word, sc score.Scorer, atLeast float64) float64 {
-	s := NewScratch()
-	defer s.Release()
-	return s.ScoreAtLeast(a, b, sc, atLeast)
-}
-
-// ScoreAtLeast is the kernel form of the package-level ScoreAtLeast,
-// running on the caller's scratch arena.
-func (s *Scratch) ScoreAtLeast(a, b symbol.Word, sc score.Scorer, atLeast float64) float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	ci, cf := resolve(sc, a, b, len(a)*len(b))
-	if ci != nil {
-		return s.scoreAtLeastInt(a, b, ci, atLeast)
-	}
-	if cf != nil {
-		return s.scoreCompiled(a, b, cf)
-	}
-	return s.Score(a, b, sc)
 }
 
 // BestOrient returns max(P_score(a,b), P_score(a,bᴿ)) and whether the
@@ -142,14 +106,11 @@ func (s *Scratch) Align(a, b symbol.Word, sc score.Scorer) (float64, []Col) {
 	if m == 0 || n == 0 {
 		return 0, nil
 	}
-	ci, cf := resolve(sc, a, b, len(a)*len(b))
-	if ci != nil {
-		return s.alignInt(a, b, ci)
-	}
 	var d [][]float64
-	if cf != nil {
-		d = s.fillCompiled(a, b, cf)
-		sc = cf // the traceback's O(m+n) lookups search the compiled rows too
+	c, unit := resolve(sc, a, b, len(a)*len(b))
+	if c != nil {
+		d = s.fillCompiled(a, b, c)
+		sc = c // the traceback's O(m+n) lookups search the compiled rows too
 	} else {
 		d = s.matrixF(m, n)
 		for i := 1; i <= m; i++ {
@@ -171,7 +132,7 @@ func (s *Scratch) Align(a, b symbol.Word, sc score.Scorer) (float64, []Col) {
 		s := sc.Score(a[i-1], b[j-1])
 		switch {
 		case s > 0 && d[i][j] == d[i-1][j-1]+s:
-			cols = append(cols, Col{I: i - 1, J: j - 1, Sigma: s})
+			cols = append(cols, Col{I: i - 1, J: j - 1, Sigma: s * unit})
 			i, j = i-1, j-1
 		case d[i][j] == d[i-1][j]:
 			i--
@@ -187,7 +148,7 @@ func (s *Scratch) Align(a, b symbol.Word, sc score.Scorer) (float64, []Col) {
 	for l, r := 0, len(cols)-1; l < r; l, r = l+1, r-1 {
 		cols[l], cols[r] = cols[r], cols[l]
 	}
-	return d[m][n], cols
+	return d[m][n] * unit, cols
 }
 
 // ColsScore sums the σ contributions of an alignment's scoring columns.

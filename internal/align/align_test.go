@@ -65,9 +65,9 @@ func TestScoreMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestScoreSkipSweepMatchesDense pins the float64 skip-propagation sweep
-// (the sparse positive-cell fast path of scoreCompiled, ported from the
-// int32 kernel) against the plain dense loop of the interface path: the
+// TestScoreSkipSweepMatchesDense pins the skip-propagation sweep (the
+// sparse positive-cell fast path of scoreCompiled) against the plain dense
+// loop of the interface path: the
 // skipped writes must be no-ops, bit for bit, across densities — including
 // all-negative rows (no adds at all), near-empty tables, and dense ones —
 // on both table builds (short words scan b, long ones index it).

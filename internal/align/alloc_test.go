@@ -8,8 +8,8 @@ import (
 	"repro/internal/symbol"
 )
 
-// TestScoreZeroAlloc asserts the ISSUE's steady-state guarantee: with a
-// prepared σ matrix (float64 or int32) every Score call runs entirely out of
+// TestScoreZeroAlloc asserts the steady-state guarantee: with a prepared σ
+// matrix (float64 or quantized) every Score call runs entirely out of
 // the pooled scratch arena — zero heap allocations per call on both the
 // package-level and the per-Scratch form.
 func TestScoreZeroAlloc(t *testing.T) {
@@ -100,8 +100,8 @@ func TestWavefrontParallelMatchesSerial(t *testing.T) {
 
 var benchSink float64
 
-// BenchmarkScoreIntVsFloat is the kernel-level comparison the ISSUE gates on
-// (≥1.5× for the int32 mode), on the same inputs as BenchmarkAlignmentKernels.
+// BenchmarkScoreIntVsFloat compares Score on the float64 matrix and on its
+// quantized form, on the same inputs as BenchmarkAlignmentKernels.
 func BenchmarkScoreIntVsFloat(b *testing.B) {
 	r := rand.New(rand.NewSource(11))
 	tb := score.NewTable()
@@ -135,7 +135,7 @@ func BenchmarkScoreIntVsFloat(b *testing.B) {
 // BenchmarkSparseRowBuild isolates the per-call sparse-row table build that
 // fronts the skip-propagation kernels: long words over a large alphabet with
 // few positive cells per row, where the build (not the DP sweep) dominates.
-// The float64 and int32 variants share the PosRow × inverse-column-index
+// The float64 and quantized variants share the PosRow × inverse-column-index
 // construction; this row is the before/after gauge for that build.
 func BenchmarkSparseRowBuild(b *testing.B) {
 	r := rand.New(rand.NewSource(7))

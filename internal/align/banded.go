@@ -30,12 +30,8 @@ func (s *Scratch) ScoreBanded(a, b symbol.Word, sc score.Scorer, band int) float
 	if band < 1 {
 		band = 1
 	}
-	ci, cf := resolve(sc, a, b, len(a)*min(len(b), 2*band+1))
-	if ci != nil {
-		return s.scoreBandedInt(a, b, ci, band)
-	}
-	if cf != nil {
-		return s.scoreBandedCompiled(a, b, cf, band)
+	if c, unit := resolve(sc, a, b, len(a)*min(len(b), 2*band+1)); c != nil {
+		return s.scoreBandedCompiled(a, b, c, band) * unit
 	}
 	prev, cur := s.floatRows(n + 1)
 	// Row 0 is all zeros: leading gaps are free.

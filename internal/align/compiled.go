@@ -29,29 +29,32 @@ func fastPath(sc score.Scorer, need int32, area int) *score.Compiled {
 	return score.Compile(sc, need)
 }
 
-// resolve picks the kernel fast path for a scorer: (ci, nil) runs the
-// integer-quantized kernels, (nil, cf) the sparse float64 kernels, and
-// (nil, nil) the interface path. A quantized matrix is used only when it
-// covers the words AND its int32 accumulation headroom holds for their
-// lengths; when the headroom fails, the alignment silently falls back to the
-// exact float64 source matrix, so integer mode is safe at any input size.
-func resolve(sc score.Scorer, a, b symbol.Word, area int) (*score.CompiledInt, *score.Compiled) {
+// resolve picks the kernel fast path for a scorer: the compiled matrix the
+// sparse float64 kernels run on, and the unit their results scale by, or a
+// nil matrix for the interface path. The unit is 1 except for a quantized σ
+// (score.CompiledInt), whose integer-valued matrix is used only when it
+// covers the words AND its integer headroom holds for their lengths: the
+// kernels then sum whole units exactly, and one multiplication at the
+// boundary dequantizes each score, column σ and placement. When the
+// headroom fails, the alignment silently falls back to the exact float64
+// source matrix, so integer mode is safe at any input size.
+func resolve(sc score.Scorer, a, b symbol.Word, area int) (*score.Compiled, float64) {
 	return resolveID(sc, max(maxID(a), maxID(b)), min(len(a), len(b)), area)
 }
 
 // resolveID is resolve for words whose largest symbol ID is need and whose
 // shorter length is short.
-func resolveID(sc score.Scorer, need int32, short, area int) (*score.CompiledInt, *score.Compiled) {
+func resolveID(sc score.Scorer, need int32, short, area int) (*score.Compiled, float64) {
 	if ci, ok := sc.(*score.CompiledInt); ok {
-		if ci.MaxID() < need {
-			return nil, nil // out-of-range symbols: interface path (dequantized cells)
+		switch {
+		case ci.MaxID() < need:
+			return nil, 1 // out-of-range symbols: interface path (dequantized cells)
+		case ci.Fits(short):
+			return ci.Compiled, ci.Unit()
 		}
-		if ci.Fits(short) {
-			return ci, nil
-		}
-		return nil, ci.Source()
+		return ci.Source(), 1
 	}
-	return nil, fastPath(sc, need, area)
+	return fastPath(sc, need, area), 1
 }
 
 // maxID returns the largest symbol ID in w (0 for an empty word).
@@ -176,7 +179,10 @@ func (s *Scratch) row(i int) (pos []int32, val []float64) {
 	return s.pos[sp[0]:sp[1]], s.valF[sp[0]:sp[1]]
 }
 
-// sortPosValF is sortPosVal with float64 values.
+// sortPosValF insertion-sorts the parallel position/value pairs by
+// position. Positions are distinct (each b cell lives in exactly one column
+// chain) and arrive as a handful of ascending runs, for which insertion
+// sort is near-linear.
 func sortPosValF(pos []int32, val []float64) {
 	for i := 1; i < len(pos); i++ {
 		p, v := pos[i], val[i]
@@ -190,11 +196,11 @@ func sortPosValF(pos []int32, val []float64) {
 }
 
 // skipRow advances the rolled DP row arr (monotone nondecreasing) by one
-// row: the skip-propagation sweep shared by every free-gap kernel, float64
-// and int32. The new row's boundary cell arr[0] becomes left (0 for a plain
-// DP row, the carried left column for a wavefront tile; it must be ≥ the
-// old arr[0]), and pos/val are the row's positive cells, pos ascending and
-// offset by off (cell pos[k] updates arr[pos[k]−off+1]).
+// row: the skip-propagation sweep shared by every free-gap kernel. The new
+// row's boundary cell arr[0] becomes left (0 for a plain DP row, the
+// carried left column for a wavefront tile; it must be ≥ the old arr[0]),
+// and pos/val are the row's positive cells, pos ascending and offset by off
+// (cell pos[k] updates arr[pos[k]−off+1]).
 //
 // A cell with no positive σ reduces to max(up, left), which leaves an
 // add-free span unchanged once the running maximum has been absorbed, so
@@ -202,7 +208,7 @@ func sortPosValF(pos []int32, val []float64) {
 // still rippling through. The skipped writes are provably no-ops and the
 // per-cell arithmetic is the dense update's (one add, then maxima), so
 // every cell of the row is bit-identical to the full sweep.
-func skipRow[T int32 | float64](arr []T, left T, pos []int32, val []T, off int32) {
+func skipRow(arr []float64, left float64, pos []int32, val []float64, off int32) {
 	n := len(arr) - 1
 	// j is the next column to finalize, best the new value at j-1, and
 	// oldPrev the previous row's value at j-1 (the diagonal input).

@@ -21,10 +21,10 @@ type Placement struct {
 // the TPA subroutine feeds to the interval-selection algorithm: any larger
 // window with the same score only blocks more of the zone.
 //
-// On the compiled float64 path it costs one O(|b|) index of the zone, then
-// O(|a|·(hits + breakpoints)): each DP row costs its positive σ hits in b
-// plus the breakpoints of the row before it (see stepRow). The interface
-// and int32 paths run in O(|a|·|b|) time. Space is O(|b|). Windows with
+// On a compiled (float64 or quantized) σ it costs one O(|b|) index of the
+// zone, then O(|a|·(hits + breakpoints)): each DP row costs its positive σ
+// hits in b plus the breakpoints of the row before it (see stepRow). The
+// interface path runs in O(|a|·|b|) time. Space is O(|b|). Windows with
 // score ≤ minScore are omitted.
 func Placements(a, b symbol.Word, sc score.Scorer, minScore float64) []Placement {
 	s := NewScratch()
@@ -41,7 +41,7 @@ func (s *Scratch) Placements(a, b symbol.Word, sc score.Scorer, minScore float64
 
 // PlacementsEach computes the Placements frontier of every query against
 // the one zone b and hands query q's frontier to emit(q, ps). The zone is
-// indexed once for all queries, so on the compiled float64 path each query
+// indexed once for all queries, so on a compiled σ each query
 // costs only its hits and breakpoints, not |b|. ps is valid only during the
 // call (the next query reuses its storage), and emit must not run kernels
 // on s.
@@ -72,7 +72,7 @@ func (s *Scratch) BestPlacement(a, b symbol.Word, sc score.Scorer, minScore floa
 
 // zone is the placement zone of a Placements run: indexed is the compiled
 // matrix s.bi and bHead currently index b under, nil until the first
-// compiled-path query (and after an int32 query, which re-indexes s.bi).
+// compiled-path query.
 type zone struct {
 	b       symbol.Word
 	maxID   int32
@@ -90,19 +90,15 @@ func (s *Scratch) placements(dst []Placement, a symbol.Word, z *zone, sc score.S
 	if len(a) == 0 || len(z.b) == 0 {
 		return dst
 	}
-	ci, cf := resolveID(sc, max(maxID(a), z.maxID), min(len(a), len(z.b)), len(a)*len(z.b))
-	switch {
-	case ci != nil:
-		z.indexed = nil
-		return s.placementsInt(dst, a, z.b, ci, minScore)
-	case cf != nil:
-		if z.indexed != cf {
-			s.indexF(z.b, cf)
-			z.indexed = cf
-		}
-		return s.placementsSteps(dst, a, cf, minScore)
+	c, unit := resolveID(sc, max(maxID(a), z.maxID), min(len(a), len(z.b)), len(a)*len(z.b))
+	if c == nil {
+		return s.placementsDense(dst, a, z.b, sc, minScore)
 	}
-	return s.placementsDense(dst, a, z.b, sc, minScore)
+	if z.indexed != c {
+		s.indexF(z.b, c)
+		z.indexed = c
+	}
+	return s.placementsSteps(dst, a, c, unit, minScore)
 }
 
 // placementsDense is the interface path of Placements: the dense DP over
@@ -197,11 +193,12 @@ func below(x, y step) bool {
 	return x.v < y.v || (x.v == y.v && x.s < y.s)
 }
 
-// placementsSteps is Placements on the compiled float64 path, over the zone
-// indexF last indexed: the DP rows are kept as breakpoints (stepRow), rows
-// whose symbol scores positively against nothing in the zone are skipped
-// whole, and the frontier is read off the last row's breakpoints.
-func (s *Scratch) placementsSteps(dst []Placement, a symbol.Word, c *score.Compiled, minScore float64) []Placement {
+// placementsSteps is Placements on a compiled σ, over the zone indexF last
+// indexed: the DP rows are kept as breakpoints (stepRow), rows whose symbol
+// scores positively against nothing in the zone are skipped whole, and the
+// frontier is read off the last row's breakpoints. Scores are scaled by
+// unit (see resolve) before they meet minScore.
+func (s *Scratch) placementsSteps(dst []Placement, a symbol.Word, c *score.Compiled, unit, minScore float64) []Placement {
 	s.queryRows(a, c, true)
 	row := append(s.steps[:0], step{s: noStart})
 	next := s.stepsNext
@@ -215,7 +212,7 @@ func (s *Scratch) placementsSteps(dst []Placement, a symbol.Word, c *score.Compi
 	// A value rise marks a strict increase of the dense row (see
 	// placementsDense); a start-only breakpoint is not one.
 	emits := func(k int) bool {
-		return row[k].v > row[k-1].v && row[k].v > minScore && row[k].s != noStart
+		return row[k].v > row[k-1].v && row[k].v*unit > minScore && row[k].s != noStart
 	}
 	if dst == nil {
 		if dst = exactPlacements(len(row)-1, emits); dst == nil {
@@ -224,7 +221,7 @@ func (s *Scratch) placementsSteps(dst []Placement, a symbol.Word, c *score.Compi
 	}
 	for k := 1; k < len(row); k++ {
 		if emits(k) {
-			dst = append(dst, Placement{Lo: int(row[k].s), Hi: int(row[k].col), Score: row[k].v})
+			dst = append(dst, Placement{Lo: int(row[k].s), Hi: int(row[k].col), Score: row[k].v * unit})
 		}
 	}
 	return dst

@@ -19,16 +19,17 @@ func Hirschberg(a, b symbol.Word, sc score.Scorer) (float64, []Col) {
 func (s *Scratch) Hirschberg(a, b symbol.Word, sc score.Scorer) (float64, []Col) {
 	// Resolve once at the top of the recursion; every lastRow and base-case
 	// Align below then rides the same fast path (sub-words only shrink, so
-	// an integer matrix that fits here fits everywhere below).
-	ci, cf := resolve(sc, a, b, len(a)*len(b))
-	if ci != nil {
-		cols := s.hirschInt(a, b, 0, 0, ci)
-		return ColsScore(cols), cols
-	}
-	if cf != nil {
-		sc = cf
+	// a quantized matrix that fits here fits everywhere below). The splits
+	// compare exact sums on a quantized matrix, so only the emitted columns
+	// need dequantizing.
+	c, unit := resolve(sc, a, b, len(a)*len(b))
+	if c != nil {
+		sc = c
 	}
 	cols := s.hirsch(a, b, 0, 0, sc)
+	for k := range cols {
+		cols[k].Sigma *= unit
+	}
 	return ColsScore(cols), cols
 }
 
@@ -62,37 +63,6 @@ func (s *Scratch) hirsch(a, b symbol.Word, ioff, joff int, sc score.Scorer) []Co
 	}
 	left := s.hirsch(a[:mid], b[:split], ioff, joff, sc)
 	right := s.hirsch(a[mid:], b[split:], ioff+mid, joff+split, sc)
-	return append(left, right...)
-}
-
-// hirschInt is hirsch with int32 boundary rows: the split comparison runs on
-// exact integer sums, so the recursion picks the same splits the integer
-// full-matrix DP would.
-func (s *Scratch) hirschInt(a, b symbol.Word, ioff, joff int, c *score.CompiledInt) []Col {
-	m, n := len(a), len(b)
-	if m == 0 || n == 0 {
-		return nil
-	}
-	if m == 1 || n == 1 {
-		_, cols := s.alignInt(a, b, c)
-		for k := range cols {
-			cols[k].I += ioff
-			cols[k].J += joff
-		}
-		return cols
-	}
-	mid := m / 2
-	s.ja = s.lastRowIntInto(s.ja, a[:mid], b, c)
-	s.jb = s.lastRowIntInto(s.jb, symbol.Word(a[mid:]).Rev(), b.Rev(), c)
-	fwd, bwd := s.ja, s.jb
-	split, best := 0, fwd[0]+bwd[n]
-	for j := 1; j <= n; j++ {
-		if v := fwd[j] + bwd[n-j]; v > best {
-			best, split = v, j
-		}
-	}
-	left := s.hirschInt(a[:mid], b[:split], ioff, joff, c)
-	right := s.hirschInt(a[mid:], b[split:], ioff+mid, joff+split, c)
 	return append(left, right...)
 }
 

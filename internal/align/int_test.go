@@ -192,3 +192,24 @@ func FuzzIntScoreBound(f *testing.F) {
 		}
 	})
 }
+
+// TestPlacementsThresholdSound holds Placements on the quantized σ to the
+// float64 matrix across random thresholds, on integral σ where the two must
+// agree exactly.
+func TestPlacementsThresholdSound(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 200; trial++ {
+		ids := 3 + r.Intn(10)
+		tb := randIntTable(r, ids, 5+r.Intn(40), true)
+		c := score.Compile(tb, int32(ids))
+		ci := c.Int()
+		a := randIntWord(r, ids, 1+r.Intn(60))
+		b := randIntWord(r, ids, 1+r.Intn(60))
+		th := float64(r.Intn(30) - 2)
+		pf := Placements(a, b, c, th)
+		pi := Placements(a, b, ci, th)
+		if !slices.Equal(pi, pf) {
+			t.Fatalf("trial %d th=%v: int placements %v != float %v", trial, th, pi, pf)
+		}
+	}
+}

@@ -8,7 +8,7 @@ import (
 )
 
 // Scratch is a reusable arena for every buffer the alignment kernels need:
-// rolled DP row pairs (float64 and int32), placement rows, the column-index
+// rolled DP row pairs, placement rows, the column-index
 // word of b, the per-call sparse σ tables of the fast paths,
 // Hirschberg boundary rows, and the full DP matrix of Align. All kernels are
 // methods on Scratch; the package-level functions borrow one from an internal
@@ -21,28 +21,22 @@ import (
 // the improve eval pool gives each worker its own; everyone else goes
 // through the package-level functions and shares the pool.
 type Scratch struct {
-	fa, fb []float64 // rolled float64 DP rows
-	ga, gb []float64 // Hirschberg float64 boundary rows (fwd/bwd)
-	ia, ib []int32   // rolled int32 DP rows
-	ja, jb []int32   // Hirschberg int32 boundary rows
+	fa, fb []float64 // rolled DP rows
+	ga, gb []float64 // Hirschberg boundary rows (fwd/bwd)
 	sa, sb []int32   // start-index rows of the interface placement kernel
 	bi     []int32   // column indices of b
 
-	// Placement rows of the compiled float64 kernel, held as breakpoints
+	// Placement rows of the compiled kernel, held as breakpoints
 	// (see stepRow): the current row and the one being built. out holds
 	// the frontier PlacementsEach hands to its callback.
 	steps, stepsNext []step
 	out              []Placement
 
 	// Per-call sparse σ tables of the fast paths: pos holds positions in
-	// b, valF/valI the σ values of the float64/int32 kernels. Tables over
-	// a whole word key its distinct symbols: rowOf maps an oriented symbol
-	// index to 1+its span, spans[k] indexes pos/val. spanMax[k] is the
-	// largest value of span k (0 when empty) — the int32 kernels' per-row
-	// maximum gain, powering the early-exit suffix bounds of ScoreAtLeast
-	// and the placement kernels. aSpan[i] spans row i of a float64
-	// floatTable, and positive records whether its rows list positive
-	// cells only (see queryRows).
+	// b, valF their σ values. Tables over a whole word key its distinct
+	// symbols: rowOf maps an oriented symbol index to 1+its span, spans[k]
+	// indexes pos/valF. aSpan[i] spans row i of a floatTable, and positive
+	// records whether its rows list positive cells only (see queryRows).
 	rowOf    []int32
 	rowIdx   []int32 // oriented indices set in rowOf, for O(touched) reset
 	spans    [][2]int32
@@ -50,8 +44,6 @@ type Scratch struct {
 	positive bool
 	pos      []int32
 	valF     []float64
-	valI     []int32
-	spanMax  []int32
 
 	// Inverse index of b for the sparse table builds: bHead[col] chains the
 	// positions of b holding oriented column col (1-based indices into
@@ -62,20 +54,12 @@ type Scratch struct {
 	bNext    []int32
 	bTouched []int32
 
-	// gv is the gathered σ row of the lane kernels (gv[j] = row[bi[j]]):
-	// the gather is hoisted out of the DP inner loop so the lane tiers
-	// stream contiguous int32. pk is the packed (value, start) row of the
-	// int32 placement kernel.
-	gv []int32
-	pk []int64
-	// gf is the float64 banded kernel's σ row, scattered across the band.
+	// gf is the banded kernel's σ row, scattered across the band.
 	gf []float64
 
 	// Full DP matrix of Align: flat cells plus row headers.
 	cellsF []float64
 	rowsF  [][]float64
-	cellsI []int32
-	rowsI  [][]int32
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
@@ -113,21 +97,8 @@ func (s *Scratch) floatRows(n int) (prev, cur []float64) {
 	return s.fa, s.fb
 }
 
-// intRows is floatRows for the int32 kernels.
-func (s *Scratch) intRows(n int) (prev, cur []int32) {
-	s.ia, s.ib = growI(s.ia, n), growI(s.ib, n)
-	clear(s.ia)
-	return s.ia, s.ib
-}
-
 // indexWord fills s.bi with the column indices of b.
 func (s *Scratch) indexWord(c *score.Compiled, b symbol.Word) []int32 {
-	s.bi = c.IndexWordInto(growI(s.bi, len(b))[:0], b)
-	return s.bi
-}
-
-// indexWordInt is indexWord for a quantized matrix.
-func (s *Scratch) indexWordInt(c *score.CompiledInt, b symbol.Word) []int32 {
 	s.bi = c.IndexWordInto(growI(s.bi, len(b))[:0], b)
 	return s.bi
 }
@@ -142,21 +113,6 @@ func (s *Scratch) matrixF(m, n int) [][]float64 {
 	d := s.rowsF[:m+1]
 	for i := range d {
 		d[i] = s.cellsF[i*(n+1) : (i+1)*(n+1)]
-		d[i][0] = 0
-	}
-	clear(d[0])
-	return d
-}
-
-// matrixI is matrixF for the int32 kernels.
-func (s *Scratch) matrixI(m, n int) [][]int32 {
-	s.cellsI = growI(s.cellsI, (m+1)*(n+1))
-	if cap(s.rowsI) < m+1 {
-		s.rowsI = make([][]int32, m+1)
-	}
-	d := s.rowsI[:m+1]
-	for i := range d {
-		d[i] = s.cellsI[i*(n+1) : (i+1)*(n+1)]
 		d[i][0] = 0
 	}
 	clear(d[0])
@@ -180,8 +136,6 @@ func (s *Scratch) resetSparse(dim int) {
 	s.rowIdx = s.rowIdx[:0]
 	s.spans = s.spans[:0]
 	s.pos = s.pos[:0]
-	s.valI = s.valI[:0]
-	s.spanMax = s.spanMax[:0]
 }
 
 // indexB builds the inverse index of b for the sparse positive-column
@@ -207,34 +161,4 @@ func (s *Scratch) indexB(dim int) {
 		s.bNext[j+1] = s.bHead[col]
 		s.bHead[col] = int32(j + 1)
 	}
-}
-
-// growI64 is growI for int64 buffers.
-func growI64(b []int64, n int) []int64 {
-	if cap(b) < n {
-		return make([]int64, n)
-	}
-	return b[:n]
-}
-
-// gatherI fills s.gv[j] = row[bi[j]] and returns it — one contiguous
-// gathered σ row for the lane kernels.
-func (s *Scratch) gatherI(row []int32, bi []int32) []int32 {
-	s.gv = growI(s.gv, len(bi))
-	g := s.gv
-	for j, bj := range bi {
-		g[j] = row[bj]
-	}
-	return g
-}
-
-// dpRowIntAuto advances one int32 DP row through the cheapest tier for its
-// width: the fused index sweep below the lane cut, gather plus lane kernel
-// from 2·laneWidth up (the narrowest row the AVX2 tier accepts).
-func (s *Scratch) dpRowIntAuto(prev, cur, row, bi []int32) {
-	if len(bi) < 2*laneWidth {
-		dpRowIntIdx(prev, cur, row, bi)
-		return
-	}
-	dpRowInt(prev, cur, s.gatherI(row, bi))
 }

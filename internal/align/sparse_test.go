@@ -59,7 +59,7 @@ func nonNegative(tb *score.Table) *score.Table {
 
 // kernelRun is every float64 kernel's output on one word pair.
 type kernelRun struct {
-	score, atLeast, banded     float64
+	score, banded              float64
 	alignScore, hirschScore    float64
 	alignCols, hirschCols      []Col
 	placements                 []Placement
@@ -74,7 +74,6 @@ type kernelRun struct {
 func runKernels(s *Scratch, a, b symbol.Word, sc score.Scorer, bandAdj int) kernelRun {
 	var k kernelRun
 	k.score = s.Score(a, b, sc)
-	k.atLeast = s.ScoreAtLeast(a, b, sc, 1.5)
 	k.banded = s.ScoreBanded(a, b, sc, 2)
 	k.bandedAdjacent = s.ScoreBanded(a, b, sc, bandAdj)
 	k.bandedWide = s.ScoreBanded(a, b, sc, len(a)+len(b))
@@ -88,7 +87,7 @@ func runKernels(s *Scratch, a, b symbol.Word, sc score.Scorer, bandAdj int) kern
 }
 
 func sameRun(x, y kernelRun) bool {
-	return x.score == y.score && x.atLeast == y.atLeast && x.banded == y.banded &&
+	return x.score == y.score && x.banded == y.banded &&
 		x.bandedAdjacent == y.bandedAdjacent && x.bandedWide == y.bandedWide &&
 		x.alignScore == y.alignScore && slices.Equal(x.alignCols, y.alignCols) &&
 		x.hirschScore == y.hirschScore && slices.Equal(x.hirschCols, y.hirschCols) &&
@@ -100,7 +99,7 @@ func sameRun(x, y kernelRun) bool {
 // float64 kernels: on random tables with negative, ±0 and fractional
 // entries, every kernel run on the compiled matrix (and on its transpose,
 // for the other species order) equals the interface path over the raw
-// scorer exactly — Score, ScoreAtLeast, ScoreBanded, Align and Hirschberg
+// scorer exactly — Score, ScoreBanded, Align and Hirschberg
 // (score and columns), Placements, BestPlacement and the wavefront, serial
 // and parallel. Word sizes cover both table builds (short words scan b,
 // long ones index it), and the banded runs include bands that touch only

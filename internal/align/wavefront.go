@@ -24,8 +24,8 @@ import (
 // pooled and reused across calls, so steady-state scoring allocates nothing
 // with Workers == 1 (which runs the tiles inline as a blocked cache-friendly
 // sweep) and only scheduling state otherwise. A quantized σ
-// (score.CompiledInt) runs every tile in int32 and dequantizes the final
-// corner only.
+// (score.CompiledInt) runs every tile over its integer-valued cells and
+// dequantizes the final corner only.
 type WavefrontAligner struct {
 	// Workers is the number of goroutines; values < 1 mean 1. With exactly
 	// one worker the tiles run inline on the calling goroutine: same blocked
@@ -45,25 +45,21 @@ type WavefrontAligner struct {
 }
 
 // wfState is the pooled per-call state of one wavefront run: the retained
-// tile boundary rows and right-boundary carry columns (float64 and int32
-// variants), the int32 tiles' column index word, the float64 tiles' σ
-// table, and the tile dependency counters.
+// tile boundary rows and right-boundary carry columns, the compiled tiles'
+// σ table, and the tile dependency counters.
 type wfState struct {
 	a, b   symbol.Word
 	sc     score.Scorer
 	cm     *score.Compiled
-	ci     *score.CompiledInt
-	bi     []int32
-	tab    Scratch // float64 σ table of a against b (floatTable), read by every tile
+	unit   float64 // scales the corner (see resolve)
+	tab    Scratch // σ table of a against b (floatTable), read by every tile
 	m, n   int
 	br, bc int
 	nI, nJ int
 
-	rowBuf  [][]float64 // rowBuf[I][j] = D[rowEnd(I)][j]; rowBuf[0] = DP row 0
-	carry   [][]float64 // carry[I][r] = D[rowLo(I)+r][colDone], updated in place
-	rowBufI [][]int32
-	carryI  [][]int32
-	deps    []int32
+	rowBuf [][]float64 // rowBuf[I][j] = D[rowEnd(I)][j]; rowBuf[0] = DP row 0
+	carry  [][]float64 // carry[I][r] = D[rowLo(I)+r][colDone], updated in place
+	deps   []int32
 }
 
 var wfPool = sync.Pool{New: func() any { return new(wfState) }}
@@ -75,17 +71,6 @@ func growRowsF(rows [][]float64, k, n int) [][]float64 {
 	rows = rows[:k]
 	for i := range rows {
 		rows[i] = growF(rows[i], n)
-	}
-	return rows
-}
-
-func growRowsI(rows [][]int32, k, n int) [][]int32 {
-	if cap(rows) < k {
-		rows = append(rows[:cap(rows)], make([][]int32, k-cap(rows))...)
-	}
-	rows = rows[:k]
-	for i := range rows {
-		rows[i] = growI(rows[i], n)
 	}
 	return rows
 }
@@ -123,30 +108,20 @@ func (w WavefrontAligner) ScoreCtx(a, b symbol.Word, sc score.Scorer) (float64, 
 	ws.br, ws.bc = br, bc
 	ws.nI = (m + br - 1) / br
 	ws.nJ = (n + bc - 1) / bc
-	ws.ci, ws.cm = resolve(sc, a, b, m*n)
+	ws.cm, ws.unit = resolve(sc, a, b, m*n)
+	if ws.cm != nil {
+		// The tiles only read the table, so parallel workers share it.
+		ws.tab.indexF(b, ws.cm)
+		ws.tab.floatTable(a, ws.cm, true)
+	}
 
 	// Boundary rows and carry columns; row 0 and column 0 of the DP are all
 	// zeros, everything else is fully written by some tile before it is read.
-	if ws.ci != nil {
-		ws.bi = ws.ci.IndexWordInto(growI(ws.bi, n)[:0], b)
-		ws.rowBufI = growRowsI(ws.rowBufI, ws.nI+1, n+1)
-		clear(ws.rowBufI[0])
-		ws.carryI = growRowsI(ws.carryI, ws.nI, br+1)
-		for I := range ws.carryI {
-			clear(ws.carryI[I])
-		}
-	} else {
-		if ws.cm != nil {
-			// The tiles only read the table, so parallel workers share it.
-			ws.tab.indexF(b, ws.cm)
-			ws.tab.floatTable(a, ws.cm, true)
-		}
-		ws.rowBuf = growRowsF(ws.rowBuf, ws.nI+1, n+1)
-		clear(ws.rowBuf[0])
-		ws.carry = growRowsF(ws.carry, ws.nI, br+1)
-		for I := range ws.carry {
-			clear(ws.carry[I])
-		}
+	ws.rowBuf = growRowsF(ws.rowBuf, ws.nI+1, n+1)
+	clear(ws.rowBuf[0])
+	ws.carry = growRowsF(ws.carry, ws.nI, br+1)
+	for I := range ws.carry {
+		clear(ws.carry[I])
 	}
 
 	if workers == 1 {
@@ -167,14 +142,9 @@ func (w WavefrontAligner) ScoreCtx(a, b symbol.Word, sc score.Scorer) (float64, 
 		ws.runParallel(workers, w.Ctx)
 	}
 
-	var out float64
-	if ws.ci != nil {
-		out = ws.ci.Dequantize(int64(ws.rowBufI[ws.nI][n]))
-	} else {
-		out = ws.rowBuf[ws.nI][n]
-	}
+	out := ws.rowBuf[ws.nI][n] * ws.unit
 	// Drop references to caller data before pooling the state.
-	ws.a, ws.b, ws.sc, ws.cm, ws.ci = nil, nil, nil, nil, nil
+	ws.a, ws.b, ws.sc, ws.cm = nil, nil, nil, nil
 	wfPool.Put(ws)
 	if w.Ctx != nil {
 		if err := w.Ctx.Err(); err != nil {
@@ -259,28 +229,6 @@ func (ws *wfState) tile(I, J int, s *Scratch) {
 	h := rowHi - rowLo
 	wdt := colHi - colLo
 
-	if ws.ci != nil {
-		top := ws.rowBufI[I][colLo : colHi+1]
-		left := ws.carryI[I]
-		prev, cur := s.intRows(wdt + 1)
-		copy(prev, top)
-		left[0] = prev[wdt]
-		bi := ws.bi[colLo:colHi]
-		for r := 1; r <= h; r++ {
-			// Tile cells are genuine full-matrix DP cells (≥ 0), so the
-			// lane kernel's contract holds even for interior tiles.
-			cur[0] = left[r]
-			s.dpRowIntAuto(prev, cur, ws.ci.Row(ws.a[rowLo+r-1]), bi)
-			left[r] = cur[wdt]
-			prev, cur = cur, prev
-		}
-		copy(ws.rowBufI[I+1][colLo+1:colHi+1], prev[1:])
-		if colLo == 0 {
-			ws.rowBufI[I+1][0] = 0
-		}
-		return
-	}
-
 	top := ws.rowBuf[I][colLo : colHi+1]
 	left := ws.carry[I]
 	if ws.cm != nil {
@@ -321,7 +269,7 @@ func (ws *wfState) tile(I, J int, s *Scratch) {
 	ws.publish(I, colLo, colHi, prev)
 }
 
-// publish writes a finished float64 tile's bottom row (row[1:], columns
+// publish writes a finished tile's bottom row (row[1:], columns
 // colLo+1 … colHi) into the boundary row below tile-row I; the right column
 // was carried in place.
 func (ws *wfState) publish(I, colLo, colHi int, row []float64) {

@@ -2,10 +2,8 @@ package batch
 
 // Memory-budget admission: a cost model estimating the peak bytes one
 // instance's solve pins, gated at submit so a pool (or the daemon in front
-// of it) refuses work it cannot fit instead of dying on OOM. The genome
-// presets make the failure mode concrete: in int32 score mode
-// genome-small's dense quantized σ pair alone is ~3 GB, so a single
-// mis-sized instance can take down a daemon serving thousands of small
+// of it) refuses work it cannot fit instead of dying on OOM: a single
+// mis-sized instance must not take down a daemon serving thousands of small
 // ones.
 //
 // The model is deliberately simple and inspectable — three structural terms
@@ -19,9 +17,10 @@ package batch
 //     of them.
 //     The nonzero count is exact for a Table (two oriented cells per stored
 //     entry) and an Identity (the diagonal); any other scorer is charged
-//     every cell. A solve that quantizes σ (int32 score mode) adds the
-//     dense int32 matrix and its transpose, dim² cells each, which then
-//     dominate.
+//     every cell. A solve that quantizes σ (integer score mode) adds the
+//     quantized matrix, its transpose and their positive-cell indexes in
+//     the same sparse layout, so the term is charged twice (an upper
+//     bound: cells that round to 0 are dropped).
 //   - DP scratch: alignment kernels sweep rolled rows, but the two-phase
 //     scoring path materializes O(maxH·maxM) cells for the longest fragment
 //     pair, plus per-worker row scratch.
@@ -46,10 +45,10 @@ import (
 // MemEstimate is the per-instance cost-model breakdown, in bytes.
 type MemEstimate struct {
 	// SigmaBytes is the σ compile cost (matrix, cached transpose and
-	// positive-cell index, plus the dense int32 pair when the solve
-	// quantizes). Zero when the pool's σ cache already holds this scorer's
-	// matrix — the admission question is what ADDITIONAL memory the solve
-	// pins.
+	// positive-cell index, plus the same forms of the quantized matrix
+	// when the solve quantizes). Zero when the pool's σ cache already holds
+	// this scorer's matrix — the admission question is what ADDITIONAL
+	// memory the solve pins.
 	SigmaBytes int64 `json:"sigma_bytes"`
 	// ScratchBytes is the DP scratch high-water mark.
 	ScratchBytes int64 `json:"scratch_bytes"`
@@ -70,14 +69,13 @@ func (e MemEstimate) String() string {
 const (
 	sigmaCellBytes   = 4 * (4 + 8) // column + float64 value: matrix, transpose, and their PosRow indexes
 	sigmaSymbolBytes = 6 * 4       // four row-offset arrays + two counting-sort cursors
-	intCellBytes     = 2 * 4       // dense int32 cell: quantized matrix + its transpose
 	scratchCellBytes = 8           // one two-phase DP cell
 	regionBytes      = 192         // sites, fragment index slots, enum pieces, versions
 	matchBytes       = 96          // live match + memo + clone share
 )
 
 // EstimateMem runs the admission cost model on one instance; quantized
-// charges the dense int32 σ pair of int32 score mode.
+// charges the quantized σ forms of integer score mode as well.
 func EstimateMem(in *core.Instance, quantized bool) MemEstimate {
 	return estimateMem(in, in.MaxSymbolID(), quantized)
 }
@@ -99,8 +97,9 @@ func estimateMem(in *core.Instance, maxID int32, quantized bool) MemEstimate {
 	}
 	sigma := sigmaCellBytes*sigmaCells(in.Sigma, maxID) + sigmaSymbolBytes*dim
 	if quantized {
-		stride := (dim + score.LaneWidth - 1) &^ (score.LaneWidth - 1)
-		sigma += intCellBytes * dim * stride
+		// The quantized forms mirror the float64 ones, per nonzero cell and
+		// per oriented symbol.
+		sigma *= 2
 	}
 	return MemEstimate{
 		SigmaBytes:   sigma,

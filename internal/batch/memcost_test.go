@@ -22,17 +22,17 @@ func TestEstimateMemShape(t *testing.T) {
 		t.Fatalf("Total() != sum of terms: %+v", est)
 	}
 	// Float mode charges σ per nonzero cell (two per stored table entry)
-	// plus per oriented symbol; int32 mode adds the dense quantized pair.
+	// plus per oriented symbol; integer mode adds the quantized forms,
+	// which mirror the float64 ones.
 	dim := 2*int64(in.MaxSymbolID()) + 1
 	nnz := 2 * int64(in.Sigma.(*score.Table).Len())
 	if want := sigmaCellBytes*nnz + sigmaSymbolBytes*dim; est.SigmaBytes != want {
 		t.Fatalf("SigmaBytes = %d, want %d·nonzeros + %d·dim = %d",
 			est.SigmaBytes, int64(sigmaCellBytes), int64(sigmaSymbolBytes), want)
 	}
-	stride := (dim + score.LaneWidth - 1) &^ (score.LaneWidth - 1)
-	if q := EstimateMem(in, true); q.SigmaBytes != est.SigmaBytes+intCellBytes*dim*stride ||
+	if q := EstimateMem(in, true); q.SigmaBytes != 2*est.SigmaBytes ||
 		q.ScratchBytes != est.ScratchBytes || q.StateBytes != est.StateBytes {
-		t.Fatalf("quantized estimate %+v is not the float one %+v plus the int32 pair", q, est)
+		t.Fatalf("quantized estimate %+v is not the float one %+v with its σ term doubled", q, est)
 	}
 
 	// The model must be monotone in instance size: more regions, more bytes.
@@ -51,8 +51,8 @@ func TestEstimateMemShape(t *testing.T) {
 }
 
 // sigmaAllocated measures the bytes allocated preparing in's σ as a solve
-// does: Compile, Transposed and both positive-cell indexes, plus the int32
-// pair and its indexes when quantized. The table is cloned first so its
+// does: Compile, Transposed and both positive-cell indexes, plus the same
+// forms of the quantized matrix when quantized. The table is cloned first so its
 // compile cache cannot hit.
 func sigmaAllocated(in *core.Instance, quantized bool) int64 {
 	sc := score.Scorer(in.Sigma.(*score.Table).Clone())
@@ -140,13 +140,21 @@ func TestMemBudgetGate(t *testing.T) {
 		t.Fatalf("admitted pool counted %d over-budget", got)
 	}
 
-	// A quantizing pool charges the dense int32 σ pair: the float-mode
-	// budget that admits above refuses the same instance there.
-	q := New(Options{Shards: 1, Solve: improveSolver, MemBudget: 4 * need, Quantized: true})
-	defer q.Close()
-	if EstimateMem(ins[0], true).Total() <= 4*need {
-		t.Fatalf("int32 σ pair too small to test: %v", EstimateMem(ins[0], true))
+	// A quantizing pool charges the quantized σ forms too: a budget between
+	// the float and the quantized estimate admits the instance in float
+	// mode and refuses it there.
+	qneed := EstimateMem(ins[0], true).Total()
+	if qneed <= need {
+		t.Fatalf("quantized estimate %v not above the float one %v", qneed, need)
 	}
+	mid := (need + qneed) / 2
+	fp := New(Options{Shards: 1, Solve: improveSolver, MemBudget: mid})
+	defer fp.Close()
+	if _, err := fp.Submit(context.Background(), ins[0]); err != nil {
+		t.Fatalf("float pool refused an instance under budget: %v", err)
+	}
+	q := New(Options{Shards: 1, Solve: improveSolver, MemBudget: mid, Quantized: true})
+	defer q.Close()
 	if _, err := q.Submit(context.Background(), ins[0]); !errors.As(err, &ob) {
 		t.Fatalf("quantizing pool Submit err = %v, want *OverBudgetError", err)
 	}
@@ -205,13 +213,10 @@ func TestMemBudgetSigmaResidencyWaiver(t *testing.T) {
 }
 
 func TestEstimateMemGenomePreset(t *testing.T) {
-	// The motivating case from the cost-model comment: a genome-scale σ
-	// (alphabet width grows with the region count) costs bytes per nonzero
-	// cell in float mode — a small term a modest budget admits — while
-	// int32 mode's dense quantized pair is gigabytes, so any sane daemon
-	// budget must refuse it while the same budget passes the small
-	// instances by orders of magnitude.
-	small := testInstances(t, 1, 30)[0]
+	// A genome-scale σ (alphabet width grows with the region count) costs
+	// bytes per nonzero cell in both score modes — a small term a modest
+	// budget admits. Integer mode's quantized forms mirror the float64
+	// ones, so the σ term at most doubles instead of growing with dim².
 	cfg := gen.DefaultConfig(1)
 	cfg.Regions = 5000
 	big := gen.Generate(cfg).Instance
@@ -219,11 +224,12 @@ func TestEstimateMemGenomePreset(t *testing.T) {
 	if float.SigmaBytes > 4<<20 {
 		t.Fatalf("genome-scale float σ estimated at %v bytes, want O(nonzeros) under 4 MiB", float.SigmaBytes)
 	}
-	if quant.SigmaBytes < 100*EstimateMem(small, true).Total() {
-		t.Fatalf("genome-scale int32 σ (%v) not dominating small instance (%v)",
-			quant.SigmaBytes, EstimateMem(small, true).Total())
+	if quant.SigmaBytes != 2*float.SigmaBytes {
+		t.Fatalf("genome-scale quantized σ estimated at %v bytes, want twice the float σ %v",
+			quant.SigmaBytes, float.SigmaBytes)
 	}
-	if quant.SigmaBytes < 100*float.SigmaBytes {
-		t.Fatalf("int32 σ pair (%v) not dominating the sparse float σ (%v)", quant.SigmaBytes, float.SigmaBytes)
+	dim := 2*int64(big.MaxSymbolID()) + 1
+	if quant.SigmaBytes >= 4*dim*dim {
+		t.Fatalf("quantized σ (%v bytes) is not below one dense int32 matrix (%v bytes)", quant.SigmaBytes, 4*dim*dim)
 	}
 }

@@ -59,8 +59,9 @@ type Options struct {
 	// the pool's cache) are charged only scratch + state. 0 disables the
 	// gate.
 	MemBudget int64
-	// Quantized tells the memory budget that solves run in int32 score
-	// mode, which adds the dense quantized σ pair to the σ term.
+	// Quantized tells the memory budget that solves run in integer score
+	// mode, which adds the quantized σ matrix, its transpose and their
+	// positive-cell indexes to the σ term.
 	Quantized bool
 }
 

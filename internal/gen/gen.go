@@ -136,8 +136,8 @@ func DefaultConfig(seed int64) Config {
 //
 //	genome-small — 5,000 regions; the CI-sized seeded benchmark target.
 //	genome-large — 50,000 regions; offline only (run with seeded mode;
-//	               σ compiles to ~10 MB, but int32 score mode's dense σ
-//	               pair alone is hundreds of GB).
+//	               σ compiles to ~10 MB, about twice that in int32 score
+//	               mode).
 //
 // Unknown names return ok == false.
 func Preset(name string, seed int64) (Config, bool) {

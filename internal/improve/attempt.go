@@ -6,7 +6,6 @@ import (
 	"repro/internal/align"
 	"repro/internal/core"
 	"repro/internal/improve/enum"
-	"repro/internal/score"
 )
 
 // candKey is the structural identity of an attempt: the comparable cache
@@ -168,17 +167,6 @@ func runI2(st *state, k candKey) float64 {
 	fWord := st.in.Frag(f.Sp, f.Idx).Regions[fLo:fHi]
 	gOri := st.in.Frag(g.Sp, g.Idx).Regions[gLo:gHi].Orient(rev)
 	sigma := st.sigmaFor(f.Sp)
-	// Quantized screen: most candidate windows align to nothing, and the
-	// attempt bails identically on sc ≤ 0 below — so on the int32 tier a
-	// cheap ScoreAtLeast sweep (early-exits on the suffix gain bound,
-	// O(|b|) space instead of the full Align matrix) rejects them before
-	// the quadratic fill. Exact whenever it exceeds the threshold, so
-	// accepted pairs proceed unchanged.
-	if _, ok := sigma.(*score.CompiledInt); ok && len(fWord)*len(gOri) >= 128 {
-		if st.scr.ScoreAtLeast(fWord, gOri, sigma, 0) <= 0 {
-			return st.delta - start
-		}
-	}
 	sc, cols := st.scr.Align(fWord, gOri, sigma)
 	if sc <= 0 || len(cols) == 0 {
 		return st.delta - start

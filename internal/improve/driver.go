@@ -65,9 +65,9 @@ type Options struct {
 	// improvements to 4k² without any gain threshold.
 	Quantize bool
 	// IntScore runs the search under the integer-quantized σ matrix
-	// (score.CompiledInt): every alignment kernel then sweeps contiguous
-	// int32 rows instead of float64, and the final solution is re-scored
-	// under the true σ at the boundary. Search decisions differ from float
+	// (score.CompiledInt): every alignment kernel then sums whole units
+	// of σ, and the final solution is re-scored under the true σ at the
+	// boundary. Search decisions differ from float
 	// mode by at most the quantization bound (zero when σ is unit-quantized,
 	// e.g. integral tables — see score.CompiledInt.Exact). Combines with
 	// Quantize: the scaled shadow scorer is then quantized exactly, since
@@ -208,7 +208,7 @@ func Improve(in *core.Instance, opt Options) (*core.Solution, Stats, error) {
 	if opt.Methods == 0 {
 		opt.Methods = AllMethods
 	}
-	// Integer-quantized search: swap σ for its int32 matrix, run the whole
+	// Integer-quantized search: swap σ for its quantized matrix, run the whole
 	// algorithm under it, and re-score the result under the true σ at the
 	// end — the same shadow-instance shape as the Quantize path below. When
 	// Quantize is also set it runs first (outer), so the scaled scorer is

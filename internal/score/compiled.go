@@ -267,9 +267,8 @@ func (c *Compiled) IndexWordInto(dst []int32, w symbol.Word) []int32 {
 }
 
 // PosRow returns the positive cells of symbol a's row as parallel
-// column-index and value slices (column order, ascending) — the float64
-// counterpart of CompiledInt.PosRow. The returned slices must not be
-// modified. The caller must ensure |a| ≤ MaxID.
+// column-index and value slices (column order, ascending). The returned
+// slices must not be modified. The caller must ensure |a| ≤ MaxID.
 func (c *Compiled) PosRow(a symbol.Symbol) (cols []int32, vals []float64) {
 	ia := int32(a) + c.n
 	lo, hi := c.posOff[ia], c.posOff[ia+1]
@@ -342,7 +341,7 @@ func (t transposedScorer) Score(a, b symbol.Symbol) float64 { return t.base.Scor
 
 // Transpose returns the scorer with species sides exchanged. Transposing a
 // transpose returns the original scorer; transposing a compiled matrix
-// (float64 or int32-quantized) returns the transposed compiled matrix.
+// (float64 or quantized) returns the transposed compiled matrix.
 func Transpose(sc Scorer) Scorer {
 	switch s := sc.(type) {
 	case *Compiled:

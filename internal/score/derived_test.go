@@ -44,33 +44,21 @@ func refCSR(flat []float64, dim int32) (off, col []int32, val []float64) {
 	return off, col, val
 }
 
-func refNonzeros(flat []int32, dim, stride int32) []int32 {
-	var nz []int32
+func refTranspose(flat []float64, dim int32) []float64 {
+	out := make([]float64, len(flat))
 	for i := int32(0); i < dim; i++ {
 		for j := int32(0); j < dim; j++ {
-			if flat[i*stride+j] != 0 {
-				nz = append(nz, i*stride+j)
-			}
-		}
-	}
-	return nz
-}
-
-func refTranspose[T float64 | int32](flat []T, dim, stride int32) []T {
-	out := make([]T, len(flat))
-	for i := int32(0); i < dim; i++ {
-		for j := int32(0); j < dim; j++ {
-			out[j*stride+i] = flat[i*stride+j]
+			out[j*dim+i] = flat[i*dim+j]
 		}
 	}
 	return out
 }
 
-func refPosRows[T float64 | int32](flat []T, dim, stride int32) (off, col []int32, val []T) {
+func refPosRows(flat []float64, dim int32) (off, col []int32, val []float64) {
 	off = make([]int32, dim+1)
 	for i := int32(0); i < dim; i++ {
 		for j := int32(0); j < dim; j++ {
-			if v := flat[i*stride+j]; v > 0 {
+			if v := flat[i*dim+j]; v > 0 {
 				col = append(col, j)
 				val = append(val, v)
 			}
@@ -112,20 +100,17 @@ func refChooseUnit(base Scorer, flat []float64) float64 {
 	return maxAbs / headroom
 }
 
-// refQuantize returns the quantized matrix (row pitch padStride(dim)) of
-// the dense dim×dim matrix flat, its largest |cell| and its largest
-// per-cell rounding error.
-func refQuantize(flat []float64, dim int32, unit float64) (q []int32, maxAbs int32, cellErr float64) {
-	d, st := int(dim), int(padStride(dim))
-	q = make([]int32, st*d)
-	for r := 0; r < d; r++ {
-		for j, v := range flat[r*d : (r+1)*d] {
-			x := int32(math.Round(v / unit))
-			q[r*st+j] = x
-			maxAbs = max(maxAbs, x, -x)
-			if e := math.Abs(v - float64(x)*unit); e > cellErr {
-				cellErr = e
-			}
+// refQuantize returns the quantized dense matrix of the dense dim×dim
+// matrix flat (each cell a whole number of units), its largest |cell| and
+// its largest per-cell rounding error.
+func refQuantize(flat []float64, unit float64) (q []float64, maxAbs int32, cellErr float64) {
+	q = make([]float64, len(flat))
+	for i, v := range flat {
+		x := int32(math.Round(v / unit))
+		q[i] = float64(x)
+		maxAbs = max(maxAbs, x, -x)
+		if e := math.Abs(v - float64(x)*unit); e > cellErr {
+			cellErr = e
 		}
 	}
 	return q, maxAbs, cellErr
@@ -146,36 +131,26 @@ func checkFloatIndex(t *testing.T, name string, c *Compiled, ref []float64) {
 		t.Fatalf("%s: CSR cells differ from the dense scan:\n%v %v %v\nwant\n%v %v %v",
 			name, c.rowOff, c.col, c.val, off, col, val)
 	}
-	off, col, val = refPosRows(ref, c.dim, c.dim)
+	off, col, val = refPosRows(ref, c.dim)
 	if !slices.Equal(c.posOff, off) || !slices.Equal(c.posCol, col) || !sameBits(c.posVal, val) {
 		t.Fatalf("%s: PosRow index differs from the dense scan", name)
 	}
 }
 
-func checkIntIndex(t *testing.T, name string, ci *CompiledInt) {
+// checkQuantized asserts ci holds exactly the quantized cells of the dense
+// reference ref under unit — its matrix and positive-row index bit for bit,
+// with no cell that rounds to 0 stored — and returns the quantized dense
+// matrix.
+func checkQuantized(t *testing.T, name string, ref []float64, ci *CompiledInt, unit float64) []float64 {
 	t.Helper()
-	if got, want := ci.nz, refNonzeros(ci.flat, ci.dim, ci.stride); !slices.Equal(got, want) {
-		t.Fatalf("%s: int nz = %v, want %v", name, got, want)
-	}
-	ci.PosRow(0)
-	off, col, val := refPosRows(ci.flat, ci.dim, ci.stride)
-	if !slices.Equal(ci.posOff, off) || !slices.Equal(ci.posCol, col) || !slices.Equal(ci.posVal, val) {
-		t.Fatalf("%s: int PosRow index differs from the dense scan", name)
-	}
-}
-
-func checkQuantized(t *testing.T, name string, ref []float64, ci *CompiledInt, unit float64) {
-	t.Helper()
-	flat, maxAbs, cellErr := refQuantize(ref, ci.dim, unit)
+	q, maxAbs, cellErr := refQuantize(ref, unit)
 	if math.Float64bits(ci.unit) != math.Float64bits(unit) || ci.maxAbs != maxAbs ||
 		math.Float64bits(ci.cellErr) != math.Float64bits(cellErr) {
 		t.Fatalf("%s: unit/maxAbs/cellErr = %v/%v/%v, want %v/%v/%v",
 			name, ci.unit, ci.maxAbs, ci.cellErr, unit, maxAbs, cellErr)
 	}
-	if !slices.Equal(ci.flat, flat) {
-		t.Fatalf("%s: quantized flat differs from the dense scan", name)
-	}
-	checkIntIndex(t, name, ci)
+	checkFloatIndex(t, name, ci.Compiled, q)
+	return q
 }
 
 // checkDerived checks c against a dense scan of base over every covered
@@ -194,24 +169,24 @@ func checkDerived(t *testing.T, name string, c *Compiled, base Scorer) {
 	checkFloatIndex(t, name, c, ref)
 
 	ct := c.Transposed()
-	checkFloatIndex(t, name+"/T", ct, refTranspose(ref, c.dim, c.dim))
+	checkFloatIndex(t, name+"/T", ct, refTranspose(ref, c.dim))
 	if ct.Transposed() != c {
 		t.Fatalf("%s: Transposed().Transposed() is not the original matrix", name)
 	}
 
 	ci := c.Int()
-	checkQuantized(t, name+"/int", ref, ci, refChooseUnit(c.base, ref))
+	q := checkQuantized(t, name+"/int", ref, ci, refChooseUnit(c.base, ref))
 	cit := ci.Transposed()
-	if !slices.Equal(cit.flat, refTranspose(ci.flat, ci.dim, ci.stride)) {
-		t.Fatalf("%s: int Transposed flat differs from the dense transpose", name)
-	}
+	checkFloatIndex(t, name+"/int/T", cit.Compiled, refTranspose(q, c.dim))
 	if cit.unit != ci.unit || cit.maxAbs != ci.maxAbs || cit.cellErr != ci.cellErr {
 		t.Fatalf("%s: int transpose changed unit/maxAbs/cellErr", name)
 	}
 	if cit.Source() != ct {
 		t.Fatalf("%s: int transpose's source is not the float transpose", name)
 	}
-	checkIntIndex(t, name+"/int/T", cit)
+	if cit.Compiled != ci.Compiled.Transposed() {
+		t.Fatalf("%s: int transpose's matrix is not the quantized matrix's cached transpose", name)
+	}
 	if cit.Transposed() != ci {
 		t.Fatalf("%s: int Transposed().Transposed() is not the original matrix", name)
 	}
@@ -291,7 +266,7 @@ func (z negZero) Score(a, b symbol.Symbol) float64 {
 
 // TestDerivedFormsMatchDenseScan is the differential test of the sparse
 // layout: on every compile path, the matrix, its transpose, the
-// positive-row indexes and the int32 quantization are bit-identical to
+// positive-row indexes and the integer quantization are bit-identical to
 // plain dense scans of the base scorer, and the sparse rows list exactly
 // the nonzero cells.
 func TestDerivedFormsMatchDenseScan(t *testing.T) {

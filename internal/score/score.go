@@ -26,10 +26,11 @@
 // O(stored entries + dim), Quantized in O(nonzero cells of its base), and
 // only other scorers evaluate every cell. The derived forms — the
 // transpose (a counting sort, CSR to CSC) and the per-row positive-cell
-// lists (PosRow) — cost O(nonzeros + dim). The int32 quantization (Int) is
-// the one dense form: a dim×dim int32 matrix pair for the lane-blocked
-// kernels, built only when a solve asks for integer scoring. Transpose
-// exchanges species sides, transposing the compiled matrix when given one.
+// lists (PosRow) — cost O(nonzeros + dim). The integer quantization (Int)
+// is one more matrix of the same layout, holding each cell rounded to a
+// whole number of quantization units, so it costs what the float64 form
+// does. Transpose exchanges species sides, transposing the compiled matrix
+// when given one.
 package score
 
 import (

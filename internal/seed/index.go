@@ -10,7 +10,7 @@ import (
 // sigmaIndex is the seeding pipeline's column-wise view of σ: for every
 // oriented symbol b it knows the best positive partner argmax_h σ(h, b)
 // and the full positive-partner list. Both are distilled from the forward
-// matrix's cached positive-row lists (Compiled/CompiledInt.PosRow) in one
+// matrix's cached positive-row lists (Compiled.PosRow) in one
 // sparse pass — the earlier implementation materialized the dense
 // Transposed() matrix just to read its columns, which at genome scale
 // (dim ≈ 20k) allocated ~3 GB and dominated the seeded wall with page
@@ -22,27 +22,19 @@ type sigmaIndex struct {
 }
 
 func newSigmaIndex(sc score.Scorer) sigmaIndex {
-	switch m := sc.(type) {
+	var m *score.Compiled
+	switch c := sc.(type) {
 	case *score.CompiledInt:
-		n := m.MaxID()
-		x := newEmptySigmaIndex(n)
-		bv := make([]int32, 2*int(n)+1)
-		for a := -n; a <= n; a++ {
-			cols, vals := m.PosRow(symbol.Symbol(a))
-			x.addRow(a, cols, func(k int) bool { return vals[k] > bv[cols[k]] },
-				func(k int) { bv[cols[k]] = vals[k] })
-		}
-		return x
+		// Partners rank by their quantized cells, as the quantized
+		// search scores them.
+		m = c.Compiled
 	case *score.Compiled:
-		return newSigmaIndexF(m)
+		m = c
 	default:
 		// Prepare always returns a compiled form; this path is unreachable
 		// from Candidates but keeps the type total.
-		return newSigmaIndexF(score.Compile(sc, 0))
+		m = score.Compile(sc, 0)
 	}
-}
-
-func newSigmaIndexF(m *score.Compiled) sigmaIndex {
 	n := m.MaxID()
 	x := newEmptySigmaIndex(n)
 	bv := make([]float64, 2*int(n)+1)
@@ -299,28 +291,25 @@ func (idx *index) queryFrag(in *core.Instance, sx sigmaIndex, mi int, dst []Anch
 	return dst
 }
 
-// verifyScratch re-scores chain windows through the banded alignment
-// kernels, on whichever compiled σ form the instance prepared.
+// verifyScratch re-scores chain windows through the alignment kernels, on
+// whichever compiled σ form the instance prepared.
 type verifyScratch struct {
-	scr *align.Scratch
-	sc  score.Scorer
-	ci  *score.CompiledInt
+	scr       *align.Scratch
+	sc        score.Scorer
+	quantized bool
 }
 
 func newVerifyScratch(in *core.Instance) *verifyScratch {
 	sc := score.Prepare(in.Sigma, in.MaxSymbolID())
-	v := &verifyScratch{scr: align.NewScratch(), sc: sc}
-	if ci, ok := sc.(*score.CompiledInt); ok {
-		v.ci = ci
-	}
-	return v
+	_, quantized := sc.(*score.CompiledInt)
+	return &verifyScratch{scr: align.NewScratch(), sc: sc, quantized: quantized}
 }
 
 func (v *verifyScratch) release() { v.scr.Release() }
 
 // positive reports whether the chain's window, extended by the band slack,
-// aligns to a positive score. The int32 form uses the early-exit sparse
-// kernel (ScoreAtLeast against 0); the float64 form the banded DP.
+// aligns to a positive score. The quantized form scores the whole window;
+// the float64 form runs the banded DP.
 func (v *verifyScratch) positive(in *core.Instance, p Params, pr Pair, ch Chain) bool {
 	hw := in.Frag(core.SpeciesH, pr.H).Regions
 	mw := in.Frag(core.SpeciesM, pr.M).Regions
@@ -331,8 +320,8 @@ func (v *verifyScratch) positive(in *core.Instance, p Params, pr Pair, ch Chain)
 	}
 	a := hw[hLo:hHi]
 	b := mw[mLo:mHi].Orient(ch.Rev)
-	if v.ci != nil {
-		return v.scr.ScoreAtLeast(a, b, v.sc, 0) > 0
+	if v.quantized {
+		return v.scr.Score(a, b, v.sc) > 0
 	}
 	band := len(a) - len(b)
 	if band < 0 {

@@ -17,9 +17,9 @@
 //  3. An O(n log n) sweep-line colinear chainer per fragment pair and
 //     orientation (chain.go, backed by fenwick.MaxTree) scores anchor
 //     chains under a decomposable gap penalty and keeps the best chain per
-//     orientation; surviving chains optionally verify their banded window
-//     through the existing ScoreBanded / ScoreAtLeast kernels before the
-//     pair is admitted.
+//     orientation; surviving chains optionally verify their window through
+//     the existing ScoreBanded (float64 σ) or Score (quantized σ) kernels
+//     before the pair is admitted.
 //
 // The output is a sparse fragment-pair set (plus per-pair chain windows)
 // that the improve driver consumes as its candidate universe
@@ -62,8 +62,8 @@ type Params struct {
 	// Band is the extra half-width added to a chain window's banded
 	// verification alignment, and the slack the window is extended by.
 	Band int
-	// Verify re-scores each surviving chain window through the banded
-	// kernels (ScoreBanded on float64 σ, ScoreAtLeast on int32) and drops
+	// Verify re-scores each surviving chain window through the alignment
+	// kernels (ScoreBanded on float64 σ, Score on a quantized σ) and drops
 	// pairs whose window aligns to nothing.
 	Verify bool
 	// Exhaustive replaces minimizer seeding with the complete positive-σ

@@ -44,8 +44,9 @@ type OverBudgetError = batch.OverBudgetError
 
 // EstimateMem runs the admission cost model on one instance: the bytes a
 // solve would pin for the compiled σ, DP scratch, and solver state. Solve
-// options shape the σ term: WithIntScore(true) adds the dense int32 σ pair
-// of integer scoring. The same model gates WithMemBudget pools (which
+// options shape the σ term: WithIntScore(true) adds the quantized matrix,
+// its transpose and their positive-cell indexes, per nonzero σ cell like
+// the float64 forms. The same model gates WithMemBudget pools (which
 // additionally waive the σ term for cached alphabets).
 func EstimateMem(in *Instance, opts ...Option) MemEstimate {
 	return batch.EstimateMem(in, newSolveCfg(opts).intScore)
