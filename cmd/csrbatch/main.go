@@ -57,7 +57,6 @@ func main() {
 		algo      = flag.String("algo", "csr-improve", "algorithm for every instance")
 		shards    = flag.Int("shards", 0, "concurrent solvers (0 = GOMAXPROCS)")
 		queue     = flag.Int("queue", 0, "submission queue bound (0 = 2×shards)")
-		workers   = flag.Int("workers", 1, "shared candidate-evaluation workers (>1 adds a shared eval pool)")
 		eps       = flag.Float64("eps", 0.05, "scaling slack for improvement algorithms")
 		seed4     = flag.Bool("seed4", true, "seed improvement with the 4-approximation")
 		timeout   = flag.Duration("timeout", 0, "per-instance solve deadline (0 = none)")
@@ -128,7 +127,6 @@ func main() {
 	pool := fragalign.NewBatchPool(fragalign.Algorithm(*algo),
 		fragalign.WithShards(*shards),
 		fragalign.WithQueueDepth(*queue),
-		fragalign.WithWorkers(*workers),
 		fragalign.WithEps(*eps),
 		fragalign.WithFourApproxSeed(*seed4),
 		fragalign.WithPerInstanceTimeout(*timeout),

@@ -19,7 +19,7 @@ func main() {
 	var (
 		algo    = flag.String("algo", "csr-improve", "algorithm (see -list)")
 		list    = flag.Bool("list", false, "list algorithms and exit")
-		workers = flag.Int("workers", 1, "worker goroutines")
+		workers = flag.Int("workers", 1, "worker goroutines of the exact solver's layout enumeration (other algorithms run on one goroutine)")
 		eps     = flag.Float64("eps", 0.05, "scaling slack for improvement algorithms")
 		seed4   = flag.Bool("seed4", true, "seed improvement with the 4-approximation")
 	)

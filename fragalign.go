@@ -266,8 +266,9 @@ type solveCfg struct {
 	memBudget int64
 }
 
-// WithWorkers parallelizes candidate evaluation (improvement algorithms)
-// or layout enumeration (exact).
+// WithWorkers parallelizes the exact solver's layout enumeration. It has no
+// effect on the other algorithms: every improvement solve runs on one
+// goroutine, and batch parallelism comes from WithShards.
 func WithWorkers(n int) Option { return func(c *solveCfg) { c.workers = n } }
 
 // WithEps sets the §4.1 scaling slack for the improvement algorithms
@@ -404,15 +405,13 @@ func newSolveCfg(opts []Option) solveCfg {
 
 // Solve runs the selected algorithm on the instance.
 func Solve(in *Instance, alg Algorithm, opts ...Option) (*Result, error) {
-	return solveInstance(nil, in, alg, newSolveCfg(opts), nil)
+	return solveInstance(nil, in, alg, newSolveCfg(opts))
 }
 
 // solveInstance is the shared solver core behind Solve and the batch APIs:
-// ctx cancels improvement runs sub-round (between candidate simulations,
-// between enumeration shards, and inside TPA batches), and eval (when
-// non-nil) is a batch-owned evaluation pool shared across concurrent solves
-// for both simulation and enumeration jobs.
-func solveInstance(ctx context.Context, in *Instance, alg Algorithm, cfg solveCfg, eval *improve.EvalPool) (*Result, error) {
+// ctx cancels improvement runs sub-round (between candidate simulations and
+// inside TPA batches).
+func solveInstance(ctx context.Context, in *Instance, alg Algorithm, cfg solveCfg) (*Result, error) {
 	res := &Result{Algorithm: alg}
 	start := time.Now()
 	defer func() { res.Wall = time.Since(start) }()
@@ -472,7 +471,6 @@ func solveInstance(ctx context.Context, in *Instance, alg Algorithm, cfg solveCf
 			Methods:            methods,
 			Eps:                cfg.eps,
 			SeedWithFourApprox: cfg.seed4,
-			Workers:            cfg.workers,
 			Quantize:           cfg.quantize,
 			IntScore:           cfg.intScore,
 			Seeded:             cfg.seeded,
@@ -482,7 +480,6 @@ func solveInstance(ctx context.Context, in *Instance, alg Algorithm, cfg solveCf
 			Checkpoint:         cfg.checkpoint,
 			Resume:             cfg.resume,
 			Ctx:                ctx,
-			Eval:               eval,
 		})
 		if err != nil {
 			return nil, err

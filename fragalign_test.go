@@ -63,7 +63,7 @@ func TestSolveUnknownAlgorithm(t *testing.T) {
 func TestSolveOptionsAndStats(t *testing.T) {
 	in := PaperExample()
 	res, err := Solve(in, CSRImprove,
-		WithWorkers(2), WithEps(0.1), WithFourApproxSeed(true), WithConsistencyChecks(true))
+		WithEps(0.1), WithFourApproxSeed(true), WithConsistencyChecks(true))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,19 +3,12 @@
 // where thousands of instances arrive as a stream rather than one at a
 // time.
 //
-// A Pool owns three shared resources:
+// A Pool owns two shared resources:
 //
 //   - Shards: a fixed set of solver goroutines that pull submitted
 //     instances from a bounded queue. Parallelism comes from solving
-//     distinct instances on distinct shards, so individual solves default
-//     to single-threaded evaluation.
-//   - One improve.EvalPool (optional): workers shared by every in-flight
-//     improvement solve for both of the driver's shardable job kinds —
-//     candidate gain simulations and enumeration piece refreshes
-//     (internal/improve/enum) — instead of goroutines spawned per
-//     instance. Because completion is tracked per submission batch, the
-//     enumeration shards of one solve overlap with the simulations of
-//     another on the same workers.
+//     distinct instances on distinct shards; each solve runs on its
+//     shard's goroutine alone.
 //   - A per-alphabet cache of compiled σ matrices keyed by scorer
 //     identity: thousands of instances sharing one score table compile σ
 //     into the sparse matrix once, and the lazily cached transpose
@@ -26,8 +19,7 @@
 // Submission is bounded and cancelable: Submit blocks while the queue is
 // full (respecting the submission context) and each instance carries its
 // own context, checked before the solve starts and — sub-round — between
-// candidate simulations, between enumeration shards, and inside TPA
-// batches, so a per-instance deadline interrupts even a single long
+// candidate simulations and inside TPA batches, so a per-instance deadline interrupts even a single long
 // improvement round. Results are delivered through Tickets in submission
 // order, so output ordering — and, because each solve is deterministic in
 // isolation, every per-instance result — is byte-identical regardless of

@@ -23,10 +23,10 @@ package batch
 //     bound: cells that round to 0 are dropped).
 //   - DP scratch: alignment kernels sweep rolled rows, but the two-phase
 //     scoring path materializes O(maxH·maxM) cells for the longest fragment
-//     pair, plus per-worker row scratch.
+//     pair, plus the solve's row scratch.
 //   - solver state: per-region structures (sites, index slots, version
 //     counters, enumeration pieces) and per-match bookkeeping across the
-//     live state and its simulation clones.
+//     live state and its simulation undo trail.
 //
 // The σ term is pinned against measured allocations (memcost_test.go); the
 // other constants are calibrated to observed live-heap profiles of the
@@ -71,7 +71,7 @@ const (
 	sigmaSymbolBytes = 6 * 4       // four row-offset arrays + two counting-sort cursors
 	scratchCellBytes = 8           // one two-phase DP cell
 	regionBytes      = 192         // sites, fragment index slots, enum pieces, versions
-	matchBytes       = 96          // live match + memo + clone share
+	matchBytes       = 96          // live match + memo + trail share
 )
 
 // EstimateMem runs the admission cost model on one instance; quantized

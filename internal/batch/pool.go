@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
-	"repro/internal/improve"
 	"repro/internal/score"
 )
 
@@ -22,17 +21,11 @@ var ErrClosed = errors.New("batch: pool is closed")
 // free slot — the admission-control signal servers turn into a 429.
 var ErrQueueFull = errors.New("batch: submission queue is full")
 
-// Runtime hands a Solver the pool resources shared across instances.
-type Runtime struct {
-	// Eval is the shared candidate-evaluation pool, nil when the pool was
-	// built with EvalWorkers == 0. Solvers pass it to improve.Options.Eval.
-	Eval *improve.EvalPool
-}
-
 // Solver solves one instance. The instance's Sigma has already been swapped
 // for the pool's cached compiled matrix; ctx is the per-instance context
-// and is already non-nil and live when the solver runs.
-type Solver func(ctx context.Context, in *core.Instance, rt Runtime) (any, error)
+// and is already non-nil and live when the solver runs. Each solve runs on
+// its shard's goroutine.
+type Solver func(ctx context.Context, in *core.Instance) (any, error)
 
 // Options configures a Pool.
 type Options struct {
@@ -42,10 +35,6 @@ type Options struct {
 	// Queue bounds the submission queue; Submit blocks when it is full.
 	// < 1 means 2×Shards.
 	Queue int
-	// EvalWorkers sizes the shared improve.EvalPool; 0 disables it (each
-	// solve evaluates candidates on its own shard goroutine, which is the
-	// right default when Shards already saturates the machine).
-	EvalWorkers int
 	// Solve is the per-instance solver. Required.
 	Solve Solver
 	// Inject arms the fault-injection points inside the pool (shard
@@ -132,7 +121,6 @@ type Pool struct {
 	// section is O(ns) and TrySubmit can reject without ever blocking
 	// behind a stalled Submit.
 	space chan struct{}
-	eval  *improve.EvalPool
 	sigs  sigCache
 	inj   *faultinject.Injector
 	next  atomic.Int64
@@ -177,9 +165,6 @@ func New(opts Options) *Pool {
 		p.space <- struct{}{}
 	}
 	p.sigs.init()
-	if opts.EvalWorkers > 0 {
-		p.eval = improve.NewEvalPool(opts.EvalWorkers)
-	}
 	p.wg.Add(opts.Shards)
 	for i := 0; i < opts.Shards; i++ {
 		go p.shard(i)
@@ -326,8 +311,7 @@ func (p *Pool) SolveAll(ctx context.Context, ins []*core.Instance) (results []an
 	return results, errs, err
 }
 
-// Close drains the queue, stops the shards, and releases the shared eval
-// pool. Submit fails with ErrClosed afterwards; Close is idempotent. This
+// Close drains the queue and stops the shards. Submit fails with ErrClosed afterwards; Close is idempotent. This
 // is the graceful-drain primitive: queued and in-flight instances finish
 // (Close blocks for them), only new submissions are refused.
 func (p *Pool) Close() {
@@ -342,9 +326,6 @@ func (p *Pool) Close() {
 		return
 	}
 	p.wg.Wait()
-	if p.eval != nil {
-		p.eval.Close()
-	}
 }
 
 func (p *Pool) shard(id int) {
@@ -390,7 +371,7 @@ func (p *Pool) run(id int, t *Ticket) {
 	if p.inj.Fires(faultinject.SolvePanic) {
 		panic("faultinject: injected solver panic")
 	}
-	t.res, t.err = p.opts.Solve(t.ctx, t.in, Runtime{Eval: p.eval})
+	t.res, t.err = p.opts.Solve(t.ctx, t.in)
 	// Injected deadline overrun: a solver that ignores cancellation and
 	// keeps the shard busy past its deadline — deliberately not woken by
 	// ctx.Done.

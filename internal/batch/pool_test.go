@@ -32,12 +32,11 @@ func testInstances(t testing.TB, n, regions int) []*core.Instance {
 
 // improveSolver runs CSR_Improve and renders the solution as a canonical
 // string, so "byte-identical results" is literal string equality.
-func improveSolver(ctx context.Context, in *core.Instance, rt Runtime) (any, error) {
+func improveSolver(ctx context.Context, in *core.Instance) (any, error) {
 	sol, stats, err := improve.Improve(in, improve.Options{
 		Eps:                0.05,
 		SeedWithFourApprox: true,
 		Ctx:                ctx,
-		Eval:               rt.Eval,
 	})
 	if err != nil {
 		return nil, err
@@ -108,7 +107,7 @@ func TestShardCountInvariance(t *testing.T) {
 // instance must produce the identical result.
 func TestPoolConcurrentSubmit(t *testing.T) {
 	ins := testInstances(t, 4, 30)
-	p := New(Options{Shards: 4, Queue: 2, EvalWorkers: 2, Solve: improveSolver})
+	p := New(Options{Shards: 4, Queue: 2, Solve: improveSolver})
 	defer p.Close()
 
 	want := make([]string, len(ins))
@@ -244,15 +243,15 @@ func (c *pollDeadlineCtx) Err() error {
 // TestPerInstanceDeadlineSubRound pins the fine-grained cancellation path:
 // a deadline that fires mid-solve on a large instance must surface as that
 // instance's error before the solve would have finished, while other
-// instances sharing the pool (and its eval workers) complete normally with
-// results identical to an undisturbed pool. The deadline is poll-counted:
+// instances sharing the pool complete normally with results identical to
+// an undisturbed pool. The deadline is poll-counted:
 // the undisturbed run counts the big solve's context polls, and the
 // disturbed run expires at half that count.
 func TestPerInstanceDeadlineSubRound(t *testing.T) {
 	big := testInstances(t, 1, 90)[0]
 	small := testInstances(t, 3, 30)
 	run := func(bigCtx context.Context) ([]any, []error) {
-		p := New(Options{Shards: 2, EvalWorkers: 2, Solve: improveSolver})
+		p := New(Options{Shards: 2, Solve: improveSolver})
 		defer p.Close()
 		ctx := context.Background()
 		var tickets []*Ticket
@@ -310,7 +309,7 @@ func TestPerInstanceDeadlineSubRound(t *testing.T) {
 func TestBoundedQueueRespectsContext(t *testing.T) {
 	ins := testInstances(t, 3, 20)
 	release := make(chan struct{})
-	p := New(Options{Shards: 1, Queue: 1, Solve: func(ctx context.Context, in *core.Instance, rt Runtime) (any, error) {
+	p := New(Options{Shards: 1, Queue: 1, Solve: func(ctx context.Context, in *core.Instance) (any, error) {
 		<-release
 		return "done", nil
 	}})
@@ -338,7 +337,7 @@ func TestBoundedQueueRespectsContext(t *testing.T) {
 
 func TestSolverPanicIsAnError(t *testing.T) {
 	ins := testInstances(t, 1, 20)
-	p := New(Options{Shards: 1, Solve: func(ctx context.Context, in *core.Instance, rt Runtime) (any, error) {
+	p := New(Options{Shards: 1, Solve: func(ctx context.Context, in *core.Instance) (any, error) {
 		panic("boom")
 	}})
 	defer p.Close()
@@ -358,7 +357,7 @@ func TestSolverPanicIsAnError(t *testing.T) {
 func TestTrySubmitQueueFull(t *testing.T) {
 	ins := testInstances(t, 4, 20)
 	release := make(chan struct{})
-	p := New(Options{Shards: 1, Queue: 1, Solve: func(ctx context.Context, in *core.Instance, rt Runtime) (any, error) {
+	p := New(Options{Shards: 1, Queue: 1, Solve: func(ctx context.Context, in *core.Instance) (any, error) {
 		<-release
 		return in.Name, nil
 	}})
@@ -447,7 +446,7 @@ func TestCountersLifecycle(t *testing.T) {
 	for _, in := range ins {
 		in.Sigma = shared
 	}
-	p := New(Options{Shards: 2, Solve: func(ctx context.Context, in *core.Instance, rt Runtime) (any, error) {
+	p := New(Options{Shards: 2, Solve: func(ctx context.Context, in *core.Instance) (any, error) {
 		time.Sleep(time.Millisecond)
 		if in.Name == "w0" {
 			return nil, fmt.Errorf("synthetic failure")
@@ -491,7 +490,7 @@ func TestCountersLifecycle(t *testing.T) {
 // dense queue-ordered index sequence as Submit.
 func TestTrySubmitIndexOrder(t *testing.T) {
 	ins := testInstances(t, 8, 10)
-	p := New(Options{Shards: 1, Queue: 16, Solve: func(ctx context.Context, in *core.Instance, rt Runtime) (any, error) {
+	p := New(Options{Shards: 1, Queue: 16, Solve: func(ctx context.Context, in *core.Instance) (any, error) {
 		return in.Name, nil
 	}})
 	defer p.Close()
@@ -526,7 +525,7 @@ func TestIndexMatchesQueueOrder(t *testing.T) {
 	const n = 64
 	var mu sync.Mutex
 	var processed []string
-	p := New(Options{Shards: 1, Queue: 2, Solve: func(ctx context.Context, in *core.Instance, rt Runtime) (any, error) {
+	p := New(Options{Shards: 1, Queue: 2, Solve: func(ctx context.Context, in *core.Instance) (any, error) {
 		mu.Lock()
 		processed = append(processed, in.Name)
 		mu.Unlock()

@@ -16,21 +16,19 @@ import (
 // candidate lists carry no per-candidate closures.
 type candKey = enum.Cand
 
-// simulate evaluates candidate k in place on st — the live state, or a
-// pooled replica of it — and unwinds every edit before returning the gain.
-// The read recorder, cancellation probe and alignment scratch are installed
-// for the call only, and the accumulator starts from zero, so the gain is
-// the same float addition sequence as the replay that may follow. A
-// simulation cut short (a cancelled TPA batch, an early return) unwinds
-// just the same.
-func (st *state) simulate(k candKey, rec *readRecorder, ctx context.Context, scr *align.Scratch) float64 {
-	own := st.scr
-	st.rec, st.ctx, st.scr = rec, ctx, scr
+// simulate evaluates candidate k in place on the live state and unwinds
+// every edit before returning the gain. The read recorder and cancellation
+// probe are installed for the call only, and the accumulator starts from
+// zero, so the gain is the same float addition sequence as the replay that
+// may follow. A simulation cut short (a cancelled TPA batch, an early
+// return) unwinds just the same.
+func (st *state) simulate(k candKey, rec *readRecorder, ctx context.Context) float64 {
+	st.rec, st.ctx = rec, ctx
 	m := st.mark()
 	st.delta = 0
 	gain := runCand(st, k)
 	st.rollback(m)
-	st.rec, st.ctx, st.scr = nil, nil, own
+	st.rec, st.ctx = nil, nil
 	return gain
 }
 

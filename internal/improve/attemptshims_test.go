@@ -35,7 +35,7 @@ func i2Attempt(f core.FragRef, fe end, fw int, g core.FragRef, ge end, gw int) a
 // scratch — the non-incremental reference enumeration.
 func enumerate(st *state, methods Methods) []attempt {
 	en := enum.New(methods&FullOnly != 0, methods&BorderOnly != 0, nil)
-	keys := en.Candidates(enumView{st: st}, nil)
+	keys := en.Candidates(enumView{st: st})
 	out := make([]attempt, len(keys))
 	for i, k := range keys {
 		out[i] = attempt{key: k}

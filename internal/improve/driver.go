@@ -42,21 +42,11 @@ type Options struct {
 	SeedWithFourApprox bool
 	// MaxRounds caps the improvement iterations (safety net; 0 = 4k²+k).
 	MaxRounds int
-	// Workers parallelizes candidate gain evaluation; < 1 means 1.
-	Workers int
-	// Eval is an externally owned evaluation pool. When set, candidate
-	// simulations and enumeration refreshes are submitted to it instead of
-	// a per-call pool (Workers is then ignored), so batch drivers amortize
-	// worker goroutines across many concurrent solves — enumeration shards
-	// of one solve overlap with gain simulations of another. The pool
-	// outlives the call; Improve never closes it.
-	Eval *EvalPool
 	// Ctx cancels the solve; nil means never. Cancellation is sub-round:
-	// the driver checks between rounds, between candidate simulations,
-	// between enumeration shards, and inside TPA batches, and returns the
-	// context's error with the live state at the last accepted attempt — a
-	// simulation cut short unwinds its trail, and an accepted attempt is
-	// always applied atomically.
+	// the driver checks between rounds, between candidate simulations and
+	// inside TPA batches, and returns the context's error with the live
+	// state at the last accepted attempt — a simulation cut short unwinds
+	// its trail, and an accepted attempt is always applied atomically.
 	Ctx context.Context
 	// Quantize applies the literal §4.1 scaling: run the search under a
 	// scorer truncated to multiples of X/k² (X the 4-approximate score, k
@@ -128,10 +118,10 @@ type Options struct {
 
 // engineFunc is the signature of the driver's round loop: it runs rounds
 // on st from stats.Rounds up to maxRounds, accepting the best candidate
-// above floor each round through replayAccept.
+// above floor each round through replayAccept. Every round runs on the
+// calling goroutine.
 type engineFunc func(opt Options, st *state, en *enum.Enumerator,
-	pool *EvalPool, runShards enum.Runner, canceled func() error,
-	maxRounds int, floor float64, stats *Stats) error
+	canceled func() error, maxRounds int, floor float64, stats *Stats) error
 
 // CheckpointSink receives every accepted candidate of an improvement run in
 // acceptance order (see Options.Checkpoint). encoding.CheckpointWriter is
@@ -241,10 +231,6 @@ func Improve(in *core.Instance, opt Options) (*core.Solution, Stats, error) {
 	prepared := *in
 	prepared.Sigma = score.Prepare(in.Sigma, in.MaxSymbolID())
 	in = &prepared
-	workers := opt.Workers
-	if workers < 1 {
-		workers = 1
-	}
 	seedSol := opt.Seed
 	var baseline float64
 	if fa, err := onecsr.FourApprox(in); err == nil {
@@ -308,16 +294,6 @@ func Improve(in *core.Instance, opt Options) (*core.Solution, Stats, error) {
 		stats.SeedPairs = res.Stats.Pairs
 		stats.SeedAnchors = res.Stats.Anchors
 	}
-	pool := opt.Eval
-	if pool == nil && workers > 1 {
-		pool = NewEvalPool(workers)
-		defer pool.Close()
-	}
-	// Pool-less solves run every simulation inline on this goroutine (all
-	// concurrent paths below fall back to sequential loops when pool is
-	// nil), so the shared memos can elide their locks.
-	st.memo.seq = pool == nil
-	st.pmemo.seq = pool == nil
 	if len(opt.Resume) > 0 {
 		// Crash recovery: fast-forward the live state through the
 		// checkpointed accepted-op log. Each op is applied exactly as
@@ -352,38 +328,14 @@ func Improve(in *core.Instance, opt Options) (*core.Solution, Stats, error) {
 		}
 		return opt.Ctx.Err()
 	}
-	// Enumeration runs incrementally against the live version counters; its
-	// dirty-piece refreshes are sharded over the eval pool when one exists,
-	// overlapping with the candidate simulations of concurrent solves.
+	// Enumeration runs incrementally against the live version counters.
 	en := enum.New(opt.Methods&FullOnly != 0, opt.Methods&BorderOnly != 0, st.pairs)
-	runShards := func(tasks []func()) {
-		const chunk = 8
-		if pool == nil || len(tasks) < 2*chunk {
-			for _, t := range tasks {
-				t()
-			}
-			return
-		}
-		batch := evalBatch{p: pool}
-		for lo := 0; lo < len(tasks); lo += chunk {
-			part := tasks[lo:min(lo+chunk, len(tasks))]
-			batch.do(func(*align.Scratch) {
-				for _, t := range part {
-					if canceled() != nil {
-						return // stale pieces are fine: the round aborts
-					}
-					t()
-				}
-			})
-		}
-		batch.wait()
-	}
 	floor := max(stats.Threshold, opt.minGain)
 	engine := improveLazy
 	if opt.engine != nil {
 		engine = opt.engine
 	}
-	if err := engine(opt, st, en, pool, runShards, canceled, maxRounds, floor, &stats); err != nil {
+	if err := engine(opt, st, en, canceled, maxRounds, floor, &stats); err != nil {
 		return nil, stats, err
 	}
 	es := en.Stats()

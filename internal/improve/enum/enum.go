@@ -16,10 +16,6 @@
 // improve package checks this after every accepted attempt of real solves,
 // TestIncrementalEnumMatchesFull).
 //
-// Piece refreshes are independent closures; the driver may run them inline
-// or shard them over the shared evaluation pool (improve.EvalPool), where
-// they overlap with candidate simulations of concurrent batch solves.
-//
 // Two consumption modes share the piece cache. Repair reports which pieces
 // actually changed value, so the lazy best-first selection engine
 // (improve/selection.go) can patch just the affected candidate blocks of its
@@ -32,7 +28,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/core"
 )
@@ -172,8 +167,7 @@ func (r Reads) Note(fr core.FragRef, v uint64) {
 
 // Source is the read-only view of the solver state the Enumerator consumes.
 // Implementations must record every fragment a query reads into the passed
-// Reads set; queries must be safe for concurrent use while the state is
-// quiescent (the driver enumerates strictly between mutations).
+// Reads set. The driver enumerates strictly between mutations.
 type Source interface {
 	// NumFrags returns the fragment count of one species (fixed per solve).
 	NumFrags(sp core.Species) int
@@ -182,15 +176,13 @@ type Source interface {
 	// Version returns the live version of a fragment's match data.
 	Version(fr core.FragRef) uint64
 	// Sites returns the occupied sites on fr, sorted by position. The slice
-	// is transient: valid only until the next call.
+	// is transient: valid only until the next call, so the Enumerator never
+	// keeps it (WindowsOf and EndDepthsAt copy what they need).
 	Sites(fr core.FragRef, r Reads) []core.Site
-	// Chains returns fr's 2-island chain links in site order.
+	// Chains returns fr's 2-island chain links in site order. The Enumerator
+	// stores the slice as the piece value, so each call returns a fresh one.
 	Chains(fr core.FragRef, r Reads) []Chain
 }
-
-// Runner executes a batch of independent piece-refresh tasks, possibly
-// concurrently. A nil Runner runs them inline.
-type Runner func(tasks []func())
 
 // Depths holds the candidate I2 window depths at one fragment end: the free
 // depth up to the outermost match (when it exists and is partial) and the
@@ -414,18 +406,10 @@ type Enumerator struct {
 	dep   [2][]piece[[2]Depths] // I2 end depths per fragment
 	chain []piece[[]Chain]      // I3 chain links per H fragment
 
-	cands []Cand   // merged candidate list, rebuilt each Candidates call
-	tasks []func() // dirty-piece refresh tasks, reused across rounds
-	// refs[i] identifies the piece tasks[i] refreshes and changed[i] records
-	// whether its value actually moved; walked serially after the tasks ran,
-	// so change reporting is deterministic regardless of task scheduling.
-	refs    []Change
-	changed []bool
-	changes []Change
-	// refreshed counts tasks that actually executed (atomic: tasks may run
-	// on pool workers, and a canceled round skips queued tasks).
-	refreshed atomic.Int64
-	reused    int
+	cands   []Cand   // merged candidate list, rebuilt each Candidates call
+	changes []Change // pieces whose value moved in the last refresh, in visit order
+
+	refreshed, reused int
 }
 
 // New returns an Enumerator for the selected method families over the given
@@ -440,7 +424,7 @@ func (e *Enumerator) Pairs() *PairSet { return e.pairs }
 
 // Stats returns the cumulative piece-cache counters.
 func (e *Enumerator) Stats() Stats {
-	return Stats{Refreshed: int(e.refreshed.Load()), Reused: e.reused}
+	return Stats{Refreshed: e.refreshed, Reused: e.reused}
 }
 
 func (e *Enumerator) size(src Source) {
@@ -466,59 +450,49 @@ func (e *Enumerator) size(src Source) {
 	}
 }
 
-// refresh re-enumerates every piece whose recorded reads are dirty (sharded
-// through run; nil runs inline) and records, per piece, whether its value
-// actually changed. A piece refreshing to an identical value still updates
-// its recorded read set — otherwise it would stay permanently dirty — but
-// reports no change. Task scheduling order never affects the outcome: each
-// task touches only its own piece and its own changed slot.
-func (e *Enumerator) refresh(src Source, run Runner) {
+// refresh re-enumerates, in place, every piece whose recorded reads are
+// dirty, and collects the pieces whose value actually changed in
+// deterministic (species, fragment, piece-family) order. A piece refreshing
+// to an identical value still updates its recorded read set — otherwise it
+// would stay permanently dirty — but reports no change.
+func (e *Enumerator) refresh(src Source) {
 	e.size(src)
-	e.tasks, e.refs, e.changed = e.tasks[:0], e.refs[:0], e.changed[:0]
-	add := func(kind PieceKind, fr core.FragRef, task func(i int)) {
-		i := len(e.tasks)
-		e.refs = append(e.refs, Change{Kind: kind, Frag: fr})
-		e.changed = append(e.changed, false)
-		e.tasks = append(e.tasks, func() {
-			task(i)
-			e.refreshed.Add(1)
-		})
+	e.changes = e.changes[:0]
+	note := func(kind PieceKind, fr core.FragRef, changed bool) {
+		e.refreshed++
+		if changed {
+			e.changes = append(e.changes, Change{Kind: kind, Frag: fr})
+		}
 	}
 	visit := func(sp core.Species, idx int) {
 		fr := core.FragRef{Sp: sp, Idx: idx}
 		if e.full {
 			if p := &e.win[sp][idx]; !p.valid(src) {
-				add(PieceI1Windows, fr, func(i int) {
-					r := make(Reads, 2)
-					v := WindowsOf(src.Sites(fr, r), src.FragLen(fr))
-					e.changed[i] = !p.ok || !slices.Equal(p.val, v)
-					p.val, p.reads, p.ok = v, r, true
-				})
+				r := make(Reads, 2)
+				v := WindowsOf(src.Sites(fr, r), src.FragLen(fr))
+				note(PieceI1Windows, fr, !p.ok || !slices.Equal(p.val, v))
+				p.val, p.reads, p.ok = v, r, true
 			} else {
 				e.reused++
 			}
 		}
 		if e.border {
 			if p := &e.dep[sp][idx]; !p.valid(src) {
-				add(PieceI2Depths, fr, func(i int) {
-					r := make(Reads, 1)
-					n := src.FragLen(fr)
-					sites := src.Sites(fr, r)
-					v := [2]Depths{EndDepthsAt(sites, n, LeftEnd), EndDepthsAt(sites, n, RightEnd)}
-					e.changed[i] = !p.ok || p.val != v
-					p.val, p.reads, p.ok = v, r, true
-				})
+				r := make(Reads, 1)
+				n := src.FragLen(fr)
+				sites := src.Sites(fr, r)
+				v := [2]Depths{EndDepthsAt(sites, n, LeftEnd), EndDepthsAt(sites, n, RightEnd)}
+				note(PieceI2Depths, fr, !p.ok || p.val != v)
+				p.val, p.reads, p.ok = v, r, true
 			} else {
 				e.reused++
 			}
 			if sp == core.SpeciesH {
 				if p := &e.chain[idx]; !p.valid(src) {
-					add(PieceI3Chains, fr, func(i int) {
-						r := make(Reads, 4)
-						v := src.Chains(fr, r)
-						e.changed[i] = !p.ok || !slices.Equal(p.val, v)
-						p.val, p.reads, p.ok = v, r, true
-					})
+					r := make(Reads, 4)
+					v := src.Chains(fr, r)
+					note(PieceI3Chains, fr, !p.ok || !slices.Equal(p.val, v))
+					p.val, p.reads, p.ok = v, r, true
 				} else {
 					e.reused++
 				}
@@ -531,24 +505,13 @@ func (e *Enumerator) refresh(src Source, run Runner) {
 	for i := 0; i < e.nm; i++ {
 		visit(core.SpeciesM, i)
 	}
-	if len(e.tasks) > 0 {
-		if run != nil {
-			run(e.tasks)
-		} else {
-			for _, t := range e.tasks {
-				t()
-			}
-		}
-	}
 }
 
 // Candidates returns the full candidate list for the current state,
 // re-enumerating only the pieces whose recorded reads are dirty. The
 // returned slice is owned by the Enumerator and valid until the next call.
-// run executes the refresh tasks (nil means inline); tasks are independent
-// and may run concurrently.
-func (e *Enumerator) Candidates(src Source, run Runner) []Cand {
-	e.refresh(src, run)
+func (e *Enumerator) Candidates(src Source) []Cand {
+	e.refresh(src)
 	e.rebuild()
 	return e.cands
 }
@@ -558,14 +521,8 @@ func (e *Enumerator) Candidates(src Source, run Runner) []Cand {
 // input of the lazy selection engine's targeted heap repair. The returned
 // slice is owned by the Enumerator and valid until the next call. On the
 // first call every piece is dirty, so every piece is reported.
-func (e *Enumerator) Repair(src Source, run Runner) []Change {
-	e.refresh(src, run)
-	e.changes = e.changes[:0]
-	for i, c := range e.changed {
-		if c {
-			e.changes = append(e.changes, e.refs[i])
-		}
-	}
+func (e *Enumerator) Repair(src Source) []Change {
+	e.refresh(src)
 	return e.changes
 }
 

@@ -53,33 +53,25 @@ var (
 	m1 = core.FragRef{Sp: core.SpeciesM, Idx: 1}
 )
 
-// reversed runs refresh tasks back to front, so change reporting is shown
-// not to depend on task scheduling.
-func reversed(tasks []func()) {
-	for i := len(tasks) - 1; i >= 0; i-- {
-		tasks[i]()
-	}
-}
-
 // TestRepairReportsExactlyMovedPieces drives an Enumerator through state
 // edits and checks the two contracts its consumers rely on: Repair reports
 // exactly the pieces whose values changed (in species, fragment, family
-// order, whatever the task order), and the merged list always equals a
+// order), and the merged list always equals a
 // fresh Enumerator's list on the same state.
 func TestRepairReportsExactlyMovedPieces(t *testing.T) {
 	src := newFakeSource([]int{4, 3}, []int{5, 2})
 	en := New(true, true, nil)
 	check := func(step string, want []Change) {
 		t.Helper()
-		if got := en.Repair(src, reversed); !slices.Equal(got, want) {
+		if got := en.Repair(src); !slices.Equal(got, want) {
 			t.Fatalf("%s: Repair reported %v, want %v", step, got, want)
 		}
 		refreshed := en.Stats().Refreshed
-		got := slices.Clone(en.Candidates(src, nil))
+		got := slices.Clone(en.Candidates(src))
 		if en.Stats().Refreshed != refreshed {
 			t.Fatalf("%s: Candidates refreshed pieces right after Repair", step)
 		}
-		if fresh := New(true, true, nil).Candidates(src, nil); !slices.Equal(got, fresh) {
+		if fresh := New(true, true, nil).Candidates(src); !slices.Equal(got, fresh) {
 			t.Fatalf("%s: incremental list %v\nfresh list %v", step, got, fresh)
 		}
 	}
@@ -122,7 +114,7 @@ func TestCandidatesRespectPairUniverse(t *testing.T) {
 	src := newFakeSource([]int{4, 3}, []int{5, 2})
 	src.setSites(m0, core.Site{Species: core.SpeciesM, Frag: 0, Lo: 1, Hi: 3})
 	ps := NewPairSet(2, 2, [][2]int32{{0, 1}, {1, 0}})
-	cands := New(true, true, ps).Candidates(src, nil)
+	cands := New(true, true, ps).Candidates(src)
 	if len(cands) == 0 {
 		t.Fatal("no candidates")
 	}
@@ -138,7 +130,7 @@ func TestCandidatesRespectPairUniverse(t *testing.T) {
 			t.Errorf("%s before %s breaks canonical order", cands[i-1], c)
 		}
 	}
-	dense := New(true, true, nil).Candidates(src, nil)
+	dense := New(true, true, nil).Candidates(src)
 	if len(cands) >= len(dense) {
 		t.Fatalf("sparse universe kept %d of %d candidates", len(cands), len(dense))
 	}

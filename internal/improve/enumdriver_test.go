@@ -49,27 +49,27 @@ func TestIncrementalEnumMatchesFull(t *testing.T) {
 				// every improving pair, so solves stay multi-round.
 				opt := Options{Methods: m.methods, Eps: 0.05, Seeded: seeded,
 					SeedParams: seed.Params{Exhaustive: true}}
-				opt.engine = func(o Options, st *state, en *enum.Enumerator, pool *EvalPool,
-					run enum.Runner, canceled func() error, maxRounds int, floor float64, stats *Stats) error {
+				opt.engine = func(o Options, st *state, en *enum.Enumerator,
+					canceled func() error, maxRounds int, floor float64, stats *Stats) error {
 					full, border := o.Methods&FullOnly != 0, o.Methods&BorderOnly != 0
 					v := enumView{st: st}
 					inc := enum.New(full, border, st.pairs)
-					inc.Repair(v, nil)
+					inc.Repair(v)
 					prev := snapPieces(inc, st, full, border)
 					o.onAccept = func(c candKey) {
 						checks++
-						changes := inc.Repair(v, nil)
+						changes := inc.Repair(v)
 						cur := snapPieces(inc, st, full, border)
 						if moved := prev.diff(cur); !reflect.DeepEqual(changes, moved) && len(changes)+len(moved) > 0 {
 							t.Errorf("%s after %s: Repair reported %v, pieces moved %v", name, c, changes, moved)
 						}
 						prev = cur
 						refreshed := inc.Stats().Refreshed
-						got := slices.Clone(inc.Candidates(v, nil))
+						got := slices.Clone(inc.Candidates(v))
 						if inc.Stats().Refreshed != refreshed {
 							t.Errorf("%s after %s: Candidates refreshed pieces after Repair", name, c)
 						}
-						want := enum.New(full, border, st.pairs).Candidates(v, nil)
+						want := enum.New(full, border, st.pairs).Candidates(v)
 						if !slices.Equal(got, want) {
 							t.Errorf("%s after %s: incremental list (%d) != fresh list (%d)", name, c, len(got), len(want))
 						}
@@ -80,7 +80,7 @@ func TestIncrementalEnumMatchesFull(t *testing.T) {
 							}
 						}
 					}
-					return improveLazy(o, st, en, pool, run, canceled, maxRounds, floor, stats)
+					return improveLazy(o, st, en, canceled, maxRounds, floor, stats)
 				}
 				_, stats, err := Improve(w.Instance, opt)
 				if err != nil {
@@ -187,12 +187,13 @@ func TestImproveCancelMidRound(t *testing.T) {
 	}
 }
 
-// TestImproveCancelLeavesPoolUsable cancels one solve mid-round on a shared
-// eval pool and checks a concurrent solve on the same pool is unaffected —
-// its result must be bit-identical to a solo reference run. This is the
-// "no corrupted state" half of the cancellation contract: aborted
-// simulations are discarded wholesale, and the pool's workers (with their
-// per-worker scratch arenas) remain consistent for other solves.
+// TestImproveCancelLeavesPoolUsable cancels one solve mid-round while a
+// second solve of the same instance runs concurrently, and checks the clean
+// solve is unaffected — its result must be bit-identical to a solo
+// reference run. This is the "no corrupted state" half of the cancellation
+// contract: aborted simulations unwind wholesale, and what the two solves
+// share (the instance's prepared σ and its cached transpose) stays
+// consistent.
 func TestImproveCancelLeavesPoolUsable(t *testing.T) {
 	cfg := gen.DefaultConfig(6)
 	cfg.Regions = 40
@@ -202,27 +203,25 @@ func TestImproveCancelLeavesPoolUsable(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pool := NewEvalPool(4)
-	defer pool.Close()
 	done := make(chan error, 1)
 	go func() {
 		ctx := newCountCtx(25)
-		_, _, err := Improve(w.Instance, Options{Eps: 0.05, SeedWithFourApprox: true, Ctx: ctx, Eval: pool})
+		_, _, err := Improve(w.Instance, Options{Eps: 0.05, SeedWithFourApprox: true, Ctx: ctx})
 		done <- err
 	}()
-	sol, stats, err := Improve(w.Instance, Options{Eps: 0.05, SeedWithFourApprox: true, Eval: pool})
+	sol, stats, err := Improve(w.Instance, Options{Eps: 0.05, SeedWithFourApprox: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cerr := <-done; cerr != context.Canceled {
 		t.Fatalf("canceled solve returned %v, want context.Canceled", cerr)
 	}
-	if sol.Score() != ref.Score() || stats.Accepted != refStats.Accepted {
-		t.Fatalf("pool solve diverged after a concurrent cancellation: score %v vs %v",
-			sol.Score(), ref.Score())
+	if sol.Score() != ref.Score() || stats != refStats {
+		t.Fatalf("solve diverged beside a concurrent cancellation: score %v (%+v) vs solo %v (%+v)",
+			sol.Score(), stats, ref.Score(), refStats)
 	}
 	if !reflect.DeepEqual(sol.Matches, ref.Matches) {
-		t.Fatal("pool solve matches diverged after a concurrent cancellation")
+		t.Fatal("solve matches diverged beside a concurrent cancellation")
 	}
 }
 

@@ -10,10 +10,6 @@ import (
 // the enum.Reads set — at the adapter level, mirroring exactly what the
 // underlying state accessors consult — so cached enumeration pieces
 // invalidate under the same version-counter scheme as the gain cache.
-//
-// The view is safe for concurrent queries while the state is quiescent
-// (all accesses are read-only), which is what lets the driver shard piece
-// refreshes over the shared EvalPool.
 type enumView struct {
 	st *state
 }
@@ -22,36 +18,25 @@ func (v enumView) NumFrags(sp core.Species) int { return v.st.in.NumFrags(sp) }
 
 func (v enumView) FragLen(fr core.FragRef) int { return v.st.in.Frag(fr.Sp, fr.Idx).Len() }
 
-func (v enumView) Version(fr core.FragRef) uint64 {
-	if v.st.vers == nil {
-		return 0
-	}
-	return v.st.vers.of(fr)
-}
+func (v enumView) Version(fr core.FragRef) uint64 { return v.st.vers.of(fr) }
 
 func (v enumView) note(r enum.Reads, fr core.FragRef) { r.Note(fr, v.Version(fr)) }
 
-// Sites returns fr's occupied sites, reading only fr's match data. Unlike
-// the single-goroutine state accessors it allocates its result: refresh
-// tasks call it concurrently from several pool workers, so the per-state
-// scratch buffers are off limits here.
+// Sites returns fr's occupied sites, reading only fr's match data. The
+// result is the state's sitesOn buffer, valid until the next call.
 func (v enumView) Sites(fr core.FragRef, r enum.Reads) []core.Site {
 	v.note(r, fr)
-	ids := v.st.fragMatchIDsInto(nil, fr)
-	out := make([]core.Site, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, v.st.matches[id].Side(fr.Sp))
-	}
-	return out
+	return v.st.sitesOn(fr)
 }
 
 // Chains returns fr's 2-island links in site order. The computation reads
 // fr's match list plus the degree of every partner fragment, so all of
-// those are recorded. Allocates for the same concurrency reason as Sites.
+// those are recorded. The result is freshly allocated: the Enumerator
+// stores it as the piece value.
 func (v enumView) Chains(fr core.FragRef, r enum.Reads) []enum.Chain {
 	v.note(r, fr)
 	var out []enum.Chain
-	for _, id := range v.st.fragMatchIDsInto(nil, fr) {
+	for _, id := range v.st.fragMatchIDs(fr) {
 		mt := v.st.matches[id]
 		m := core.FragRef{Sp: core.SpeciesM, Idx: mt.MSite.Frag}
 		v.note(r, m)

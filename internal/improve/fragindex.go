@@ -6,13 +6,13 @@ package improve
 // doubled capacity (the abandoned block stays behind as garbage), and the
 // arena compacts deterministically once garbage dominates. List order is
 // insertion order perturbed by swap-deletes — callers must not depend on it
-// (fragMatchIDsInto sorts; degree only counts).
+// (fragMatchIDs sorts; degree only counts).
 //
 // While a trail mark is open (tracing), every edit logs its inverse on undo
 // and compaction is deferred, so rollback restores the exact layout — list
 // contents, order, offsets and arena length — by unwinding the log. Every
 // operation is a pure function of the operation sequence, so a simulation
-// and its replay, and a replica and its source, hold identical lists.
+// and its replay hold identical lists.
 type fragIndex struct {
 	ids []int32
 	off []int32
@@ -151,13 +151,4 @@ func (fi *fragIndex) compact() {
 	}
 	fi.tmp = fi.ids[:0]
 	fi.ids = tmp
-}
-
-// copyFrom makes fi an exact layout copy of src (undo log excluded).
-func (fi *fragIndex) copyFrom(src *fragIndex) {
-	fi.ids = append(fi.ids[:0], src.ids...)
-	fi.off = append(fi.off[:0], src.off...)
-	fi.ln = append(fi.ln[:0], src.ln...)
-	fi.cp = append(fi.cp[:0], src.cp...)
-	fi.sumCp = src.sumCp
 }

@@ -40,8 +40,8 @@ func checkFragIndex(t *testing.T, tag string, fi *fragIndex, o fiOracle) {
 
 // TestFragIndexMatchesMapOracle drives the arena-backed index through random
 // add/remove sequences — heavy enough to force list relocations and arena
-// compactions — against a map oracle, including a mid-sequence copyFrom clone
-// that then diverges from its source, and a reset that reuses the arena.
+// compactions — against a map oracle, then checks that a traced edit run
+// rolls back to the exact layout and that a reset reuses the arena.
 func TestFragIndexMatchesMapOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(50))
 	const nFrags = 37
@@ -69,23 +69,8 @@ func TestFragIndexMatchesMapOracle(t *testing.T) {
 			}
 		}
 
-		mutate(&fi, o, 800)
-		checkFragIndex(t, "pre-clone", &fi, o)
-
-		// Clone, then mutate source and clone independently: the layouts
-		// share no storage, so neither may observe the other's edits.
-		var cl fragIndex
-		cl.copyFrom(&fi)
-		oc := newFiOracle(nFrags)
-		for f := range o {
-			for id := range o[f] {
-				oc[f][id] = true
-			}
-		}
-		mutate(&fi, o, 600)
-		mutate(&cl, oc, 600)
-		checkFragIndex(t, "source after clone", &fi, o)
-		checkFragIndex(t, "clone", &cl, oc)
+		mutate(&fi, o, 1400)
+		checkFragIndex(t, "random edits", &fi, o)
 
 		// Drain most lists to leave garbage behind, then verify again.
 		for f := 0; f < nFrags; f++ {
@@ -101,8 +86,8 @@ func TestFragIndexMatchesMapOracle(t *testing.T) {
 
 		// Edits under tracing — relocations included, compaction deferred —
 		// must roll back to the exact layout, not just the same sets.
-		var before fragIndex
-		before.copyFrom(&fi)
+		before := fragIndex{ids: slices.Clone(fi.ids), off: slices.Clone(fi.off),
+			ln: slices.Clone(fi.ln), cp: slices.Clone(fi.cp), sumCp: fi.sumCp}
 		fi.tracing = true
 		for k := 0; k < 500; k++ {
 			f := r.Intn(nFrags)

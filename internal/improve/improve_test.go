@@ -152,22 +152,6 @@ func seededBaseline(t *testing.T, in *core.Instance) float64 {
 	return fa
 }
 
-func TestWorkersDeterministic(t *testing.T) {
-	r := rand.New(rand.NewSource(103))
-	in := randInstance(r, 3, 2, 3, 5)
-	s1, _, err := Improve(in, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s4, _, err := Improve(in, Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s1.Score() != s4.Score() {
-		t.Fatalf("worker counts disagree: %v vs %v", s1.Score(), s4.Score())
-	}
-}
-
 func TestThresholdBoundsRounds(t *testing.T) {
 	r := rand.New(rand.NewSource(107))
 	in := randInstance(r, 3, 3, 3, 5)

@@ -1,11 +1,6 @@
 package improve
 
-import (
-	"sync"
-
-	"repro/internal/align"
-	"repro/internal/core"
-)
+import "repro/internal/core"
 
 // This file implements the incremental candidate re-evaluation machinery of
 // the driver. The invariants it relies on:
@@ -13,8 +8,8 @@ import (
 //  1. Per-fragment versions. The live state carries a version counter per
 //     fragment, bumped whenever a match touching that fragment is added,
 //     removed, or restricted. Simulations never bump versions: they run
-//     under a trail mark, which suppresses bumps (state.bump), whether on
-//     the live state itself or on a pooled replica, which has no counters.
+//     on the live state under a trail mark, which suppresses bumps
+//     (state.bump).
 //
 //  2. Recorded read sets. A simulation records every fragment whose match
 //     data it consults (all per-fragment reads funnel through
@@ -97,42 +92,8 @@ func mkAlignKey(h, m core.Site, rev bool) alignKey {
 
 // alignMemo caches site-word alignment scores. Scores depend only on the
 // instance's words and σ, both fixed for the lifetime of a solve, so the
-// memo is shared by every simulation, TPA run, and replay of one solve
-// (concurrent simulations included, hence the lock).
-type alignMemo struct {
-	mu sync.RWMutex
-	// seq marks a pool-less solve: every simulation, refresh, and replay
-	// runs inline on the driver goroutine (see the pool == nil fallbacks),
-	// so the memo skips its lock — the RWMutex atomics are measurable on
-	// the hottest memos at single-worker batch scale.
-	seq bool
-	m   map[alignKey]float64
-}
-
-func newAlignMemo() *alignMemo {
-	return &alignMemo{m: make(map[alignKey]float64, 256)}
-}
-
-func (am *alignMemo) get(k alignKey) (float64, bool) {
-	if am.seq {
-		v, ok := am.m[k]
-		return v, ok
-	}
-	am.mu.RLock()
-	v, ok := am.m[k]
-	am.mu.RUnlock()
-	return v, ok
-}
-
-func (am *alignMemo) put(k alignKey, v float64) {
-	if am.seq {
-		am.m[k] = v
-		return
-	}
-	am.mu.Lock()
-	am.m[k] = v
-	am.mu.Unlock()
-}
+// memo is shared by every simulation, TPA run, and replay of one solve.
+type alignMemo map[alignKey]float64
 
 // placeKey identifies one fit-placement query — fragment x at orientation
 // rev into the window [lo, hi) of fragment z — packed into two words so map
@@ -168,18 +129,12 @@ func mkPlaceKey(x core.FragRef, rev bool, z core.FragRef, lo, hi int) placeKey {
 // dragging each slot's 24-byte value header through the cache, and the
 // hot negative probe stays within a couple of cache lines.
 type placeMemo struct {
-	mu sync.RWMutex
-	// seq: see alignMemo.seq — lock elision for pool-less solves.
-	seq  bool
 	keys []placeKey
 	vals [][]placement
 	used []bool
 	mask uint64
 	n    int
 }
-
-// placement mirrors align.Placement; aliased here to avoid an import cycle
-// in the key file. (Defined as a type alias in state.go.)
 
 func newPlaceMemo() *placeMemo {
 	const initSlots = 1 << 10
@@ -200,7 +155,7 @@ func pmHash(k placeKey) uint64 {
 	return h ^ (h >> 29)
 }
 
-func (pm *placeMemo) lookup(k placeKey) ([]placement, bool) {
+func (pm *placeMemo) get(k placeKey) ([]placement, bool) {
 	i := pmHash(k) & pm.mask
 	for {
 		if !pm.used[i] {
@@ -213,7 +168,7 @@ func (pm *placeMemo) lookup(k placeKey) ([]placement, bool) {
 	}
 }
 
-func (pm *placeMemo) insert(k placeKey, v []placement) {
+func (pm *placeMemo) put(k placeKey, v []placement) {
 	if 2*(pm.n+1) > len(pm.keys) {
 		pm.grow()
 	}
@@ -249,141 +204,4 @@ func (pm *placeMemo) grow() {
 		}
 		pm.keys[j], pm.vals[j], pm.used[j] = oldKeys[i], oldVals[i], true
 	}
-}
-
-func (pm *placeMemo) get(k placeKey) ([]placement, bool) {
-	if pm.seq {
-		return pm.lookup(k)
-	}
-	pm.mu.RLock()
-	v, ok := pm.lookup(k)
-	pm.mu.RUnlock()
-	return v, ok
-}
-
-func (pm *placeMemo) put(k placeKey, v []placement) {
-	if pm.seq {
-		pm.insert(k, v)
-		return
-	}
-	pm.mu.Lock()
-	pm.insert(k, v)
-	pm.mu.Unlock()
-}
-
-// EvalPool is a persistent set of worker goroutines for the driver's
-// shardable jobs: candidate gain simulations and enumeration piece
-// refreshes (internal/improve/enum). Improve creates a private pool per
-// call when Options.Workers > 1, but a pool can also be created once and
-// shared — safely, concurrently — by many Improve calls via Options.Eval:
-// completion is tracked per submission batch (see evalBatch), not per pool,
-// so batch drivers such as internal/batch reuse one set of workers across
-// thousands of solves instead of spawning goroutines per instance, and the
-// enumeration shards of one solve overlap with the simulations of another.
-// Each worker owns an align.Scratch arena for its lifetime and passes it to
-// every task, so candidate simulations reuse one set of DP buffers across
-// all the solves the worker ever touches.
-type EvalPool struct {
-	jobs    chan func(*align.Scratch)
-	workers int
-	done    sync.WaitGroup // worker goroutine lifetimes, for Close
-}
-
-// NewEvalPool starts n worker goroutines. n < 1 is treated as 1.
-func NewEvalPool(n int) *EvalPool {
-	if n < 1 {
-		n = 1
-	}
-	p := &EvalPool{jobs: make(chan func(*align.Scratch)), workers: n}
-	p.done.Add(n)
-	for i := 0; i < n; i++ {
-		go func() {
-			defer p.done.Done()
-			s := align.NewScratch()
-			defer s.Release()
-			for f := range p.jobs {
-				f(s)
-			}
-		}()
-	}
-	return p
-}
-
-// Workers returns the pool size.
-func (p *EvalPool) Workers() int { return p.workers }
-
-// Close stops the workers after the queued jobs drain. Callers must not
-// submit after Close.
-func (p *EvalPool) Close() {
-	close(p.jobs)
-	p.done.Wait()
-}
-
-// evalBatch tracks one caller's batch of jobs on a (possibly shared) pool.
-// Each driver round submits its fresh candidates — and each enumeration
-// refresh its dirty pieces — through its own batch and waits for exactly
-// those, regardless of what other solves have in flight.
-type evalBatch struct {
-	p  *EvalPool
-	wg sync.WaitGroup
-}
-
-func (b *evalBatch) do(f func(*align.Scratch)) {
-	b.wg.Add(1)
-	b.p.jobs <- func(s *align.Scratch) {
-		defer b.wg.Done()
-		f(s)
-	}
-}
-
-func (b *evalBatch) wait() { b.wg.Wait() }
-
-// replicaSet holds one solve's simulation replicas for pooled evaluation:
-// copies of the live state that concurrent simulation tasks run their
-// mark/rollback simulations on, at most one per task running at once (the
-// live state itself hosts inline simulations). A replica is brought up to
-// date by one copy of the live match set and index the first time a task
-// takes it after the live state moved, so it costs at most one copy per
-// batch, however many candidates it then simulates.
-type replicaSet struct {
-	live *state
-	gen  uint64 // advanced whenever the live state may have moved
-
-	mu   sync.Mutex
-	idle []*replica
-}
-
-// replica is one simulation replica and the generation it last copied.
-type replica struct {
-	st  *state
-	gen uint64
-}
-
-// invalidate marks every replica out of date. Call only while no task
-// holds a replica.
-func (rs *replicaSet) invalidate() { rs.gen++ }
-
-// get takes an idle replica, or makes one, current with the live state.
-// The live state must stay quiescent while tasks hold replicas.
-func (rs *replicaSet) get() *replica {
-	rs.mu.Lock()
-	var r *replica
-	if n := len(rs.idle); n > 0 {
-		r, rs.idle = rs.idle[n-1], rs.idle[:n-1]
-	} else {
-		r = &replica{st: rs.live.newReplica()}
-	}
-	rs.mu.Unlock()
-	if r.gen != rs.gen {
-		r.st.copyMatches(rs.live)
-		r.gen = rs.gen
-	}
-	return r
-}
-
-// put returns a replica whose simulations have all rolled back.
-func (rs *replicaSet) put(r *replica) {
-	rs.mu.Lock()
-	rs.idle = append(rs.idle, r)
-	rs.mu.Unlock()
 }

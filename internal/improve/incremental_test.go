@@ -14,7 +14,7 @@ import (
 // candidate every round (the fullReeval oracle) — identical rounds,
 // accepted count, threshold and final score, and an identical final match
 // set — on the paper example and on generated workloads under every
-// method family, worker parallelism, and quantized scaling.
+// method family and quantized scaling.
 func TestIncrementalMatchesFull(t *testing.T) {
 	type cfg struct {
 		name string
@@ -31,7 +31,6 @@ func TestIncrementalMatchesFull(t *testing.T) {
 		cases = append(cases, cfg{"gen-all", w.Instance, Options{Eps: 0.05, SeedWithFourApprox: true}})
 		cases = append(cases, cfg{"gen-full", w.Instance, Options{Methods: FullOnly, Eps: 0.05}})
 		cases = append(cases, cfg{"gen-border", w.Instance, Options{Methods: BorderOnly, Eps: 0.05}})
-		cases = append(cases, cfg{"gen-workers", w.Instance, Options{Eps: 0.05, Workers: 4}})
 		// Quantized scaling multiplies round counts (the threshold is one
 		// quantum); keep its A/B instance small so the test stays fast.
 		qc := gen.DefaultConfig(seed)

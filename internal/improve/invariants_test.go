@@ -45,33 +45,6 @@ func TestRandomWorkloadInvariants(t *testing.T) {
 	}
 }
 
-// TestWorkloadDeterminismAcrossWorkers checks that parallel candidate
-// evaluation is bit-deterministic on a realistic workload.
-func TestWorkloadDeterminismAcrossWorkers(t *testing.T) {
-	cfg := gen.DefaultConfig(55)
-	cfg.Regions = 35
-	w := gen.Generate(cfg)
-	var base *core.Solution
-	for _, workers := range []int{1, 3} {
-		sol, _, err := Improve(w.Instance, Options{
-			Eps: 0.05, SeedWithFourApprox: true, Workers: workers,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if base == nil {
-			base = sol
-			continue
-		}
-		if sol.Score() != base.Score() {
-			t.Fatalf("workers=%d score %v, workers=1 score %v", workers, sol.Score(), base.Score())
-		}
-		if len(sol.Matches) != len(base.Matches) {
-			t.Fatalf("workers=%d produced %d matches vs %d", workers, len(sol.Matches), len(base.Matches))
-		}
-	}
-}
-
 // TestEmptyStartInvariants runs the paper's literal configuration (empty
 // initial solution) with invariant checking.
 func TestEmptyStartInvariants(t *testing.T) {

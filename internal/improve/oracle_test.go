@@ -13,11 +13,10 @@ import (
 // triangulates the lazy engine's staleness tracking and the enumerator's
 // piece cache together. It applies the same acceptance rule (the accepted
 // attempt must strictly raise the fixed-order total, state.raisesTotal).
-// Simulations run inline on the live state; the oracle ignores the eval
-// pool, and cancellation is honored at round boundaries only.
+// Simulations run in place on the live state, and cancellation is honored
+// at round boundaries only.
 func fullReeval(opt Options, st *state, _ *enum.Enumerator,
-	_ *EvalPool, _ enum.Runner, canceled func() error,
-	maxRounds int, floor float64, stats *Stats) error {
+	canceled func() error, maxRounds int, floor float64, stats *Stats) error {
 
 	full, border := opt.Methods&FullOnly != 0, opt.Methods&BorderOnly != 0
 	for ; stats.Rounds < maxRounds; stats.Rounds++ {
@@ -28,11 +27,11 @@ func fullReeval(opt Options, st *state, _ *enum.Enumerator,
 			}
 			return err
 		}
-		cands := enum.New(full, border, st.pairs).Candidates(enumView{st: st}, nil)
+		cands := enum.New(full, border, st.pairs).Candidates(enumView{st: st})
 		stats.Evaluated += len(cands)
 		gains := make([]float64, len(cands))
 		for i, c := range cands {
-			gains[i] = st.simulate(c, nil, nil, st.scr) // no read recorder: nothing is cached
+			gains[i] = st.simulate(c, nil, nil) // no read recorder: nothing is cached
 		}
 		// Accept the argmax whose application strictly raises the
 		// fixed-order total; a candidate failing that is passed over for

@@ -1,7 +1,6 @@
 package improve
 
 import (
-	"repro/internal/align"
 	"repro/internal/core"
 	"repro/internal/improve/enum"
 )
@@ -376,8 +375,7 @@ func (s *lazySel) peek() (int32, bool) {
 // improveLazy is the lazy engine's driver loop, the round loop of Improve
 // (an engineFunc).
 func improveLazy(opt Options, st *state, en *enum.Enumerator,
-	pool *EvalPool, runShards enum.Runner, canceled func() error,
-	maxRounds int, floor float64, stats *Stats) error {
+	canceled func() error, maxRounds int, floor float64, stats *Stats) error {
 
 	var sel lazySel
 	sel.init(st.in, opt.Methods&FullOnly != 0, opt.Methods&BorderOnly != 0, st.pairs)
@@ -390,7 +388,6 @@ func improveLazy(opt Options, st *state, en *enum.Enumerator,
 		recs     []readRecorder // reused round to round: record copies the reads out
 		held     []int32
 	)
-	reps := replicaSet{live: st}
 	// Rounds starts at the resumed-op count (zero on fresh solves) so a
 	// resumed run's round numbering continues the interrupted one's.
 	for ; stats.Rounds < maxRounds; stats.Rounds++ {
@@ -404,7 +401,7 @@ func improveLazy(opt Options, st *state, en *enum.Enumerator,
 		// Targeted enumeration repair: only pieces whose values moved
 		// rebuild their candidate blocks; everything else keeps its slot
 		// and its cached gain.
-		sel.repair(en, en.Repair(enumView{st: st}, runShards))
+		sel.repair(en, en.Repair(enumView{st: st}))
 		if err := canceled(); err != nil {
 			if opt.Partial {
 				stats.Partial = true
@@ -413,8 +410,8 @@ func improveLazy(opt Options, st *state, en *enum.Enumerator,
 			return err
 		}
 		// Refill: the stale frontier — conceptually the run of +∞-keyed
-		// entries at the top of the heap — is re-simulated in one batch on
-		// the shared pool, so refills of concurrent batch solves overlap.
+		// entries at the top of the heap — is re-simulated in one batch, each
+		// simulation in place on the live state.
 		frontier = frontier[:0]
 		for _, ref := range sel.staleList {
 			if sl := &sel.slots[ref.slot]; sl.live && sl.stale && sl.stamp == ref.stamp {
@@ -430,34 +427,13 @@ func improveLazy(opt Options, st *state, en *enum.Enumerator,
 			recs = append(recs[:cap(recs)], make([]readRecorder, n)...)
 		}
 		recs = recs[:len(frontier)]
-		eval := func(sim *state, i int, scr *align.Scratch) {
+		for i := range frontier {
+			if canceled() != nil {
+				break
+			}
 			rec := &recs[i]
 			rec.vers, rec.reads = st.vers, rec.reads[:0]
-			gains[i] = sim.simulate(sel.slots[frontier[i]].cand, rec, opt.Ctx, scr)
-		}
-		if pool == nil || len(frontier) < 2 {
-			// Inline: every simulation runs on the live state itself.
-			for i := range frontier {
-				if canceled() != nil {
-					break
-				}
-				eval(st, i, st.scr)
-			}
-		} else {
-			reps.invalidate() // the live state moved since the last batch
-			batch := evalBatch{p: pool}
-			for i := range frontier {
-				i := i
-				batch.do(func(scr *align.Scratch) {
-					if canceled() != nil {
-						return // discarded: the round aborts below
-					}
-					r := reps.get()
-					eval(r.st, i, scr)
-					reps.put(r)
-				})
-			}
-			batch.wait()
+			gains[i] = st.simulate(sel.slots[frontier[i]].cand, rec, opt.Ctx)
 		}
 		// This check runs before sel.record, so aborting here leaves the
 		// live state exactly at the last accepted attempt — the partial

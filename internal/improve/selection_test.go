@@ -125,24 +125,20 @@ func lazyVsOracle(t *testing.T, name string, in *core.Instance, opt Options) (la
 }
 
 // TestLazySelectionModes covers the lazy engine under the remaining solver
-// modes — quantized scaling, integer kernels, a shared eval pool, worker
-// parallelism, an empty start, and eps 0 — against the full re-evaluation
+// modes — quantized scaling, integer kernels, an empty start, and eps 0 —
+// against the full re-evaluation
 // oracle, so no mode silently falls off the bit-identical contract. The
 // oracle runs behind the same shadow recursions and seeding as the engine.
 func TestLazySelectionModes(t *testing.T) {
 	cfg := gen.DefaultConfig(9)
 	cfg.Regions = 40
 	w := gen.Generate(cfg)
-	pool := NewEvalPool(4)
-	defer pool.Close()
 	for _, tc := range []struct {
 		name string
 		opt  Options
 	}{
 		{"quantize", Options{Quantize: true, SeedWithFourApprox: true}},
 		{"int-score", Options{IntScore: true, Eps: 0.05, SeedWithFourApprox: true}},
-		{"pool", Options{Eps: 0.05, Eval: pool}},
-		{"workers", Options{Eps: 0.05, Workers: 4}},
 		{"empty-start", Options{Eps: 0.05}},
 		{"eps-zero", Options{Eps: 0, MaxRounds: 12}},
 	} {
@@ -315,37 +311,32 @@ func TestLazyHeapRepair(t *testing.T) {
 	}
 }
 
-// TestLazySharedPoolConcurrent runs several lazy solves concurrently on one
-// shared eval pool — the refill path racing the enumeration shards of other
-// solves — and checks every result is bit-identical to a solo reference.
-// Run under -race in CI, this is the shared-pool refill data-race guard.
+// TestLazySharedPoolConcurrent runs four lazy solves concurrently, each on
+// its own goroutine, two per workload: each pair shares one σ table, so the
+// two solves race to prepare σ and its cached transpose, and then share
+// them. Every result must be bit-identical to a solo reference solved
+// afterwards. Run under -race in CI, this is the data-race guard for what
+// concurrent solves still share.
 func TestLazySharedPoolConcurrent(t *testing.T) {
 	const solvers = 4
-	pool := NewEvalPool(3)
-	defer pool.Close()
 	type res struct {
 		score float64
 		stats Stats
 		err   error
 	}
-	ws := make([]*gen.Workload, solvers)
-	refs := make([]res, solvers)
+	ws := make([]*gen.Workload, solvers/2)
 	for i := range ws {
 		cfg := gen.DefaultConfig(int64(40 + i))
 		cfg.Regions = 40
 		ws[i] = gen.Generate(cfg)
-		sol, stats, err := Improve(ws[i].Instance, Options{Eps: 0.05, SeedWithFourApprox: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		refs[i] = res{score: sol.Score(), stats: stats}
 	}
+	opt := Options{Eps: 0.05, SeedWithFourApprox: true}
 	out := make([]res, solvers)
 	done := make(chan int, solvers)
 	for i := 0; i < solvers; i++ {
 		i := i
 		go func() {
-			sol, stats, err := Improve(ws[i].Instance, Options{Eps: 0.05, SeedWithFourApprox: true, Eval: pool})
+			sol, stats, err := Improve(ws[i%len(ws)].Instance, opt)
 			if err == nil {
 				out[i] = res{score: sol.Score(), stats: stats}
 			} else {
@@ -361,8 +352,12 @@ func TestLazySharedPoolConcurrent(t *testing.T) {
 		if r.err != nil {
 			t.Fatalf("solver %d: %v", i, r.err)
 		}
-		if r.score != refs[i].score || r.stats != refs[i].stats {
-			t.Errorf("solver %d diverged on shared pool: %+v vs solo %+v", i, r, refs[i])
+		sol, stats, err := Improve(ws[i%len(ws)].Instance, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref := (res{score: sol.Score(), stats: stats}); r != ref {
+			t.Errorf("solver %d diverged beside concurrent solves: %+v vs solo %+v", i, r, ref)
 		}
 	}
 }

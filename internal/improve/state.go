@@ -72,12 +72,11 @@ func (vs *versions) of(fr core.FragRef) uint64 { return vs.v[fr.Sp][fr.Idx] }
 // rather than a copy of the whole state. Marks nest (I3's inner I2
 // simulations are marks inside the I3 simulation's mark).
 //
-// Shared across the whole solve: the compiled σ matrices sig/sigT and the
-// site-alignment and placement memos. Owned per state: the match set, the
-// trail and the attempt gain accumulator delta. The live driver state
-// additionally owns the per-fragment version counters vers; pooled
-// simulation replicas (replicaSet, incremental.go) carry none. A simulation
-// installs a readRecorder rec and a cancellation probe ctx for its duration.
+// One state serves a whole solve on one goroutine: it holds the compiled σ
+// matrices sig/sigT, the site-alignment and placement memos, the match set,
+// the trail, the attempt gain accumulator delta and the per-fragment
+// version counters vers. A simulation installs a readRecorder rec and a
+// cancellation probe ctx for its duration.
 type state struct {
 	in *core.Instance
 	// matches is the ID-indexed match store; alive masks the live entries
@@ -107,28 +106,25 @@ type state struct {
 
 	sig   score.Scorer // σ prepared over the instance alphabet (dense float64 or int32-quantized)
 	sigT  score.Scorer // σᵀ for M-first alignments
-	memo  *alignMemo
+	memo  alignMemo
 	pmemo *placeMemo
-	// scr is the goroutine-local alignment scratch arena: the driver's on
-	// the live state, an eval worker's for the duration of each simulation
-	// it runs (state.simulate); never nil while attempts run.
+	// scr is the solve's alignment scratch arena.
 	scr *align.Scratch
 	// revWords[sp][i] is fragment i of species sp reversed, materialized
-	// once per solve (shared by replicas) so hot loops never re-allocate it.
+	// once per solve so hot loops never re-allocate it.
 	revWords [2][]symbol.Word
 
 	// delta accumulates the score change of the attempt being applied:
 	// +score on add, −score on remove, the difference on restriction.
 	delta float64
-	// vers is the live state's per-fragment version counters (nil on
-	// replicas). Bumps are suppressed while a mark is open: simulations
-	// never bump live versions.
+	// vers is the per-fragment version counters. Bumps are suppressed while
+	// a mark is open: simulations never bump versions.
 	vers *versions
-	// bumpLog, when non-nil on the live state, collects every fragment
-	// whose version bumps during an accepted-attempt replay — the lazy
-	// selection engine's dirty set (selection.go). Fragments may repeat;
-	// consumers sweep idempotently. Nil on replicas and before the
-	// selection engine starts (Resume replays log nothing).
+	// bumpLog, when non-nil, collects every fragment whose version bumps
+	// during an accepted-attempt replay — the lazy selection engine's dirty
+	// set (selection.go). Fragments may repeat; consumers sweep
+	// idempotently. Nil before the selection engine starts (Resume replays
+	// log nothing).
 	bumpLog []core.FragRef
 	// rec records fragment reads during a simulation (nil outside one and
 	// on replays).
@@ -173,7 +169,7 @@ func newState(in *core.Instance, seed *core.Solution) *state {
 		pairs: enum.AllPairs(in.NumFrags(core.SpeciesH), in.NumFrags(core.SpeciesM)),
 		sig:   sig,
 		sigT:  score.Transpose(sig),
-		memo:  newAlignMemo(),
+		memo:  make(alignMemo, 256),
 		pmemo: newPlaceMemo(),
 		scr:   align.NewScratch(),
 		vers:  newVersions(in),
@@ -236,8 +232,7 @@ type stMark struct {
 }
 
 // markHook, when set, observes every mark as it opens (opened true) and
-// every rollback as it completes — the trail test's probe. It must be safe
-// for concurrent use when the solve has an eval pool.
+// every rollback as it completes — the trail test's probe.
 var markHook func(st *state, m int, opened bool)
 
 // mark opens a (possibly nested) trail mark: from here until the matching
@@ -300,10 +295,10 @@ func (st *state) note(fr core.FragRef) {
 	}
 }
 
-// bump advances the version of both fragments a match touches (live state
-// only; a no-op under a mark), logging them when a bump log is attached.
+// bump advances the version of both fragments a match touches (a no-op
+// under a mark), logging them when a bump log is attached.
 func (st *state) bump(mt *core.Match) {
-	if st.vers == nil || st.tracing() {
+	if st.tracing() {
 		return
 	}
 	st.vers.v[core.SpeciesH][mt.HSite.Frag]++
@@ -419,21 +414,9 @@ func (st *state) setMatch(id int, mt core.Match) {
 // an allocation-free insertion sort beats the reflective sort.Slice that
 // used to dominate this accessor.
 func (st *state) fragMatchIDs(fr core.FragRef) []int {
-	if cap(st.idsBuf) < 16 {
-		st.idsBuf = make([]int, 0, 16)
-	}
-	st.idsBuf = st.fragMatchIDsInto(st.idsBuf, fr)
-	return st.idsBuf
-}
-
-// fragMatchIDsInto is fragMatchIDs into a caller-owned buffer — the
-// concurrency-safe form the enumeration Source adapter uses while refresh
-// tasks query the quiescent state from several pool workers at once.
-func (st *state) fragMatchIDsInto(dst []int, fr core.FragRef) []int {
 	st.note(fr)
-	idx := st.byFrag[fr.Sp].list(fr.Idx)
-	dst = dst[:0]
-	for _, v := range idx {
+	dst := st.idsBuf[:0]
+	for _, v := range st.byFrag[fr.Sp].list(fr.Idx) {
 		dst = append(dst, int(v))
 	}
 	key := func(id int) int { return st.matches[id].Side(fr.Sp).Lo }
@@ -446,6 +429,7 @@ func (st *state) fragMatchIDsInto(dst []int, fr core.FragRef) []int {
 		}
 		dst[j+1] = id
 	}
+	st.idsBuf = dst
 	return dst
 }
 
@@ -480,8 +464,9 @@ func (st *state) chainMatchIDs(fr core.FragRef) []int {
 }
 
 // sitesOn returns the sites occupied on fragment fr, sorted. The result is
-// a per-state buffer, valid until the next call (the enum Source interface
-// documents the same transience).
+// a per-state buffer, valid until the next call (enumView.Sites hands it to
+// the enumeration subsystem, whose Source interface documents the same
+// transience).
 func (st *state) sitesOn(fr core.FragRef) []core.Site {
 	ids := st.fragMatchIDs(fr)
 	out := st.sitesBuf[:0]
@@ -567,11 +552,11 @@ func (st *state) fragWord(fr core.FragRef, rev bool) symbol.Word {
 // the instance words and σ).
 func (st *state) siteScore(h, m core.Site, rev bool) float64 {
 	k := mkAlignKey(h, m, rev)
-	if v, ok := st.memo.get(k); ok {
+	if v, ok := st.memo[k]; ok {
 		return v
 	}
 	v := st.scr.Score(st.in.SiteWord(h), st.in.SiteWord(m).Orient(rev), st.sig)
-	st.memo.put(k, v)
+	st.memo[k] = v
 	return v
 }
 
@@ -678,32 +663,4 @@ func (st *state) prepare(freed []core.Site, fr core.FragRef, lo, hi int) []core.
 		st.setMatch(id, mt)
 	}
 	return freed
-}
-
-// newReplica returns an empty simulation replica of st sharing its
-// solve-wide structures; copyMatches brings it up to date. Replicas carry
-// no version counters and no bump log, and get their alignment scratch from
-// the worker running each simulation.
-func (st *state) newReplica() *state {
-	return &state{
-		in:       st.in,
-		pairs:    st.pairs,
-		sig:      st.sig,
-		sigT:     st.sigT,
-		memo:     st.memo,
-		pmemo:    st.pmemo,
-		revWords: st.revWords,
-	}
-}
-
-// copyMatches makes st's match set, free list and index an exact copy of
-// src's (free-list order and index layout included), so simulations on st
-// allocate the IDs they would on src.
-func (st *state) copyMatches(src *state) {
-	st.matches = append(st.matches[:0], src.matches...)
-	st.alive = append(st.alive[:0], src.alive...)
-	st.free = append(st.free[:0], src.free...)
-	st.byFrag[0].copyFrom(&src.byFrag[0])
-	st.byFrag[1].copyFrom(&src.byFrag[1])
-	st.locked = append(st.locked[:0], src.locked...)
 }

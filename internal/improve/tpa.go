@@ -50,7 +50,7 @@ func (st *state) tpa(zones []core.Site) float64 {
 
 // tpaZone is one clipped zone record of a TPA batch; tpaCand one candidate
 // placement. Both live in per-state buffers (state.tpaZrs / state.tpaCands)
-// reused across the thousands of batches a pooled simulation state runs.
+// reused across the thousands of batches one solve runs.
 type tpaZone struct {
 	fr   core.FragRef
 	lo   int

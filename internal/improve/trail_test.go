@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
-	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -53,19 +52,15 @@ func snapState(st *state) stateSnap {
 // trailProbe snapshots the state at every mark and compares it after the
 // matching rollback, counting what it checked.
 type trailProbe struct {
-	mu       sync.Mutex
 	open     map[*state][]stateSnap
 	checked  int
 	nested   int // rollbacks of a mark opened inside another
 	canceled int // rollbacks of simulations whose context had fired
-	replicas int // rollbacks on a pooled replica (no version counters)
 	fails    []string
 }
 
 func (p *trailProbe) hook(st *state, m int, opened bool) {
 	snap := snapState(st)
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if opened {
 		p.open[st] = append(p.open[st][:m], snap)
 		return
@@ -79,9 +74,6 @@ func (p *trailProbe) hook(st *state, m int, opened bool) {
 	if c, ok := st.ctx.(*countCtx); ok && c.polls.Load() > c.after {
 		p.canceled++
 	}
-	if st.vers == nil {
-		p.replicas++
-	}
 	if !reflect.DeepEqual(snap, want) && len(p.fails) < 3 {
 		p.fails = append(p.fails, fmt.Sprintf("mark %d: state after rollback differs from its snapshot:\n got %+v\nwant %+v", m, snap, want))
 	}
@@ -91,8 +83,7 @@ func (p *trailProbe) hook(st *state, m int, opened bool) {
 // snapshotted and every rollback compared against its snapshot: top-level
 // simulations, I3's nested inner simulations, the acceptance check, and
 // simulations cut short by cancellation, over classic and seeded instance
-// families, inline (Workers 1, on the live state) and pooled (Workers 2, on
-// replicas).
+// families.
 func TestTrailRollbackRestoresState(t *testing.T) {
 	type family struct {
 		name string
@@ -117,20 +108,16 @@ func TestTrailRollbackRestoresState(t *testing.T) {
 	markHook = p.hook
 	defer func() { markHook = nil }()
 	for _, f := range fams {
-		for _, workers := range []int{1, 2} {
-			opt := f.opt
-			opt.Workers = workers
+		opt := f.opt
+		if _, _, err := Improve(f.in, opt); err != nil {
+			t.Fatalf("%s: %v", f.name, err)
+		}
+		// Cancelled partway: simulations cut short must unwind too.
+		for _, after := range []int64{3, 40, 300} {
+			opt.Ctx = newCountCtx(after)
+			opt.Partial = true
 			if _, _, err := Improve(f.in, opt); err != nil {
-				t.Fatalf("%s workers %d: %v", f.name, workers, err)
-			}
-			// Cancelled partway: simulations cut short must unwind too.
-			for _, after := range []int64{3, 40, 300} {
-				opt.Ctx = newCountCtx(after)
-				opt.Partial = true
-				if _, _, err := Improve(f.in, opt); err != nil {
-					t.Fatalf("%s workers %d cancel %d: %v", f.name, workers, after, err)
-				}
-				opt.Ctx, opt.Partial = nil, false
+				t.Fatalf("%s cancel %d: %v", f.name, after, err)
 			}
 		}
 		if len(p.fails) > 0 {
@@ -142,10 +129,10 @@ func TestTrailRollbackRestoresState(t *testing.T) {
 			t.Errorf("state %p: %d marks never rolled back", st, len(open))
 		}
 	}
-	if p.checked == 0 || p.nested == 0 || p.canceled == 0 || p.replicas == 0 || p.replicas == p.checked {
-		t.Fatalf("probe checked %d rollbacks, %d nested, %d after cancellation, %d on replicas: a path went unexercised",
-			p.checked, p.nested, p.canceled, p.replicas)
+	if p.checked == 0 || p.nested == 0 || p.canceled == 0 {
+		t.Fatalf("probe checked %d rollbacks, %d nested, %d after cancellation: a path went unexercised",
+			p.checked, p.nested, p.canceled)
 	}
-	t.Logf("checked %d rollbacks (%d nested, %d after cancellation, %d on replicas)",
-		p.checked, p.nested, p.canceled, p.replicas)
+	t.Logf("checked %d rollbacks (%d nested, %d after cancellation)",
+		p.checked, p.nested, p.canceled)
 }

@@ -3,8 +3,7 @@ package fragalign
 // Batch solving: many instances, one persistent worker pool. SolveBatch is
 // the slice-in/slice-out form; BatchPool is the streaming form used by
 // cmd/csrbatch. Both wrap internal/batch, which owns the shards, the
-// bounded queue, the shared candidate-evaluation workers, and the
-// per-alphabet cache of compiled σ matrices.
+// bounded queue, and the per-alphabet cache of compiled σ matrices.
 
 import (
 	"context"
@@ -99,29 +98,21 @@ func (t *BatchTicket) Wait() (*Result, error) {
 
 // NewBatchPool starts a batch pool solving with alg. Solve options apply to
 // every instance; WithShards, WithQueueDepth, and WithPerInstanceTimeout
-// shape the pool itself. WithWorkers(n>1) additionally creates n shared
-// candidate-evaluation workers that all in-flight improvement solves reuse
-// (leave it unset when shards alone saturate the machine). Close the pool
-// to release its goroutines.
+// shape the pool itself. Close the pool to release its goroutines.
 func NewBatchPool(alg Algorithm, opts ...Option) *BatchPool {
 	cfg := newSolveCfg(opts)
-	evalWorkers := 0
-	if cfg.workers > 1 {
-		evalWorkers = cfg.workers
-	}
 	p := batch.New(batch.Options{
-		Shards:      cfg.shards,
-		Queue:       cfg.queue,
-		EvalWorkers: evalWorkers,
-		Inject:      cfg.inject,
-		MemBudget:   cfg.memBudget,
-		Quantized:   cfg.intScore,
-		Solve: func(ctx context.Context, in *core.Instance, rt batch.Runtime) (any, error) {
+		Shards:    cfg.shards,
+		Queue:     cfg.queue,
+		Inject:    cfg.inject,
+		MemBudget: cfg.memBudget,
+		Quantized: cfg.intScore,
+		Solve: func(ctx context.Context, in *core.Instance) (any, error) {
 			sc, ok := ctx.Value(submitCfgKey{}).(*solveCfg)
 			if !ok {
 				sc = &cfg
 			}
-			return solveInstance(ctx, in, alg, *sc, rt.Eval)
+			return solveInstance(ctx, in, alg, *sc)
 		},
 	})
 	return &BatchPool{pool: p, cfg: cfg}
@@ -135,8 +126,7 @@ func NewBatchPool(alg Algorithm, opts ...Option) *BatchPool {
 // Options that shape the pool itself (WithShards, WithQueueDepth,
 // WithPerInstanceTimeout, WithMemBudget, WithFaultInjector) have no
 // per-submission effect (the memory budget also charges the pool's own
-// WithIntScore mode), and WithWorkers sizes only this solve's own
-// evaluation, never the pool's shared workers.
+// WithIntScore mode).
 func (bp *BatchPool) Submit(ctx context.Context, in *Instance, opts ...Option) (*BatchTicket, error) {
 	return bp.submit(ctx, in, opts, bp.pool.Submit)
 }
