@@ -1,7 +1,7 @@
 package fragalign
 
-// Benchmarks regenerating every experiment of EXPERIMENTS.md (E1–E10),
-// plus the ablation benches called out in DESIGN.md §6. Run with
+// Benchmarks wrapping the kernels of the internal/experiments suite (E1–E8,
+// E10), plus ablations of design choices the paper leaves open. Run with
 //
 //	go test -bench=. -benchmem
 import (
@@ -163,53 +163,6 @@ func BenchmarkE8Matching(b *testing.B) {
 	}
 }
 
-// BenchmarkE9Wavefront sweeps worker counts on a 1000×1000 alignment.
-func BenchmarkE9Wavefront(b *testing.B) {
-	r := rand.New(rand.NewSource(6))
-	tb := score.NewTable()
-	for i := 1; i <= 40; i++ {
-		tb.Set(symbol.Symbol(i), symbol.Symbol(i%40+1), float64(1+i%7))
-	}
-	mk := func(n int) symbol.Word {
-		w := make(symbol.Word, n)
-		for i := range w {
-			w[i] = symbol.Symbol(1 + r.Intn(40))
-		}
-		return w
-	}
-	a, bb := mk(1000), mk(1000)
-	want := align.Score(a, bb, tb)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs() // workers=1 runs inline and must stay at 0 allocs/op
-			wf := align.WavefrontAligner{Workers: workers, BlockRows: 128, BlockCols: 128}
-			for i := 0; i < b.N; i++ {
-				if got := wf.Score(a, bb, tb); got != want {
-					b.Fatalf("score %v, want %v", got, want)
-				}
-			}
-		})
-	}
-	// Quantized σ: this σ is integral, so the quantized wavefront is exact.
-	ci := score.Compile(tb, 40).Int()
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d-int32", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			wf := align.WavefrontAligner{Workers: workers, BlockRows: 128, BlockCols: 128}
-			for i := 0; i < b.N; i++ {
-				if got := wf.Score(a, bb, ci); got != want {
-					b.Fatalf("score %v, want %v", got, want)
-				}
-			}
-		})
-	}
-	b.Run("serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			align.Score(a, bb, tb)
-		}
-	})
-}
-
 // BenchmarkE10Fooling runs greedy and CSR_Improve on the adversarial
 // family.
 func BenchmarkE10Fooling(b *testing.B) {
@@ -230,7 +183,7 @@ func BenchmarkE10Fooling(b *testing.B) {
 }
 
 // BenchmarkAblationTPA compares the two-phase algorithm against greedy
-// interval selection inside the TPA candidate sets (DESIGN §6).
+// interval selection inside the TPA candidate sets (§3.4).
 func BenchmarkAblationTPA(b *testing.B) {
 	r := rand.New(rand.NewSource(7))
 	items := make([]isp.Interval, 5000)
@@ -253,33 +206,8 @@ func BenchmarkAblationTPA(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationBlockSize sweeps the wavefront tile size (DESIGN §6).
-func BenchmarkAblationBlockSize(b *testing.B) {
-	r := rand.New(rand.NewSource(8))
-	tb := score.NewTable()
-	for i := 1; i <= 40; i++ {
-		tb.Set(symbol.Symbol(i), symbol.Symbol(i%40+1), float64(1+i%7))
-	}
-	mk := func(n int) symbol.Word {
-		w := make(symbol.Word, n)
-		for i := range w {
-			w[i] = symbol.Symbol(1 + r.Intn(40))
-		}
-		return w
-	}
-	a, bb := mk(1500), mk(1500)
-	for _, block := range []int{32, 128, 512} {
-		b.Run(fmt.Sprintf("block=%d", block), func(b *testing.B) {
-			wf := align.WavefrontAligner{Workers: 4, BlockRows: block, BlockCols: block}
-			for i := 0; i < b.N; i++ {
-				wf.Score(a, bb, tb)
-			}
-		})
-	}
-}
-
-// BenchmarkAblationSeeding compares empty-start CSR_Improve against
-// 4-approximation seeding (DESIGN §6).
+// BenchmarkAblationSeeding compares empty-start CSR_Improve, as in the
+// paper, against starting from the Corollary 1 4-approximation.
 func BenchmarkAblationSeeding(b *testing.B) {
 	cfg := gen.DefaultConfig(9)
 	cfg.Regions = 50
@@ -303,7 +231,7 @@ func BenchmarkAblationSeeding(b *testing.B) {
 }
 
 // BenchmarkAblationScaling compares thresholded acceptance (§4.1 scaling)
-// against accepting every positive gain (DESIGN §6).
+// against accepting every positive gain.
 func BenchmarkAblationScaling(b *testing.B) {
 	cfg := gen.DefaultConfig(10)
 	cfg.Regions = 40
@@ -336,8 +264,8 @@ func BenchmarkExactEnumeration(b *testing.B) {
 	}
 }
 
-// BenchmarkAlignmentKernels compares the serial, banded, Hirschberg and
-// fit-placement kernels on one workload.
+// BenchmarkAlignmentKernels compares the score, banded and fit-placement
+// kernels on one workload.
 func BenchmarkAlignmentKernels(b *testing.B) {
 	r := rand.New(rand.NewSource(11))
 	tb := score.NewTable()
@@ -362,11 +290,6 @@ func BenchmarkAlignmentKernels(b *testing.B) {
 			align.ScoreBanded(a, bb, tb, 64)
 		}
 	})
-	b.Run("hirschberg", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			align.Hirschberg(a, bb, tb)
-		}
-	})
 	b.Run("placements", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			align.Placements(a[:40], bb, tb, 0)
@@ -385,11 +308,6 @@ func BenchmarkAlignmentKernels(b *testing.B) {
 	b.Run("banded-64-int32", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			align.ScoreBanded(a, bb, ci, 64)
-		}
-	})
-	b.Run("hirschberg-int32", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			align.Hirschberg(a, bb, ci)
 		}
 	})
 	b.Run("placements-int32", func(b *testing.B) {

@@ -61,7 +61,8 @@ func TestCLIRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCLIBenchSingleTable checks csrbench's experiment filter.
+// TestCLIBenchSingleTable checks csrbench's experiment filter: -only runs
+// just the named table and rejects an unknown ID.
 func TestCLIBenchSingleTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -80,6 +81,14 @@ func TestCLIBenchSingleTable(t *testing.T) {
 	}
 	if !strings.Contains(s, "11.00") {
 		t.Fatalf("E1 table missing the optimum:\n%s", s)
+	}
+	// An unknown ID (E9 no longer exists) fails and names the known IDs.
+	out, err = exec.Command("go", "run", "./cmd/csrbench", "-only", "E9").CombinedOutput()
+	if err == nil {
+		t.Fatalf("csrbench -only E9 succeeded:\n%s", out)
+	}
+	if s := string(out); !strings.Contains(s, `unknown experiment "E9"`) || !strings.Contains(s, "E1, E2") || strings.Contains(s, " — ") {
+		t.Fatalf("csrbench -only E9:\n%s", s)
 	}
 }
 

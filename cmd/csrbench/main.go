@@ -1,5 +1,7 @@
-// Command csrbench runs the full experiment suite (E1–E10 of DESIGN.md)
-// and prints the tables recorded in EXPERIMENTS.md.
+// Command csrbench runs the experiment suite of internal/experiments (E1–E8,
+// E10 and E11: the paper's worked example, reductions, approximation ratios
+// and fooling family, plus layout recovery) and prints its tables; -only
+// runs just the named ones and rejects an unknown ID.
 //
 // Usage:
 //
@@ -23,6 +25,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -123,17 +126,25 @@ func main() {
 		}
 		return
 	}
+	var known []string
+	for _, e := range experiments.All {
+		known = append(known, e.ID)
+	}
 	want := map[string]bool{}
 	for _, id := range strings.Split(*only, ",") {
-		if id = strings.TrimSpace(id); id != "" {
-			want[strings.ToUpper(id)] = true
-		}
-	}
-	for _, t := range experiments.All(*seed) {
-		if len(want) > 0 && !want[t.ID] {
+		if id = strings.ToUpper(strings.TrimSpace(id)); id == "" {
 			continue
 		}
-		fmt.Println(t.Format())
+		if !slices.Contains(known, id) {
+			fmt.Fprintf(os.Stderr, "csrbench: unknown experiment %q (known: %s)\n", id, strings.Join(known, ", "))
+			os.Exit(2)
+		}
+		want[id] = true
+	}
+	for _, e := range experiments.All {
+		if len(want) == 0 || want[e.ID] {
+			fmt.Println(e.Run(*seed).Format())
+		}
 	}
 }
 

@@ -54,7 +54,7 @@ func main() {
 	fmt.Printf("\nground-truth recovery: %d contigs placed, %.0f%% pairwise order, %.0f%% orientation\n",
 		acc.Placed, 100*acc.PairOrder, 100*acc.Orientation)
 	fmt.Println("(orientation is measured against M-genome-local truth; correctly")
-	fmt.Println(" inferred inversions count against it — see EXPERIMENTS.md E11)")
+	fmt.Println(" inferred inversions count against it — see `csrbench -only E11`)")
 
 	// The paper's actual deliverable: islands of contigs whose relative
 	// order and orientation the comparison establishes.

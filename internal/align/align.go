@@ -12,10 +12,12 @@
 //	D[i][j] = max(D[i−1][j−1] + σ(aᵢ, bⱼ), D[i−1][j], D[i][j−1])
 //	D[0][·] = D[·][0] = 0
 //
-// The package provides serial scoring, full tracebacks, a linear-space
-// Hirschberg variant, banded scoring, Pareto-optimal fit placements for the
-// TPA subroutine, and a blocked parallel wavefront engine (the IPPS 2002
-// parallel-DP angle).
+// The package answers each alignment question with one serial kernel:
+// Score for P_score, Align for one optimal column set, ScoreBanded for a
+// band-restricted score, and Placements/PlacementsEach for the Pareto
+// frontier of fit placements that the TPA subroutine selects from. On a
+// compiled σ every kernel runs over per-call tables of the σ hits in the
+// words (see compiled.go).
 package align
 
 import (
@@ -92,7 +94,8 @@ type Col struct {
 
 // Align returns P_score(a, b) together with the scoring columns (pairs with
 // σ > 0) of one optimal alignment, in increasing order of both coordinates.
-// Runs in O(|a|·|b|) time and space; for long inputs prefer Hirschberg.
+// Runs in O(|a|·|b|) time and space: the traceback reads the full DP
+// matrix.
 func Align(a, b symbol.Word, sc score.Scorer) (float64, []Col) {
 	s := NewScratch()
 	defer s.Release()
@@ -149,26 +152,4 @@ func (s *Scratch) Align(a, b symbol.Word, sc score.Scorer) (float64, []Col) {
 		cols[l], cols[r] = cols[r], cols[l]
 	}
 	return d[m][n] * unit, cols
-}
-
-// ColsScore sums the σ contributions of an alignment's scoring columns.
-func ColsScore(cols []Col) float64 {
-	t := 0.0
-	for _, c := range cols {
-		t += c.Sigma
-	}
-	return t
-}
-
-// ValidCols reports whether cols is a strictly increasing monotone pairing
-// of positions within words of the given lengths.
-func ValidCols(cols []Col, la, lb int) bool {
-	pi, pj := -1, -1
-	for _, c := range cols {
-		if c.I <= pi || c.J <= pj || c.I >= la || c.J >= lb || c.I < 0 || c.J < 0 {
-			return false
-		}
-		pi, pj = c.I, c.J
-	}
-	return true
 }

@@ -184,26 +184,6 @@ func TestAlignColsConsistent(t *testing.T) {
 	}
 }
 
-func TestHirschbergEqualsAlign(t *testing.T) {
-	r := rand.New(rand.NewSource(46))
-	for trial := 0; trial < 150; trial++ {
-		tb := randTable(r, 5, 0.4)
-		a := randOrientedWord(r, r.Intn(25), 5)
-		b := randOrientedWord(r, r.Intn(25), 5)
-		want := Score(a, b, tb)
-		got, cols := Hirschberg(a, b, tb)
-		if got != want {
-			t.Fatalf("Hirschberg score %v, want %v", got, want)
-		}
-		if !ValidCols(cols, len(a), len(b)) {
-			t.Fatalf("Hirschberg produced invalid columns")
-		}
-		if ColsScore(cols) != want {
-			t.Fatalf("Hirschberg columns sum %v != %v", ColsScore(cols), want)
-		}
-	}
-}
-
 func TestBandedLowerBoundAndExactWideBand(t *testing.T) {
 	r := rand.New(rand.NewSource(47))
 	for trial := 0; trial < 100; trial++ {
@@ -236,35 +216,6 @@ func TestBestOrient(t *testing.T) {
 	sc, rev = BestOrient(a, symbol.Word{1, 2}, tb)
 	if sc != 10 || rev {
 		t.Fatalf("BestOrient fwd = (%v,%v), want (10,false)", sc, rev)
-	}
-}
-
-func TestWavefrontEqualsSerial(t *testing.T) {
-	r := rand.New(rand.NewSource(48))
-	for trial := 0; trial < 60; trial++ {
-		tb := randTable(r, 6, 0.3)
-		a := randOrientedWord(r, r.Intn(120), 6)
-		b := randOrientedWord(r, r.Intn(120), 6)
-		want := Score(a, b, tb)
-		for _, cfg := range []WavefrontAligner{
-			{Workers: 1, BlockRows: 7, BlockCols: 5},
-			{Workers: 4, BlockRows: 16, BlockCols: 16},
-			{Workers: 8, BlockRows: 3, BlockCols: 50},
-			{Workers: 2}, // default block size
-		} {
-			if got := cfg.Score(a, b, tb); got != want {
-				t.Fatalf("wavefront %+v = %v, want %v (|a|=%d |b|=%d)",
-					cfg, got, want, len(a), len(b))
-			}
-		}
-	}
-}
-
-func TestWavefrontEmpty(t *testing.T) {
-	tb := score.NewTable()
-	w := WavefrontAligner{Workers: 4}
-	if w.Score(nil, symbol.Word{1}, tb) != 0 {
-		t.Fatal("empty input should score 0")
 	}
 }
 
@@ -307,25 +258,5 @@ func TestPlacementsTightAndOptimal(t *testing.T) {
 				t.Fatalf("window not right-tight: [%d,%d)", p.Lo, p.Hi)
 			}
 		}
-	}
-}
-
-func TestBestPlacement(t *testing.T) {
-	tb := score.NewTable()
-	tb.Set(1, 7, 3)
-	a := symbol.Word{1}
-	b := symbol.Word{9, 7, 9, 7, 9}
-	p, ok := BestPlacement(a, b, tb, 0)
-	if !ok {
-		t.Fatal("expected a placement")
-	}
-	if p.Score != 3 || p.Hi-p.Lo != 1 {
-		t.Fatalf("BestPlacement = %+v", p)
-	}
-	if _, ok := BestPlacement(a, b, tb, 5); ok {
-		t.Fatal("minScore filter failed")
-	}
-	if _, ok := BestPlacement(symbol.Word{2}, b, tb, 0); ok {
-		t.Fatal("unalignable query produced a placement")
 	}
 }

@@ -52,52 +52,6 @@ func TestScoreZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestWavefrontZeroAlloc: the single-worker wavefront (inline blocked sweep)
-// reuses its pooled boundary rows, carries, and tile buffers — zero
-// allocations per Score in steady state, in both score modes.
-func TestWavefrontZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector defeats sync.Pool caching on purpose")
-	}
-	r := rand.New(rand.NewSource(31))
-	tb := randIntTable(r, 20, 60, true)
-	c := score.Compile(tb, 20)
-	ci := c.Int()
-	a := randIntWord(r, 20, 500)
-	b := randIntWord(r, 20, 500)
-	wf := WavefrontAligner{Workers: 1, BlockRows: 64, BlockCols: 64}
-
-	for _, tc := range []struct {
-		name string
-		sc   score.Scorer
-	}{{"float", c}, {"int", ci}} {
-		fn := func() { wf.Score(a, b, tc.sc) }
-		fn()
-		if avg := testing.AllocsPerRun(20, fn); avg != 0 {
-			t.Errorf("wavefront %s: %v allocs/op, want 0", tc.name, avg)
-		}
-	}
-}
-
-// TestWavefrontParallelMatchesSerial pins the pooled parallel scheduler to
-// the serial kernels across block shapes and worker counts.
-func TestWavefrontParallelMatchesSerial(t *testing.T) {
-	r := rand.New(rand.NewSource(32))
-	tb := randIntTable(r, 15, 50, false)
-	c := score.Compile(tb, 15)
-	a := randIntWord(r, 15, 333)
-	b := randIntWord(r, 15, 271)
-	want := Score(a, b, c)
-	for _, workers := range []int{1, 2, 4, 7} {
-		for _, block := range []int{1, 17, 64, 1000} {
-			wf := WavefrontAligner{Workers: workers, BlockRows: block, BlockCols: block}
-			if got := wf.Score(a, b, c); got != want {
-				t.Fatalf("workers=%d block=%d: %v != %v", workers, block, got, want)
-			}
-		}
-	}
-}
-
 var benchSink float64
 
 // BenchmarkScoreIntVsFloat compares Score on the float64 matrix and on its

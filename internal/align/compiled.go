@@ -151,8 +151,7 @@ func (s *Scratch) sigmaRow(c *score.Compiled, i int, sym symbol.Symbol) ([]int32
 
 // floatTable lists the hits of every row of a at once (indexF must have
 // run): row i's cells are s.row(i). Each distinct symbol's hits are listed
-// once and shared by its rows; the wavefront's tiles read the table
-// concurrently.
+// once and shared by its rows.
 func (s *Scratch) floatTable(a symbol.Word, c *score.Compiled, positive bool) {
 	s.resetSparse(2*int(c.MaxID()) + 1)
 	s.valF = s.valF[:0]
@@ -196,11 +195,10 @@ func sortPosValF(pos []int32, val []float64) {
 }
 
 // skipRow advances the rolled DP row arr (monotone nondecreasing) by one
-// row: the skip-propagation sweep shared by every free-gap kernel. The new
-// row's boundary cell arr[0] becomes left (0 for a plain DP row, the
-// carried left column for a wavefront tile; it must be ≥ the old arr[0]),
-// and pos/val are the row's positive cells, pos ascending and offset by off
-// (cell pos[k] updates arr[pos[k]−off+1]).
+// row: the skip-propagation sweep shared by every free-gap kernel. The
+// boundary cell arr[0] is 0 in every DP row and stays as it is; pos/val are
+// the row's positive cells, pos ascending (cell pos[k] updates
+// arr[pos[k]+1]).
 //
 // A cell with no positive σ reduces to max(up, left), which leaves an
 // add-free span unchanged once the running maximum has been absorbed, so
@@ -208,15 +206,14 @@ func sortPosValF(pos []int32, val []float64) {
 // still rippling through. The skipped writes are provably no-ops and the
 // per-cell arithmetic is the dense update's (one add, then maxima), so
 // every cell of the row is bit-identical to the full sweep.
-func skipRow(arr []float64, left float64, pos []int32, val []float64, off int32) {
+func skipRow(arr []float64, pos []int32, val []float64) {
 	n := len(arr) - 1
 	// j is the next column to finalize, best the new value at j-1, and
 	// oldPrev the previous row's value at j-1 (the diagonal input).
 	j := 1
-	best, oldPrev := left, arr[0]
-	arr[0] = left
+	best, oldPrev := arr[0], arr[0]
 	for k, p := range pos {
-		pj := int(p-off) + 1
+		pj := int(p) + 1
 		// Ripple best through the add-free span [j, pj): once it is
 		// absorbed (best ≤ old cell), the rest of the span is unchanged
 		// and can be skipped — the old values are exactly the new ones.
@@ -245,7 +242,7 @@ func skipRow(arr []float64, left float64, pos []int32, val []float64, off int32)
 		oldPrev = up
 		j = pj + 1
 	}
-	// Tail: ripple the last add (or the new left cell) until absorbed.
+	// Tail: ripple the last add until absorbed.
 	for j <= n && best > arr[j] {
 		arr[j] = best
 		j++
@@ -261,7 +258,7 @@ func (s *Scratch) scoreCompiled(a, b symbol.Word, c *score.Compiled) float64 {
 	arr, _ := s.floatRows(n + 1)
 	for i, sym := range a {
 		if pos, val := s.sigmaRow(c, i, sym); len(pos) > 0 {
-			skipRow(arr, 0, pos, val, 0)
+			skipRow(arr, pos, val)
 		}
 	}
 	return arr[n]
@@ -277,24 +274,10 @@ func (s *Scratch) fillCompiled(a, b symbol.Word, c *score.Compiled) [][]float64 
 	for i := 1; i <= len(a); i++ {
 		copy(d[i], d[i-1])
 		if pos, val := s.sigmaRow(c, i-1, a[i-1]); len(pos) > 0 {
-			skipRow(d[i], 0, pos, val, 0)
+			skipRow(d[i], pos, val)
 		}
 	}
 	return d
-}
-
-// lastRowCompiledInto is lastRow on the sparse fast path, sweeping D's
-// rows in dst (resized as needed) so dst ends as D[len(a)].
-func (s *Scratch) lastRowCompiledInto(dst []float64, a, b symbol.Word, c *score.Compiled) []float64 {
-	s.sigmaRows(a, b, c, true)
-	dst = growF(dst, len(b)+1)
-	clear(dst)
-	for i, sym := range a {
-		if pos, val := s.sigmaRow(c, i, sym); len(pos) > 0 {
-			skipRow(dst, 0, pos, val, 0)
-		}
-	}
-	return dst
 }
 
 // scoreBandedCompiled is ScoreBanded on the sparse fast path. Cells next to

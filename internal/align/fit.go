@@ -53,23 +53,6 @@ func (s *Scratch) PlacementsEach(b symbol.Word, queries []symbol.Word, sc score.
 	}
 }
 
-// BestPlacement returns the highest-scoring placement of a inside b, or
-// ok = false when no alignment scores above minScore.
-func BestPlacement(a, b symbol.Word, sc score.Scorer, minScore float64) (Placement, bool) {
-	s := NewScratch()
-	defer s.Release()
-	return s.BestPlacement(a, b, sc, minScore)
-}
-
-// BestPlacement is the kernel form of the package-level BestPlacement.
-func (s *Scratch) BestPlacement(a, b symbol.Word, sc score.Scorer, minScore float64) (Placement, bool) {
-	ps := s.Placements(a, b, sc, minScore)
-	if len(ps) == 0 {
-		return Placement{}, false
-	}
-	return ps[len(ps)-1], true
-}
-
 // zone is the placement zone of a Placements run: indexed is the compiled
 // matrix s.bi and bHead currently index b under, nil until the first
 // compiled-path query.

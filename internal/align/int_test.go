@@ -59,14 +59,6 @@ func TestIntKernelsExactOnIntegralSigma(t *testing.T) {
 		if got, want := ScoreBanded(a, b, ci, band), ScoreBanded(a, b, c, band); got != want {
 			t.Fatalf("trial %d: ScoreBanded int %v != float %v", trial, got, want)
 		}
-		gi, ci2 := Hirschberg(a, b, ci)
-		gf, _ := Hirschberg(a, b, c)
-		if gi != gf {
-			t.Fatalf("trial %d: Hirschberg int %v != float %v", trial, gi, gf)
-		}
-		if !ValidCols(ci2, len(a), len(b)) {
-			t.Fatalf("trial %d: invalid int Hirschberg columns", trial)
-		}
 		si, colsI := Align(a, b, ci)
 		sf, _ := Align(a, b, c)
 		if si != sf || ColsScore(colsI) != sf {
@@ -81,10 +73,6 @@ func TestIntKernelsExactOnIntegralSigma(t *testing.T) {
 			if pi[i] != pf[i] {
 				t.Fatalf("trial %d: placement %d: %+v != %+v", trial, i, pi[i], pf[i])
 			}
-		}
-		wf := WavefrontAligner{Workers: 1 + r.Intn(3), BlockRows: 1 + r.Intn(30), BlockCols: 1 + r.Intn(30)}
-		if got, want := wf.Score(a, b, ci), Score(a, b, ci); got != want {
-			t.Fatalf("trial %d: wavefront int %v != serial int %v", trial, got, want)
 		}
 	}
 }

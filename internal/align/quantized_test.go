@@ -136,11 +136,10 @@ func sameBitsF(x, y float64) bool { return math.Float64bits(x) == math.Float64bi
 // TestQuantizedKernelsMatchIntReference holds every kernel on a quantized
 // σ to the int64 reference bit for bit: Score, Align (score and columns),
 // ScoreBanded (including bands that touch only diagonally, where negative
-// cells decide), Placements under minScore 0 and above, Hirschberg's
-// columns, and the wavefront, serial and parallel. σ comes from diffTable
-// — negative, ±0 and fractional cells in both species orders — quantized
-// with the automatic unit or an arbitrary IntWithUnit unit, and is run as
-// is and transposed on words with reversed symbols.
+// cells decide) and Placements under minScore 0 and above. σ comes from
+// diffTable — negative, ±0 and fractional cells in both species orders —
+// quantized with the automatic unit or an arbitrary IntWithUnit unit, and
+// is run as is and transposed on words with reversed symbols.
 func TestQuantizedKernelsMatchIntReference(t *testing.T) {
 	r := rand.New(rand.NewSource(22))
 	s := NewScratch()
@@ -194,22 +193,6 @@ func TestQuantizedKernelsMatchIntReference(t *testing.T) {
 				if got, want := s.Placements(x, y, o.ci, minScore), ref.placements(x, y, minScore); !slices.Equal(got, want) {
 					fail("Placements", got, want)
 				}
-			}
-			_, hcols := s.Hirschberg(x, y, o.ci)
-			sum := int64(0)
-			for _, col := range hcols {
-				q := ref.q(x[col.I], y[col.J])
-				if !sameBitsF(col.Sigma, float64(q)*ref.unit) {
-					fail("Hirschberg column σ", col, float64(q)*ref.unit)
-				}
-				sum += q
-			}
-			if !ValidCols(hcols, len(x), len(y)) || !sameBitsF(float64(sum)*ref.unit, want) {
-				fail("Hirschberg", hcols, want)
-			}
-			wf := WavefrontAligner{Workers: 1 + r.Intn(3), BlockRows: 1 + r.Intn(20), BlockCols: 1 + r.Intn(20)}
-			if got := wf.Score(x, y, o.ci); !sameBitsF(got, want) {
-				fail("WavefrontAligner.Score", got, want)
 			}
 		}
 	}

@@ -8,21 +8,19 @@ import (
 )
 
 // Scratch is a reusable arena for every buffer the alignment kernels need:
-// rolled DP row pairs, placement rows, the column-index
-// word of b, the per-call sparse σ tables of the fast paths,
-// Hirschberg boundary rows, and the full DP matrix of Align. All kernels are
-// methods on Scratch; the package-level functions borrow one from an internal
-// sync.Pool, so steady-state alignment — thousands of candidate simulations
-// per improvement round, every tile of a wavefront sweep — performs no heap
-// allocation at all.
+// rolled DP row pairs, placement rows, the column-index word of b, the
+// per-call sparse σ tables of the fast paths, and the full DP matrix of
+// Align. All kernels are methods on Scratch; the package-level functions
+// borrow one from an internal sync.Pool, so steady-state alignment —
+// thousands of candidate simulations per improvement round — performs no
+// heap allocation at all.
 //
 // A Scratch is not safe for concurrent use: one goroutine, one Scratch.
 // Solvers hold one per solve (greedy, onecsr, exact, the improve driver);
-// the improve eval pool gives each worker its own; everyone else goes
-// through the package-level functions and shares the pool.
+// everyone else goes through the package-level functions and shares the
+// pool.
 type Scratch struct {
 	fa, fb []float64 // rolled DP rows
-	ga, gb []float64 // Hirschberg boundary rows (fwd/bwd)
 	sa, sb []int32   // start-index rows of the interface placement kernel
 	bi     []int32   // column indices of b
 

@@ -59,14 +59,10 @@ func nonNegative(tb *score.Table) *score.Table {
 
 // kernelRun is every float64 kernel's output on one word pair.
 type kernelRun struct {
-	score, banded              float64
-	alignScore, hirschScore    float64
-	alignCols, hirschCols      []Col
-	placements                 []Placement
-	best                       Placement
-	bestOK                     bool
-	wavefront, wavefrontPar    float64
+	score, banded, alignScore  float64
 	bandedAdjacent, bandedWide float64
+	alignCols                  []Col
+	placements                 []Placement
 }
 
 // runKernels runs the kernels on (a, b) under sc. bandAdj is a band
@@ -78,11 +74,7 @@ func runKernels(s *Scratch, a, b symbol.Word, sc score.Scorer, bandAdj int) kern
 	k.bandedAdjacent = s.ScoreBanded(a, b, sc, bandAdj)
 	k.bandedWide = s.ScoreBanded(a, b, sc, len(a)+len(b))
 	k.alignScore, k.alignCols = s.Align(a, b, sc)
-	k.hirschScore, k.hirschCols = s.Hirschberg(a, b, sc)
 	k.placements = slices.Clone(s.Placements(a, b, sc, 0.5))
-	k.best, k.bestOK = s.BestPlacement(a, b, sc, 0)
-	k.wavefront = WavefrontAligner{Workers: 1, BlockRows: 3, BlockCols: 5}.Score(a, b, sc)
-	k.wavefrontPar = WavefrontAligner{Workers: 2, BlockRows: 4, BlockCols: 3}.Score(a, b, sc)
 	return k
 }
 
@@ -90,18 +82,15 @@ func sameRun(x, y kernelRun) bool {
 	return x.score == y.score && x.banded == y.banded &&
 		x.bandedAdjacent == y.bandedAdjacent && x.bandedWide == y.bandedWide &&
 		x.alignScore == y.alignScore && slices.Equal(x.alignCols, y.alignCols) &&
-		x.hirschScore == y.hirschScore && slices.Equal(x.hirschCols, y.hirschCols) &&
-		slices.Equal(x.placements, y.placements) && x.best == y.best && x.bestOK == y.bestOK &&
-		x.wavefront == y.wavefront && x.wavefrontPar == y.wavefrontPar
+		slices.Equal(x.placements, y.placements)
 }
 
 // TestSparseKernelsMatchInterface is the differential test of the sparse
 // float64 kernels: on random tables with negative, ±0 and fractional
 // entries, every kernel run on the compiled matrix (and on its transpose,
 // for the other species order) equals the interface path over the raw
-// scorer exactly — Score, ScoreBanded, Align and Hirschberg
-// (score and columns), Placements, BestPlacement and the wavefront, serial
-// and parallel. Word sizes cover both table builds (short words scan b,
+// scorer exactly — Score, ScoreBanded, Align (score and columns) and
+// Placements. Word sizes cover both table builds (short words scan b,
 // long ones index it), and the banded runs include bands that touch only
 // diagonally, where a cell's one finite input is its diagonal and a
 // negative σ decides it. PlacementsEach runs several queries against each

@@ -5,8 +5,25 @@ import (
 	"testing"
 )
 
+// table runs the experiment listed in All under id and checks that the
+// table it builds carries that ID.
+func table(t *testing.T, id string, seed int64) *Table {
+	t.Helper()
+	for _, e := range All {
+		if e.ID == id {
+			tb := e.Run(seed)
+			if tb.ID != id {
+				t.Fatalf("All lists %s but its table is %s", id, tb.ID)
+			}
+			return tb
+		}
+	}
+	t.Fatalf("All lists no %s", id)
+	return nil
+}
+
 func TestE1OptimumRecovered(t *testing.T) {
-	tb := E1PaperExample()
+	tb := table(t, "E1", 0)
 	if len(tb.Rows) < 2 {
 		t.Fatal("missing rows")
 	}
@@ -25,7 +42,7 @@ func TestE1OptimumRecovered(t *testing.T) {
 }
 
 func TestE2IdentityHolds(t *testing.T) {
-	tb := E2CSoPReduction(1)
+	tb := table(t, "E2", 1)
 	if len(tb.Rows) == 0 {
 		t.Fatal("no rows")
 	}
@@ -37,7 +54,7 @@ func TestE2IdentityHolds(t *testing.T) {
 }
 
 func TestE3RecoveryHolds(t *testing.T) {
-	tb := E3UCSRReduction()
+	tb := table(t, "E3", 0)
 	if len(tb.Rows) != 3 {
 		t.Fatalf("rows: %d", len(tb.Rows))
 	}
@@ -52,7 +69,7 @@ func TestE3RecoveryHolds(t *testing.T) {
 }
 
 func TestE4InequalityHolds(t *testing.T) {
-	tb := E4Doubling(2)
+	tb := table(t, "E4", 2)
 	if len(tb.Rows) == 0 {
 		t.Fatal("no rows")
 	}
@@ -64,7 +81,7 @@ func TestE4InequalityHolds(t *testing.T) {
 }
 
 func TestE5RatioRows(t *testing.T) {
-	tb := E5TwoPhase(3)
+	tb := table(t, "E5", 3)
 	ratios := 0
 	for _, row := range tb.Rows {
 		if row[2] != "-" {
@@ -80,19 +97,19 @@ func TestE5RatioRows(t *testing.T) {
 }
 
 func TestE6E7E8Populate(t *testing.T) {
-	if len(E6FourApprox(4).Rows) == 0 {
+	if len(table(t, "E6", 4).Rows) == 0 {
 		t.Error("E6 empty")
 	}
-	if len(E7Improve(5).Rows) == 0 {
+	if len(table(t, "E7", 5).Rows) == 0 {
 		t.Error("E7 empty")
 	}
-	if len(E8Matching(6).Rows) == 0 {
+	if len(table(t, "E8", 6).Rows) == 0 {
 		t.Error("E8 empty")
 	}
 }
 
 func TestE10FoolingShape(t *testing.T) {
-	tb := E10Fooling()
+	tb := table(t, "E10", 0)
 	for _, row := range tb.Rows {
 		if row[5] >= row[6] {
 			t.Fatalf("greedy ratio %s not below improve ratio %s", row[5], row[6])
@@ -103,28 +120,8 @@ func TestE10FoolingShape(t *testing.T) {
 	}
 }
 
-func TestE9WavefrontAgreesAcrossWorkers(t *testing.T) {
-	tb := E9Wavefront()
-	if len(tb.Rows) == 0 {
-		t.Fatal("no rows")
-	}
-	// Rows exist for every worker count and runtimes are populated.
-	workers := map[string]bool{}
-	for _, row := range tb.Rows {
-		workers[row[1]] = true
-		if row[3] == "" || row[3] == "-" {
-			t.Fatalf("missing runtime: %v", row)
-		}
-	}
-	for _, w := range []string{"1", "2", "4", "8"} {
-		if !workers[w] {
-			t.Fatalf("missing worker count %s", w)
-		}
-	}
-}
-
 func TestE11RecoveryShape(t *testing.T) {
-	tb := E11Recovery(1)
+	tb := table(t, "E11", 1)
 	if len(tb.Rows) == 0 {
 		t.Fatal("no rows")
 	}
