@@ -70,9 +70,10 @@ type algResult struct {
 	// SeedPairs aggregates the seeded candidate universe size over the
 	// batch (improve.Stats.SeedPairs); zero unless -seeded.
 	SeedPairs int `json:"seed_pairs,omitempty"`
-	// Recovery is the seeded/exact score ratio measured on a downsampled
-	// sibling of the preset instance (see -seed-accuracy); only present on
-	// the first record of a -seed-accuracy run.
+	// Recovery is the seeded/classic score ratio measured on the record's
+	// own instances (see -seed-accuracy): minimizer seeding against the
+	// complete positive-σ mask. Only present on the first record of a
+	// -seed-accuracy run.
 	Recovery float64 `json:"recovery,omitempty"`
 	Error    string  `json:"error,omitempty"`
 }
@@ -109,7 +110,7 @@ func main() {
 		seeded    = flag.Bool("seeded", false, "solve with minimizer-seeded sparse candidates (records carry mode=seeded)")
 		preset    = flag.String("preset", "", "generate -json workloads from a named preset (genome-small, genome-large) instead of -regions")
 		label     = flag.String("label", "", "override the algorithm field of -json records (trajectory row naming)")
-		seedAcc   = flag.Bool("seed-accuracy", false, "also measure seeded/exact score recovery on a downsampled sibling instance; adds a recovery field")
+		seedAcc   = flag.Bool("seed-accuracy", false, "also measure seeded/classic score recovery on the generated instances; adds a recovery field")
 		minRec    = flag.Float64("min-recovery", 0, "with -seed-accuracy: exit non-zero when recovery falls below this ratio")
 	)
 	flag.Parse()
@@ -181,7 +182,7 @@ func runJSON(o jsonOpts) error {
 	recovery := 0.0
 	if o.seedAcc {
 		var err error
-		if recovery, err = measureRecovery(o.preset, seed); err != nil {
+		if recovery, err = measureRecovery(ins); err != nil {
 			return err
 		}
 	}
@@ -277,42 +278,30 @@ func runJSON(o jsonOpts) error {
 	return nil
 }
 
-// measureRecovery solves one downsampled (~300-region) sibling of the
-// preset family twice — classic all-pairs enumeration and minimizer-seeded
-// — and returns the seeded/classic score ratio. Downsampling keeps the
-// exact solve tractable while preserving the preset's rearrangement and
-// spurious-pair density, so the ratio is a per-run guard that the seeding
-// pipeline still recovers the solutions the full sweep would find.
-func measureRecovery(preset string, seed int64) (float64, error) {
-	cfg := fragalign.DefaultGenConfig(seed)
-	cfg.Regions = 300
-	cfg.MeanContig = 6
-	cfg.Inversions = 12
-	cfg.InversionLen = 25
-	cfg.Translocations = 3
-	cfg.Spurious = 30
-	if preset != "" {
-		if pc, ok := fragalign.GenPreset(preset, seed); ok {
-			// Inherit the preset's score model parameters; the shape above
-			// stays downsampled.
-			cfg.BaseScore, cfg.Noise, cfg.SpuriousScore = pc.BaseScore, pc.Noise, pc.SpuriousScore
-		}
-	}
-	in := fragalign.Generate(cfg).Instance
+// measureRecovery solves the row's instances twice — over the classic
+// positive-σ mask universe, which loses nothing against all-pairs
+// enumeration, and minimizer-seeded — and returns the seeded/classic ratio
+// of the summed scores: a per-run guard that the seeding pipeline still
+// recovers the solutions the complete universe finds.
+func measureRecovery(ins []*fragalign.Instance) (float64, error) {
 	common := []fragalign.Option{
 		fragalign.WithEps(0.05), fragalign.WithFourApproxSeed(true),
 	}
-	exact, err := fragalign.Solve(in, fragalign.CSRImprove, common...)
-	if err != nil {
-		return 0, fmt.Errorf("recovery exact solve: %w", err)
+	var classic, seeded float64
+	for _, in := range ins {
+		c, err := fragalign.Solve(in, fragalign.CSRImprove, common...)
+		if err != nil {
+			return 0, fmt.Errorf("recovery classic solve: %w", err)
+		}
+		s, err := fragalign.Solve(in, fragalign.CSRImprove,
+			append(common, fragalign.WithSeededCandidates(true))...)
+		if err != nil {
+			return 0, fmt.Errorf("recovery seeded solve: %w", err)
+		}
+		classic, seeded = classic+c.Score, seeded+s.Score
 	}
-	sdd, err := fragalign.Solve(in, fragalign.CSRImprove,
-		append(common, fragalign.WithSeededCandidates(true))...)
-	if err != nil {
-		return 0, fmt.Errorf("recovery seeded solve: %w", err)
-	}
-	if exact.Score == 0 {
+	if classic == 0 {
 		return 1, nil
 	}
-	return sdd.Score / exact.Score, nil
+	return seeded / classic, nil
 }

@@ -50,7 +50,6 @@ import (
 	"repro/internal/improve/enum"
 	"repro/internal/onecsr"
 	"repro/internal/score"
-	"repro/internal/seed"
 	"repro/internal/symbol"
 )
 
@@ -255,7 +254,6 @@ type solveCfg struct {
 	intScore   bool
 	partial    bool
 	seeded     bool
-	seedParams seed.Params
 	checkpoint CheckpointSink
 	resume     []CheckpointOp
 	// Batch-only knobs (see solvebatch.go).
@@ -304,20 +302,15 @@ func WithQuantizedScaling(on bool) Option { return func(c *solveCfg) { c.quantiz
 // integral σ). Off by default.
 func WithIntScore(on bool) Option { return func(c *solveCfg) { c.intScore = on } }
 
-// WithSeededCandidates replaces all-pairs candidate enumeration in the
-// improvement algorithms with minimizer seed-and-chain candidate generation
-// (internal/seed): only fragment pairs whose words share σ-translated
-// minimizer chains enter the search. This is the genome-scale mode — pair
-// sweeps become near-linear in the fragment count — at the cost of a
-// documented recall bound: pairs whose best alignment has no seed chain are
-// never tried.
+// WithSeededCandidates replaces the improvement algorithms' default pair
+// universe — the positive-σ mask, every fragment pair sharing a positive σ
+// cell, which loses nothing against all pairs — with minimizer
+// seed-and-chain candidate generation (internal/seed): only fragment pairs
+// whose words share σ-translated minimizer chains enter the search. This is
+// the genome-scale mode — a much smaller universe on large instances — at
+// the cost of a documented recall bound: pairs whose best alignment has no
+// seed chain are never tried.
 func WithSeededCandidates(on bool) Option { return func(c *solveCfg) { c.seeded = on } }
-
-// WithSeedParams overrides the seeding pipeline's tuning (implies nothing
-// about WithSeededCandidates; set both). The zero value means
-// seed.DefaultParams(); Params.Exhaustive selects the provably lossless
-// positive-σ mask instead of minimizers.
-func WithSeedParams(p seed.Params) Option { return func(c *solveCfg) { c.seedParams = p } }
 
 // WithPartialResults degrades deadline and cancellation failures of the
 // improvement algorithms gracefully: when the context fires mid-solve, the
@@ -474,7 +467,6 @@ func solveInstance(ctx context.Context, in *Instance, alg Algorithm, cfg solveCf
 			Quantize:           cfg.quantize,
 			IntScore:           cfg.intScore,
 			Seeded:             cfg.seeded,
-			SeedParams:         cfg.seedParams,
 			CheckInvariants:    cfg.check,
 			Partial:            cfg.partial,
 			Checkpoint:         cfg.checkpoint,

@@ -63,18 +63,15 @@ type Options struct {
 	// Quantize: the scaled shadow scorer is then quantized exactly, since
 	// its values are multiples of the scaling unit by construction.
 	IntScore bool
-	// Seeded replaces all-pairs candidate enumeration with the minimizer
-	// seed-and-chain pipeline (internal/seed): only fragment pairs whose
-	// words share σ-translated minimizer chains (SeedParams.Exhaustive:
-	// pairs with any positive σ cell — provably lossless) enter the
-	// enumeration, I3 rewiring, and TPA loops. On genome-scale instances
-	// this turns the quadratic pair sweeps into near-linear ones; on small
-	// instances with exhaustive params the accepted sequence is
-	// bit-identical to the unseeded solve (TestSeededExhaustiveParity).
+	// Seeded replaces the positive-σ pair mask (seed.Mask) with the
+	// minimizer seed-and-chain pipeline (seed.Candidates, default params):
+	// only fragment pairs whose words share σ-translated minimizer chains
+	// enter the enumeration, I3 rewiring, and TPA loops. The unseeded mask
+	// admits every pair with a positive σ cell, which is provably lossless:
+	// its accepted sequence is bit-identical to all-pairs enumeration
+	// (TestMaskMatchesDenseUniverse). Seeding trades a little score for a
+	// much smaller universe on genome-scale instances.
 	Seeded bool
-	// SeedParams tunes the seeding pipeline; the zero value means
-	// seed.DefaultParams().
-	SeedParams seed.Params
 	// Checkpoint, when set, observes every accepted candidate in acceptance
 	// order — the driver's crash-recovery tap. Because the live state evolves
 	// only through accepted attempts (every simulation rolls its edits back)
@@ -114,6 +111,10 @@ type Options struct {
 	// all setup — the shadow Quantize/IntScore recursions, seeding, and
 	// Resume — has run. Test hook for the full re-evaluation oracle.
 	engine engineFunc
+	// universe, when set, supplies the pair universe at the innermost
+	// solve in place of seed.Mask (and of seeding). Test hook for the
+	// all-pairs parity oracle.
+	universe func(in *core.Instance) [][2]int32
 }
 
 // engineFunc is the signature of the driver's round loop: it runs rounds
@@ -167,7 +168,8 @@ type Stats struct {
 	Partial bool
 	// SeedPairs and SeedAnchors report the seeded candidate universe
 	// (Options.Seeded): pairs admitted out of nh×nm possible, and minimizer
-	// anchors matched. Zero on unseeded solves.
+	// anchors matched. Zero on unseeded solves, whose universe is the
+	// positive-σ mask.
 	SeedPairs   int
 	SeedAnchors int
 }
@@ -277,23 +279,25 @@ func Improve(in *core.Instance, opt Options) (*core.Solution, Stats, error) {
 		maxRounds = 4*k*k + k + 16
 	}
 
-	st := newState(in, seedSol)
-	defer st.scr.Release() // the driver's own alignment scratch arena
-	if opt.Seeded {
-		// Seed-and-chain candidate generation: restrict the solve's pair
-		// universe to the chained (or, with Exhaustive, positive-σ) pairs.
-		// Runs against the prepared σ, so the shadow recursions above seed
-		// under the scorer the search actually uses.
-		sp := opt.SeedParams
-		if sp == (seed.Params{}) {
-			sp = seed.DefaultParams()
-		}
-		res := seed.Candidates(in, sp)
-		st.pairs = enum.NewPairSet(
-			in.NumFrags(core.SpeciesH), in.NumFrags(core.SpeciesM), res.PairList())
+	// The solve's pair universe: the positive-σ mask, or the minimizer
+	// chains on a seeded solve. Built against the prepared σ, so under the
+	// shadow recursions above it masks or seeds under the scorer the search
+	// actually uses.
+	var pairs [][2]int32
+	switch {
+	case opt.universe != nil:
+		pairs = opt.universe(in)
+	case opt.Seeded:
+		res := seed.Candidates(in, seed.DefaultParams())
+		pairs = res.PairList()
 		stats.SeedPairs = res.Stats.Pairs
 		stats.SeedAnchors = res.Stats.Anchors
+	default:
+		pairs = seed.Mask(in)
 	}
+	st := newState(in, seedSol,
+		enum.NewPairSet(in.NumFrags(core.SpeciesH), in.NumFrags(core.SpeciesM), pairs))
+	defer st.scr.Release() // the driver's own alignment scratch arena
 	if len(opt.Resume) > 0 {
 		// Crash recovery: fast-forward the live state through the
 		// checkpointed accepted-op log. Each op is applied exactly as

@@ -278,8 +278,8 @@ func WindowsOf(sites []core.Site, n int) [][2]int {
 //
 // The unrestricted form (only.Idx < 0) iterates every H fragment fi
 // ascending, then fi's M partners ascending, calling depths once per H
-// fragment and once per pair for its M partner; on a dense universe these
-// are exactly the classic nested (fi, gi) loops. The restricted forms visit
+// fragment and once per pair for its M partner: the classic nested (fi, gi)
+// loops restricted to the universe. The restricted forms visit
 // only the pairs that can emit a candidate: they call depths once for only,
 // then walk only's partners ascending (PartnersOf: the M partners of an H
 // only, the H partners of an M only), calling depths once for each partner
@@ -413,14 +413,10 @@ type Enumerator struct {
 }
 
 // New returns an Enumerator for the selected method families over the given
-// pair universe. A nil universe means all pairs (classic enumeration).
+// pair universe.
 func New(full, border bool, ps *PairSet) *Enumerator {
 	return &Enumerator{full: full, border: border, pairs: ps}
 }
-
-// Pairs returns the enumerator's pair universe (never nil after the first
-// Candidates/Repair call sized it).
-func (e *Enumerator) Pairs() *PairSet { return e.pairs }
 
 // Stats returns the cumulative piece-cache counters.
 func (e *Enumerator) Stats() Stats {
@@ -434,9 +430,6 @@ func (e *Enumerator) size(src Source) {
 	e.sized = true
 	e.nh = src.NumFrags(core.SpeciesH)
 	e.nm = src.NumFrags(core.SpeciesM)
-	if e.pairs == nil {
-		e.pairs = AllPairs(e.nh, e.nm)
-	}
 	for sp, n := range [2]int{e.nh, e.nm} {
 		if e.full {
 			e.win[sp] = make([]piece[[][2]int], n)

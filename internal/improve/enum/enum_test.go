@@ -46,6 +46,17 @@ func (s *fakeSource) Chains(fr core.FragRef, r Reads) []Chain {
 	return s.chains[fr.Idx]
 }
 
+// allPairs is the dense test universe: every one of the nh×nm pairs.
+func allPairs(nh, nm int) *PairSet {
+	var pairs [][2]int32
+	for fi := 0; fi < nh; fi++ {
+		for gi := 0; gi < nm; gi++ {
+			pairs = append(pairs, [2]int32{int32(fi), int32(gi)})
+		}
+	}
+	return NewPairSet(nh, nm, pairs)
+}
+
 var (
 	h0 = core.FragRef{Sp: core.SpeciesH, Idx: 0}
 	h1 = core.FragRef{Sp: core.SpeciesH, Idx: 1}
@@ -60,7 +71,7 @@ var (
 // fresh Enumerator's list on the same state.
 func TestRepairReportsExactlyMovedPieces(t *testing.T) {
 	src := newFakeSource([]int{4, 3}, []int{5, 2})
-	en := New(true, true, nil)
+	en := New(true, true, allPairs(2, 2))
 	check := func(step string, want []Change) {
 		t.Helper()
 		if got := en.Repair(src); !slices.Equal(got, want) {
@@ -71,7 +82,7 @@ func TestRepairReportsExactlyMovedPieces(t *testing.T) {
 		if en.Stats().Refreshed != refreshed {
 			t.Fatalf("%s: Candidates refreshed pieces right after Repair", step)
 		}
-		if fresh := New(true, true, nil).Candidates(src); !slices.Equal(got, fresh) {
+		if fresh := New(true, true, allPairs(2, 2)).Candidates(src); !slices.Equal(got, fresh) {
 			t.Fatalf("%s: incremental list %v\nfresh list %v", step, got, fresh)
 		}
 	}
@@ -130,7 +141,7 @@ func TestCandidatesRespectPairUniverse(t *testing.T) {
 			t.Errorf("%s before %s breaks canonical order", cands[i-1], c)
 		}
 	}
-	dense := New(true, true, nil).Candidates(src)
+	dense := New(true, true, allPairs(2, 2)).Candidates(src)
 	if len(cands) >= len(dense) {
 		t.Fatalf("sparse universe kept %d of %d candidates", len(cands), len(dense))
 	}
@@ -169,7 +180,7 @@ func TestAppendI2Restricted(t *testing.T) {
 		name string
 		ps   *PairSet
 	}{
-		{"dense", AllPairs(nh, nm)},
+		{"dense", allPairs(nh, nm)},
 		{"sparse", NewPairSet(nh, nm, [][2]int32{{0, 1}, {0, 3}, {1, 0}, {2, 1}, {2, 2}, {2, 3}})},
 	} {
 		all := AppendI2(nil, u.ps, none, none, depthsOf)

@@ -8,18 +8,12 @@ import (
 
 // PairSet is the candidate fragment-pair universe of a solve: which
 // (H fragment, M fragment) pairs enumeration and simulation may consider.
-// The default universe is all nh×nm pairs (AllPairs), which reproduces
-// classic all-pairs enumeration bit for bit — partner lists and ranks then
-// come from arithmetic, with no per-pair storage. A sparse universe
-// (NewPairSet, fed by the minimizer seeding pipeline) stores ascending
-// partner lists both ways plus prefix offsets, so candidate slots stay
-// dense (Rank) and per-fragment iteration stays ascending-order — the same
-// iteration order the dense loops produce, restricted to surviving pairs.
+// The improve driver fills it from the positive-σ mask (seed.Mask) or, on
+// seeded solves, from the minimizer chains (seed.Candidates). It stores
+// ascending partner lists both ways plus prefix offsets, so candidate slots
+// stay dense (Rank) and per-fragment iteration stays ascending-order — the
+// order of all-pairs nested loops, restricted to the universe's pairs.
 type PairSet struct {
-	nh, nm int
-	all    bool
-	// allH/allM are the shared identity partner lists of the dense mode.
-	allH, allM []int32
 	// mOf[fi] lists the M partners of H fragment fi, ascending; hOf[gi]
 	// the H partners of M fragment gi. off[fi] is the rank of fi's first
 	// pair in H-major order.
@@ -27,13 +21,7 @@ type PairSet struct {
 	off      []int32
 }
 
-// AllPairs returns the dense universe over nh×nm fragments.
-func AllPairs(nh, nm int) *PairSet {
-	p := &PairSet{nh: nh, nm: nm, all: true, allH: iota32(nh), allM: iota32(nm)}
-	return p
-}
-
-// NewPairSet returns the sparse universe holding exactly the given
+// NewPairSet returns the universe holding exactly the given
 // (H index, M index) pairs (deduplicated; order irrelevant).
 func NewPairSet(nh, nm int, pairs [][2]int32) *PairSet {
 	sorted := make([][2]int32, len(pairs))
@@ -45,8 +33,6 @@ func NewPairSet(nh, nm int, pairs [][2]int32) *PairSet {
 		return sorted[i][1] < sorted[j][1]
 	})
 	p := &PairSet{
-		nh:  nh,
-		nm:  nm,
 		mOf: make([][]int32, nh),
 		hOf: make([][]int32, nm),
 		off: make([]int32, nh+1),
@@ -82,52 +68,28 @@ func NewPairSet(nh, nm int, pairs [][2]int32) *PairSet {
 	return p
 }
 
-func iota32(n int) []int32 {
-	s := make([]int32, n)
-	for i := range s {
-		s[i] = int32(i)
-	}
-	return s
-}
-
-// NumH and NumM return the universe's fragment counts.
-func (p *PairSet) NumH() int { return p.nh }
-func (p *PairSet) NumM() int { return p.nm }
-
-// Dense reports whether the universe is all nh×nm pairs.
-func (p *PairSet) Dense() bool { return p.all }
+// NumH returns the universe's H fragment count.
+func (p *PairSet) NumH() int { return len(p.mOf) }
 
 // Len returns the number of pairs in the universe.
 func (p *PairSet) Len() int {
-	if p.all {
-		return p.nh * p.nm
-	}
-	return int(p.off[p.nh])
+	return int(p.off[len(p.mOf)])
 }
 
 // MPartners returns the ascending M partner indices of H fragment fi. The
 // slice is shared; callers must not modify it.
 func (p *PairSet) MPartners(fi int) []int32 {
-	if p.all {
-		return p.allM
-	}
 	return p.mOf[fi]
 }
 
 // HPartners returns the ascending H partner indices of M fragment gi.
 func (p *PairSet) HPartners(gi int) []int32 {
-	if p.all {
-		return p.allH
-	}
 	return p.hOf[gi]
 }
 
 // Rank returns the dense slot index of pair (fi, gi) in H-major order, or
 // -1 when the pair is not in the universe.
 func (p *PairSet) Rank(fi, gi int) int {
-	if p.all {
-		return fi*p.nm + gi
-	}
 	row := p.mOf[fi]
 	lo, hi := 0, len(row)
 	for lo < hi {
@@ -143,9 +105,6 @@ func (p *PairSet) Rank(fi, gi int) int {
 	}
 	return -1
 }
-
-// Contains reports whether pair (fi, gi) is in the universe.
-func (p *PairSet) Contains(fi, gi int) bool { return p.Rank(fi, gi) >= 0 }
 
 // PartnersOf returns the ascending opposite-species partner indices of the
 // given fragment.

@@ -26,7 +26,7 @@ func endDepths(st *state, fr core.FragRef, e end) []int {
 
 func TestTargetWindows(t *testing.T) {
 	in := core.PaperExample()
-	st := newState(in, core.PaperExampleOptimum())
+	st := newState(in, core.PaperExampleOptimum(), densePairSet(in))
 	// m2 (len 2) is fully covered by two sites [0,1) and [1,2): windows
 	// are the whole fragment plus nothing else (no free gaps).
 	m2 := core.FragRef{Sp: core.SpeciesM, Idx: 1}
@@ -55,7 +55,7 @@ func TestTargetWindows(t *testing.T) {
 
 func TestEndDepths(t *testing.T) {
 	in := core.PaperExample()
-	st := newState(in, nil)
+	st := newState(in, nil, densePairSet(in))
 	h1 := core.FragRef{Sp: core.SpeciesH, Idx: 0}
 	// No matches: only the full depth.
 	if ds := endDepths(st, h1, leftEnd); len(ds) != 1 || ds[0] != 3 {
@@ -74,7 +74,7 @@ func TestEndDepths(t *testing.T) {
 
 func TestEnumerateMethodFiltering(t *testing.T) {
 	in := core.PaperExample()
-	st := newState(in, nil)
+	st := newState(in, nil, densePairSet(in))
 	full := enumerate(st, FullOnly)
 	border := enumerate(st, BorderOnly)
 	all := enumerate(st, AllMethods)
@@ -140,7 +140,7 @@ func TestTPADirect(t *testing.T) {
 		Alpha: al,
 		Sigma: tb,
 	}
-	st := newState(in, nil)
+	st := newState(in, nil, densePairSet(in))
 	gain := st.tpa([]core.Site{{Species: core.SpeciesM, Frag: 0, Lo: 0, Hi: 2}})
 	// Optimal fill: a~p (5) + b~q (4) = 9; greedy would take a~q (6) and
 	// block b. The two-phase algorithm is only 2-approx, so assert ≥ half
@@ -162,7 +162,7 @@ func TestTPADirect(t *testing.T) {
 
 func TestTPARespectsLocks(t *testing.T) {
 	in := core.PaperExample()
-	st := newState(in, nil)
+	st := newState(in, nil, densePairSet(in))
 	st.lock(core.FragRef{Sp: core.SpeciesH, Idx: 0})
 	st.lock(core.FragRef{Sp: core.SpeciesH, Idx: 1})
 	gain := st.tpa([]core.Site{{Species: core.SpeciesM, Frag: 0, Lo: 0, Hi: 2}})
@@ -188,7 +188,7 @@ func TestTPAProfitAccountsForContribution(t *testing.T) {
 		Alpha: al,
 		Sigma: tb,
 	}
-	st := newState(in, nil)
+	st := newState(in, nil, densePairSet(in))
 	st.addMatch(st.mkMatch(core.FragRef{Sp: core.SpeciesH, Idx: 0}, false,
 		core.FragRef{Sp: core.SpeciesM, Idx: 0}, 0, 1))
 	gain := st.tpa([]core.Site{{Species: core.SpeciesM, Frag: 1, Lo: 0, Hi: 1}})

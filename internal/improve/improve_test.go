@@ -170,7 +170,7 @@ func TestThresholdBoundsRounds(t *testing.T) {
 
 func TestStatePrimitives(t *testing.T) {
 	in := core.PaperExample()
-	st := newState(in, core.PaperExampleOptimum())
+	st := newState(in, core.PaperExampleOptimum(), densePairSet(in))
 	if st.score() != 11 {
 		t.Fatalf("seeded state score %v", st.score())
 	}
@@ -195,7 +195,7 @@ func TestStatePrimitives(t *testing.T) {
 
 func TestPrepareRestrictsAndFrees(t *testing.T) {
 	in := core.PaperExample()
-	st := newState(in, core.PaperExampleOptimum())
+	st := newState(in, core.PaperExampleOptimum(), densePairSet(in))
 	// Match 0 pairs h1's prefix with the full m1 — m1 is the plugged-in
 	// satellite. Preparing any window on the satellite detaches it (the
 	// paper's Simp(S) rule), freeing the partner site on h1.
@@ -215,7 +215,7 @@ func TestPrepareRestrictsAndFrees(t *testing.T) {
 		MSite: core.Site{Species: core.SpeciesM, Frag: 0, Lo: 0, Hi: 2},
 		Rev:   false,
 		Score: 4, // h1 (full) vs m1 window: a~s
-	}}})
+	}}}, densePairSet(in))
 	h1 := core.FragRef{Sp: core.SpeciesH, Idx: 0}
 	_ = h1
 	m1ref := core.FragRef{Sp: core.SpeciesM, Idx: 0}
@@ -232,7 +232,7 @@ func TestPrepareRestrictsAndFrees(t *testing.T) {
 	}
 	// Preparing the whole of m2 removes its matches, freeing partners and
 	// breaking the chain.
-	st3 := newState(in, core.PaperExampleOptimum())
+	st3 := newState(in, core.PaperExampleOptimum(), densePairSet(in))
 	m2 := core.FragRef{Sp: core.SpeciesM, Idx: 1}
 	freed3 := st3.prepare(nil, m2, 0, 2)
 	if len(freed3) != 2 {
@@ -245,7 +245,7 @@ func TestPrepareRestrictsAndFrees(t *testing.T) {
 
 func TestFreeGapsClip(t *testing.T) {
 	in := core.PaperExample()
-	st := newState(in, core.PaperExampleOptimum())
+	st := newState(in, core.PaperExampleOptimum(), densePairSet(in))
 	h1 := core.FragRef{Sp: core.SpeciesH, Idx: 0}
 	if gaps := st.freeGaps(h1); len(gaps) != 0 {
 		t.Fatalf("h1 fully covered, got gaps %v", gaps)

@@ -65,7 +65,7 @@ func TestEmptyStartInvariants(t *testing.T) {
 
 func TestI1AttemptPaperExample(t *testing.T) {
 	in := core.PaperExample()
-	st := newState(in, nil)
+	st := newState(in, nil, densePairSet(in))
 	// Plug h2 (⟨d⟩) into the whole of m2 (⟨u v⟩): best placement is
 	// σ(d,vᴿ)=2 at window [1,2).
 	at := i1Attempt(
@@ -98,7 +98,7 @@ func TestI1AttemptDisplacesWeakerMatch(t *testing.T) {
 		Rev:   false,
 		Score: 2,
 	}}}
-	st := newState(in, seed)
+	st := newState(in, seed, densePairSet(in))
 	// Plug h1 into all of m1: best placement pairs a~s (4) — preparation
 	// must displace h2 (its site is inside the window, partner side ⟨d⟩ is
 	// full → removal), then TPA may re-place h2 elsewhere... m1 is fully
@@ -123,7 +123,7 @@ func TestI2AttemptFormsChain(t *testing.T) {
 	// Two fragments whose ends align: h = ⟨x y⟩, m = ⟨p q⟩ with
 	// σ(y,p) = 6: linking h's right end to m's left end forms a 2-island.
 	in := chainPairInstance(t)
-	st := newState(in, nil)
+	st := newState(in, nil, densePairSet(in))
 	at := i2Attempt(
 		core.FragRef{Sp: core.SpeciesH, Idx: 0}, rightEnd, 2,
 		core.FragRef{Sp: core.SpeciesM, Idx: 0}, leftEnd, 2)
@@ -152,7 +152,7 @@ func TestI2AttemptSameEndIsReversed(t *testing.T) {
 	in := chainPairInstance(t)
 	// Right↔right geometry forces reversed orientation; score comes from
 	// σ(y, qᴿ) = 4.
-	st := newState(in, nil)
+	st := newState(in, nil, densePairSet(in))
 	at := i2Attempt(
 		core.FragRef{Sp: core.SpeciesH, Idx: 0}, rightEnd, 2,
 		core.FragRef{Sp: core.SpeciesM, Idx: 0}, rightEnd, 2)

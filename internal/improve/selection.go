@@ -95,16 +95,13 @@ type lazySel struct {
 	i2 [][]int32 // indexed by pairs.Rank(fi, gi)
 	i3 [][]int32
 	// pairs is the solve's candidate pair universe; blocks and loops cover
-	// only its pairs (all of them under classic enumeration).
+	// only its pairs.
 	pairs *enum.PairSet
 }
 
 func (s *lazySel) init(in *core.Instance, full, border bool, ps *enum.PairSet) {
 	s.full, s.border = full, border
 	s.nh, s.nm = in.NumFrags(core.SpeciesH), in.NumFrags(core.SpeciesM)
-	if ps == nil {
-		ps = enum.AllPairs(s.nh, s.nm)
-	}
 	s.pairs = ps
 	for sp, n := range [2]int{s.nh, s.nm} {
 		s.deps[sp] = make([][]depRef, n)
@@ -249,14 +246,11 @@ func (s *lazySel) rebuildI2Row(en *enum.Enumerator, fr core.FragRef) {
 }
 
 // rebuildI2Pair regenerates the I2 block of one (H fragment, M fragment)
-// pair from the pair's current end-depth pieces, in canonical
-// (fe, ge, fw, gw) order (depth values are emitted increasing, matching
-// enum.AppendI2).
+// pair of the universe from the pair's current end-depth pieces, in
+// canonical (fe, ge, fw, gw) order (depth values are emitted increasing,
+// matching enum.AppendI2).
 func (s *lazySel) rebuildI2Pair(en *enum.Enumerator, fi, gi int) {
 	bi := s.pairs.Rank(fi, gi)
-	if bi < 0 {
-		return // pair outside the universe: no block to maintain
-	}
 	blk := s.i2[bi]
 	for _, id := range blk {
 		s.freeSlot(id)

@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/improve/enum"
-	"repro/internal/seed"
 )
 
 // TestLazySelectionMatchesFull is the lazy selection engine's oracle test:
@@ -20,11 +19,12 @@ import (
 // sequence is observed through the onAccept hook, so divergence is caught at
 // the first differing attempt, not just in the final solution.
 //
-// The seeded rows repeat the comparison on sparse pair universes (minimizer
-// and exhaustive seeding) over short-contig instances, where an I3 gain
-// reads only the re-linked fragments' partners: the shrunken read sets must
-// still cover everything a gain depends on. The set must accept at least one
-// I3, so those rows cannot pass without exercising the rewiring path.
+// The short-contig rows repeat the comparison on the production universes
+// (the classic positive-σ mask and minimizer seeding) over larger
+// instances from an empty start, where an I3 gain reads only the re-linked
+// fragments' partners: the shrunken read sets must still cover everything a
+// gain depends on. The set must accept at least one I3, so those rows cannot
+// pass without exercising the rewiring path.
 func TestLazySelectionMatchesFull(t *testing.T) {
 	for _, seed := range []int64{2, 3, 5, 7, 11, 13, 17, 19, 23} {
 		for _, m := range []struct {
@@ -63,17 +63,17 @@ func TestLazySelectionMatchesFull(t *testing.T) {
 		cfg.Regions = 120
 		cfg.MeanContig = 6
 		w := gen.Generate(cfg)
-		for _, sp := range []struct {
+		for _, u := range []struct {
 			name   string
-			params seed.Params
+			seeded bool
 		}{
-			{"minimizer", seed.Params{}},
-			{"exhaustive", seed.Params{Exhaustive: true}},
+			{"minimizer", true},
+			{"mask", false},
 		} {
 			// An empty start leaves the rounds to the improvement methods,
-			// which is where exhaustive seeding accepts its I3s.
-			base := Options{Methods: AllMethods, Eps: 0.05, Seeded: true, SeedParams: sp.params}
-			lazy, _ := lazyVsOracle(t, fmt.Sprintf("seed %d seeded-%s", gseed, sp.name), w.Instance, base)
+			// which is where the mask universe accepts its I3s.
+			base := Options{Methods: AllMethods, Eps: 0.05, Seeded: u.seeded}
+			lazy, _ := lazyVsOracle(t, fmt.Sprintf("seed %d %s", gseed, u.name), w.Instance, base)
 			for _, k := range lazy.accepted {
 				if k.Kind == enum.KindI3 {
 					i3++
@@ -82,7 +82,7 @@ func TestLazySelectionMatchesFull(t *testing.T) {
 		}
 	}
 	if i3 == 0 {
-		t.Error("seeded rows accepted no I3 rewiring: the sparse I3 path went unexercised")
+		t.Error("short-contig rows accepted no I3 rewiring: the sparse I3 path went unexercised")
 	}
 }
 
@@ -206,7 +206,7 @@ func heapSlots(s *lazySel) []int32 {
 func TestLazyHeapRepair(t *testing.T) {
 	in := core.PaperExample()
 	var sel lazySel
-	sel.init(in, true, true, nil)
+	sel.init(in, true, true, densePairSet(in))
 
 	mk := func(gi, lo, hi int) candKey {
 		return candKey{Kind: enum.KindI1, F: core.FragRef{Sp: core.SpeciesH, Idx: 0},
@@ -296,7 +296,7 @@ func TestLazyHeapRepair(t *testing.T) {
 	// Heap removal from the middle keeps the heap property: fill with
 	// distinct gains, remove an inner element, and drain.
 	sel2 := lazySel{}
-	sel2.init(in, true, false, nil)
+	sel2.init(in, true, false, densePairSet(in))
 	var ids []int32
 	for i, g := range []float64{3, 7, 1, 9, 5} {
 		id := sel2.alloc(mk(0, i, i+1))

@@ -98,8 +98,8 @@ type state struct {
 	// a few entries; linear scans beat a map here).
 	locked []core.FragRef
 
-	// pairs is the solve's candidate pair universe (never nil): dense under
-	// classic enumeration, sparse under seeded candidate generation. Every
+	// pairs is the solve's candidate pair universe: the positive-σ mask, or
+	// the minimizer-chained pairs under seeded candidate generation. Every
 	// pair-producing loop — enumeration, I3's internal I2 scan, TPA's
 	// cross-fragment sweep — iterates it instead of all nh×nm pairs.
 	pairs *enum.PairSet
@@ -162,11 +162,11 @@ type state struct {
 	ispScr   *isp.Scratch   // two-phase selection scratch, lazily created
 }
 
-func newState(in *core.Instance, seed *core.Solution) *state {
+func newState(in *core.Instance, seed *core.Solution, pairs *enum.PairSet) *state {
 	sig := score.Prepare(in.Sigma, in.MaxSymbolID())
 	st := &state{
 		in:    in,
-		pairs: enum.AllPairs(in.NumFrags(core.SpeciesH), in.NumFrags(core.SpeciesM)),
+		pairs: pairs,
 		sig:   sig,
 		sigT:  score.Transpose(sig),
 		memo:  make(alignMemo, 256),

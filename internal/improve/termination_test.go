@@ -46,7 +46,7 @@ func TestEpsZeroTerminates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := newState(&prepared, start)
+	st := newState(&prepared, start, densePairSet(&prepared))
 	for i, k := range accepted {
 		before := st.score()
 		st.delta = 0

@@ -120,9 +120,9 @@ func (st *state) tpaBatch(zones []core.Site) float64 {
 		sp := z.fr.Sp.Other()
 		// Only pair-universe partners of the zone's fragment can place
 		// positively into its freed window: a positive placement needs a
-		// positive σ cell against the zone word, and the universe is a
-		// superset of all positive-σ pairs (exhaustive mode) or the seeded
-		// restriction of them. Ascending order matches the dense loop.
+		// positive σ cell against the zone word, and the universe is the
+		// positive-σ mask or the seeded restriction of it. Ascending order
+		// matches an all-pairs loop.
 		for _, xi32 := range st.pairs.PartnersOf(z.fr) {
 			x := core.FragRef{Sp: sp, Idx: int(xi32)}
 			if st.isLocked(x) {

@@ -88,15 +88,13 @@ func (x sigmaIndex) bestPartner(ob int32) int32 {
 	return x.best[ob+x.n]
 }
 
-// eachPartnerCanon calls fn with the canonical region ID of every positive
-// partner of oriented symbol ob (exhaustive mode's mask walk).
-func (x sigmaIndex) eachPartnerCanon(ob int32, fn func(id int32)) {
+// partnersCanon returns the canonical region IDs of every positive partner
+// of oriented symbol ob (Mask's walk); nil when ob is out of range.
+func (x sigmaIndex) partnersCanon(ob int32) []int32 {
 	if !x.inRange(ob) {
-		return
+		return nil
 	}
-	for _, id := range x.partners[ob+x.n] {
-		fn(id)
-	}
+	return x.partners[ob+x.n]
 }
 
 // mix64 is the 64-bit finalizer of MurmurHash3 — a cheap invertible mixer

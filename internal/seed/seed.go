@@ -1,8 +1,10 @@
-// Package seed implements minimizer-seeded sparse candidate generation for
-// genome-scale CSR instances: the seed-and-chain pipeline that replaces
-// all-pairs fragment enumeration with an O(anchors log anchors) sweep.
+// Package seed builds the candidate fragment-pair universe of an improve
+// solve. Mask is the complete positive-σ universe of a classic solve;
+// Candidates is minimizer-seeded sparse candidate generation for
+// genome-scale CSR instances: the seed-and-chain pipeline that shrinks the
+// universe further with an O(anchors log anchors) sweep.
 //
-// The pipeline has three stages:
+// The seeding pipeline has three stages:
 //
 //  1. A minimizer index over the H fragment words: (k, w)-minimizers of each
 //     word's oriented-symbol token sequence, hashed into an inverted index,
@@ -26,13 +28,12 @@
 // (improve.Options.Seeded): pairs without anchors are never enumerated,
 // which is what opens the 5–50k-region regime.
 //
-// Exhaustive mode (Params.Exhaustive) replaces the minimizer machinery with
-// a provably complete mask: a pair (f, g) is admitted iff some symbol of g
-// has a positive σ cell against some symbol of f in either orientation
-// class. Any I1/I2/I3 attempt on a pair without such a cell aligns to
-// nothing and returns gain ≤ 0, so restricting enumeration to this mask is
-// bit-identical to all-pairs enumeration — the parity oracle the tests
-// enforce (see improve's seeded parity test).
+// Mask admits a pair (f, g) iff some symbol of g has a positive σ cell
+// against some symbol of f in either orientation class. Any I1/I2/I3
+// attempt or TPA placement on a pair without such a cell aligns to nothing
+// and gains ≤ 0, so restricting enumeration to this mask is bit-identical
+// to all-pairs enumeration — the parity the improve package's dense-oracle
+// test enforces (TestMaskMatchesDenseUniverse).
 package seed
 
 import (
@@ -56,9 +57,6 @@ type Params struct {
 	MaxFreq int
 	// Gap is the chain gap penalty per skipped region (both axes).
 	Gap float64
-	// MinChain is the minimum chain score (anchored tokens minus gap costs)
-	// a pair must reach; 0 admits any anchored pair.
-	MinChain float64
 	// Band is the extra half-width added to a chain window's banded
 	// verification alignment, and the slack the window is extended by.
 	Band int
@@ -66,16 +64,13 @@ type Params struct {
 	// kernels (ScoreBanded on float64 σ, Score on a quantized σ) and drops
 	// pairs whose window aligns to nothing.
 	Verify bool
-	// Exhaustive replaces minimizer seeding with the complete positive-σ
-	// pair mask (bit-identical candidate search; see the package comment).
-	Exhaustive bool
 }
 
 // DefaultParams returns the tuning used by the genome presets: 3-region
 // seeds, 4-wide winnowing, a generous frequency cap, and banded
 // verification on.
 func DefaultParams() Params {
-	return Params{K: 3, W: 4, MaxFreq: 64, Gap: 0.5, MinChain: 0, Band: 8, Verify: true}
+	return Params{K: 3, W: 4, MaxFreq: 64, Gap: 0.5, Band: 8, Verify: true}
 }
 
 func (p Params) sanitized() Params {
@@ -105,8 +100,7 @@ type Chain struct {
 }
 
 // Pair is one admitted fragment pair with its surviving chains (best per
-// orientation, best-first; empty in exhaustive mode, which admits pairs
-// without windows).
+// orientation, best-first).
 type Pair struct {
 	H, M   int
 	Chains []Chain
@@ -120,8 +114,7 @@ type Stats struct {
 	Capped     int
 	// Anchors emitted by index queries.
 	Anchors int
-	// AnchoredPairs is the number of distinct pairs sharing ≥ 1 minimizer
-	// (in exhaustive mode: pairs in the positive-σ mask).
+	// AnchoredPairs is the number of distinct pairs sharing ≥ 1 minimizer.
 	AnchoredPairs int
 	// Pairs survive chain scoring and verification — the driver's candidate
 	// universe.
@@ -141,9 +134,6 @@ type Result struct {
 func Candidates(in *core.Instance, p Params) *Result {
 	p = p.sanitized()
 	sx := newSigmaIndex(score.Prepare(in.Sigma, in.MaxSymbolID()))
-	if p.Exhaustive {
-		return exhaustivePairs(in, sx)
-	}
 	res := &Result{}
 	idx := buildIndex(in, p, &res.Stats)
 	var (
@@ -171,19 +161,18 @@ func Candidates(in *core.Instance, p Params) *Result {
 				// window back to forward coordinates.
 				ch.MLo, ch.MHi = lenM-ch.MHi, lenM-ch.MLo
 			}
-			if ch.Score >= p.MinChain {
-				hIdx := int(anchors[lo].H)
-				if n := len(pairs); n > 0 && pairs[n-1].H == hIdx && pairs[n-1].M == mi {
-					pairs[n-1].Chains = appendChain(pairs[n-1].Chains, ch)
-				} else {
-					pairs = append(pairs, Pair{H: hIdx, M: mi, Chains: []Chain{ch}})
-				}
+			hIdx := int(anchors[lo].H)
+			if n := len(pairs); n > 0 && pairs[n-1].H == hIdx && pairs[n-1].M == mi {
+				pairs[n-1].Chains = appendChain(pairs[n-1].Chains, ch)
+			} else {
+				pairs = append(pairs, Pair{H: hIdx, M: mi, Chains: []Chain{ch}})
 			}
 			lo = hi
 		}
 	}
-	// AnchoredPairs counts distinct anchored pairs regardless of MinChain.
-	res.Stats.AnchoredPairs = countAnchoredPairs(pairs)
+	// The loop above merges consecutive (H, M) duplicates, so every entry
+	// is a distinct anchored pair.
+	res.Stats.AnchoredPairs = len(pairs)
 	if p.Verify {
 		pairs = verifyPairs(in, p, pairs)
 	}
@@ -206,12 +195,6 @@ func appendChain(chains []Chain, ch Chain) []Chain {
 		chains[i], chains[i-1] = chains[i-1], chains[i]
 	}
 	return chains
-}
-
-func countAnchoredPairs(pairs []Pair) int {
-	// The builder merges consecutive (H, M) duplicates, so entries are
-	// already distinct pairs.
-	return len(pairs)
 }
 
 // verifyPairs re-scores each pair's chain windows through the banded
@@ -247,12 +230,16 @@ func (r *Result) PairList() [][2]int32 {
 	return out
 }
 
-// exhaustivePairs computes the complete positive-σ pair mask: (f, g) is
-// admitted iff some symbol of g scores positively against some symbol of f
-// in either orientation class. The mask is a superset of every pair any
-// improvement attempt can extract a positive alignment from, which is what
-// makes seeded search under it bit-identical to all-pairs enumeration.
-func exhaustivePairs(in *core.Instance, sx sigmaIndex) *Result {
+// Mask returns the complete positive-σ pair mask as (H index, M index)
+// pairs: (f, g) is admitted iff some symbol of g scores positively against
+// some symbol of f in either orientation class. The mask is a superset of
+// every pair any improvement attempt or TPA placement can extract a
+// positive alignment from, which is what makes a search under it
+// bit-identical to all-pairs enumeration. Each pair appears once, grouped
+// by M fragment in no particular H order (enum.NewPairSet sorts them). σ
+// is prepared (compiled) if the instance has not already done so.
+func Mask(in *core.Instance) [][2]int32 {
+	sx := newSigmaIndex(score.Prepare(in.Sigma, in.MaxSymbolID()))
 	nh := in.NumFrags(core.SpeciesH)
 	// Index H fragments by the canonical region IDs they contain.
 	byCanon := make([][]int32, sx.maxID()+1)
@@ -267,41 +254,25 @@ func exhaustivePairs(in *core.Instance, sx sigmaIndex) *Result {
 			}
 		}
 	}
-	res := &Result{}
 	stamp := make([]int32, nh)
 	for i := range stamp {
 		stamp[i] = -1
 	}
-	var marked []int32
+	var pairs [][2]int32
 	for mi := 0; mi < in.NumFrags(core.SpeciesM); mi++ {
-		marked = marked[:0]
 		for _, b := range in.Frag(core.SpeciesM, mi).Regions {
-			for _, ob := range [2]int32{int32(b), int32(b.Rev())} {
-				sx.eachPartnerCanon(ob, func(id int32) {
-					if int(id) >= len(byCanon) {
-						return
+			// b's list holds the canonical ID of every oriented row a with
+			// σ(a, b) > 0, and σ(a, bᴿ) = σ(aᴿ, b) by reversal symmetry, so
+			// it covers both orientation classes: bᴿ's list is the same set.
+			for _, id := range sx.partnersCanon(int32(b)) {
+				for _, hi := range byCanon[id] {
+					if stamp[hi] != int32(mi) {
+						stamp[hi] = int32(mi)
+						pairs = append(pairs, [2]int32{hi, int32(mi)})
 					}
-					for _, hi := range byCanon[id] {
-						if stamp[hi] != int32(mi) {
-							stamp[hi] = int32(mi)
-							marked = append(marked, hi)
-						}
-					}
-				})
+				}
 			}
 		}
-		sort.Slice(marked, func(i, j int) bool { return marked[i] < marked[j] })
-		for _, hi := range marked {
-			res.Pairs = append(res.Pairs, Pair{H: int(hi), M: mi})
-		}
 	}
-	sort.Slice(res.Pairs, func(i, j int) bool {
-		if res.Pairs[i].H != res.Pairs[j].H {
-			return res.Pairs[i].H < res.Pairs[j].H
-		}
-		return res.Pairs[i].M < res.Pairs[j].M
-	})
-	res.Stats.AnchoredPairs = len(res.Pairs)
-	res.Stats.Pairs = len(res.Pairs)
-	return res
+	return pairs
 }

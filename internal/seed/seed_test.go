@@ -210,19 +210,30 @@ func TestFrequencyCap(t *testing.T) {
 	}
 }
 
+// maskSet returns Mask's pairs as a set, failing on a duplicate: the mask
+// walk stamps each H fragment once per M fragment.
+func maskSet(t *testing.T, in *core.Instance) map[[2]int]bool {
+	t.Helper()
+	mask := map[[2]int]bool{}
+	for _, p := range Mask(in) {
+		k := [2]int{int(p[0]), int(p[1])}
+		if mask[k] {
+			t.Fatalf("mask lists pair %v twice", k)
+		}
+		mask[k] = true
+	}
+	return mask
+}
+
 // TestCandidatesSubsetOfExhaustive: every pair the practical pipeline admits
-// shares a positive σ cell, so it must appear in the exhaustive mask.
+// shares a positive σ cell, so it must appear in the exhaustive mask (Mask).
 func TestCandidatesSubsetOfExhaustive(t *testing.T) {
 	for seedv := int64(0); seedv < 5; seedv++ {
 		w := gen.Generate(gen.DefaultConfig(seedv))
 		in := w.Instance
-		ex := Candidates(in, Params{Exhaustive: true})
-		if len(ex.Pairs) == 0 {
+		mask := maskSet(t, in)
+		if len(mask) == 0 {
 			t.Fatalf("seed %d: exhaustive mask empty", seedv)
-		}
-		mask := map[[2]int]bool{}
-		for _, p := range ex.Pairs {
-			mask[[2]int{p.H, p.M}] = true
 		}
 		got := Candidates(in, DefaultParams())
 		for _, p := range got.Pairs {
@@ -233,22 +244,19 @@ func TestCandidatesSubsetOfExhaustive(t *testing.T) {
 				t.Fatalf("seed %d: seeded pair (%d,%d) has no chains", seedv, p.H, p.M)
 			}
 		}
-		if got.Stats.Pairs != len(got.Pairs) || ex.Stats.Pairs != len(ex.Pairs) {
-			t.Fatalf("stats disagree with results: %+v / %+v", got.Stats, ex.Stats)
+		if got.Stats.Pairs != len(got.Pairs) {
+			t.Fatalf("stats disagree with results: %+v", got.Stats)
 		}
 	}
 }
 
-// TestExhaustiveCoversOrthologs: the exhaustive mask contains every pair
-// connected by a surviving ortholog region (σ > 0 by construction).
+// TestExhaustiveCoversOrthologs: the exhaustive mask (Mask) contains every
+// pair connected by a surviving ortholog region (σ > 0 by construction),
+// and no other pair.
 func TestExhaustiveCoversOrthologs(t *testing.T) {
 	w := gen.Generate(gen.DefaultConfig(3))
 	in := w.Instance
-	ex := Candidates(in, Params{Exhaustive: true})
-	mask := map[[2]int]bool{}
-	for _, p := range ex.Pairs {
-		mask[[2]int{p.H, p.M}] = true
-	}
+	mask := maskSet(t, in)
 	// Any (f, g) with σ(a, b) > 0 for some a ∈ f, b ∈ g (either orientation)
 	// must be in the mask.
 	for hi := range in.H {

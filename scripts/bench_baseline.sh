@@ -12,11 +12,10 @@ go run ./cmd/csrbench -json -seed 1 -regions 60 -repeat 3 -int -algs csr-improve
 go run ./cmd/csrbench -json -seed 1 -regions 60 -instances 8 -repeat 3 -int -algs csr-improve,four-approx >> BENCH_BASELINE.json
 # Genome-scale seeded row (algorithm=csr-genome, mode=seeded): the pinned
 # 5k-region genome-small preset solved with minimizer-seeded sparse
-# candidates. Single repeat (with σ sparse the solve takes about a
-# second) — and the same invocation measures seeded-vs-classic score
-# recovery on a downsampled sibling instance, failing below 0.9 (the
-# quality gate rides with the perf row). Classic all-pairs mode on
-# this preset is benchmarked offline only (≥10x the seeded wall).
+# candidates. Single repeat — and the same invocation measures
+# seeded-vs-classic score recovery on the same instance (classic: the
+# complete positive-σ mask universe), failing below 0.9 (the quality
+# gate rides with the perf row).
 go run ./cmd/csrbench -json -seed 1 -preset genome-small -seeded -algs csr-improve     -label csr-genome -seed-accuracy -min-recovery 0.9 >> BENCH_BASELINE.json
 # Serving-path sustained-throughput row (algorithm=serve-sustained): csrload
 # saturates an in-process csrserve over loopback HTTP; wall_ms is the run's
