@@ -230,7 +230,10 @@ func TestImproveCancelPromptness(t *testing.T) {
 		t.Skip("short mode")
 	}
 	cfg := gen.DefaultConfig(8)
-	cfg.Regions = 90 // rounds well beyond the deadline
+	// The positive-σ mask makes each round cheap: 300 regions keep the
+	// first round's candidate evaluation (~860 gains) well beyond the
+	// deadline.
+	cfg.Regions = 300
 	w := gen.Generate(cfg)
 	solo := time.Now()
 	if _, _, err := Improve(w.Instance, Options{Eps: 0.05, SeedWithFourApprox: true}); err != nil {
