@@ -452,6 +452,7 @@ func BenchmarkFourApproxPlacements(b *testing.B) {
 func BenchmarkFourApproxGenome(b *testing.B) {
 	in := *genomeShaped()
 	in.Sigma = score.Prepare(in.Sigma, in.MaxSymbolID())
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := onecsr.FourApprox(&in); err != nil {
@@ -471,6 +472,7 @@ func BenchmarkImproveGenomeSeeded(b *testing.B) {
 	in.Sigma = score.Prepare(in.Sigma, in.MaxSymbolID())
 	opt := improve.Options{Methods: improve.AllMethods, Eps: 0.05, SeedWithFourApprox: true, Seeded: true}
 	var stats improve.Stats
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
@@ -490,12 +492,12 @@ func BenchmarkImproveGenomeSeeded(b *testing.B) {
 func BenchmarkSolveGenomeSeeded(b *testing.B) {
 	in := *genomeShaped()
 	sigma := in.Sigma.(*score.Table)
-	opts := []Option{WithFourApproxSeed(true), WithIntScore(false), WithSeededCandidates(true)}
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		in.Sigma = sigma.Clone()
 		b.StartTimer()
-		if _, err := Solve(&in, CSRImprove, opts...); err != nil {
+		if _, err := Solve(&in, CSRImprove, seededOpts...); err != nil {
 			b.Fatal(err)
 		}
 	}

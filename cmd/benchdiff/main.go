@@ -1,7 +1,7 @@
 // Command benchdiff compares two csrbench -json trajectory files and
 // enforces the CI benchmark gate: it prints a per-algorithm delta table and
-// exits non-zero when any algorithm's wall time (or allocation count)
-// regressed beyond the configured threshold.
+// exits non-zero when any algorithm's wall time (or allocation count or
+// allocated bytes) regressed beyond the configured threshold.
 //
 // Usage:
 //
@@ -11,7 +11,10 @@
 // float64 and int32-quantized score paths gate independently. Baseline
 // records below the noise floors (-floor-ms, -floor-allocs) are reported
 // but never gated — sub-millisecond timings on shared runners are jitter,
-// not signal. Improve rows additionally gate on the lazy selection
+// not signal. A record above the allocation floor gates its allocated
+// bytes beside its allocation count, at the same -max-allocs threshold;
+// csrbench reports the minimum of both over its repeats, so the gated
+// figures are those of a solve that reused its pooled workspaces. Improve rows additionally gate on the lazy selection
 // engine's resimulated count (-max-resim, deterministic per workload, so
 // no noise floor — just a size floor), catching staleness-tracking rot
 // that wall-time jitter would hide. With -max-int-ratio set, the current
@@ -126,10 +129,10 @@ func pct(base, cur float64) float64 {
 func main() {
 	var (
 		maxWall     = flag.Float64("max-wall", 25, "max wall-time regression percent before failing (0 disables)")
-		maxAllocs   = flag.Float64("max-allocs", 50, "max allocation-count regression percent before failing (0 disables)")
+		maxAllocs   = flag.Float64("max-allocs", 50, "max allocation-count and allocated-bytes regression percent before failing (0 disables)")
 		maxResim    = flag.Float64("max-resim", 25, "max resimulated-count regression percent for improve rows before failing (0 disables)")
 		floorMS     = flag.Float64("floor-ms", 5, "baseline wall floor in ms; faster records are never gated")
-		floorAllocs = flag.Uint64("floor-allocs", 100000, "baseline allocation floor; smaller records are never alloc-gated")
+		floorAllocs = flag.Uint64("floor-allocs", 150, "baseline allocation floor; smaller records are never alloc- or bytes-gated")
 		floorResim  = flag.Int("floor-resim", 50, "baseline resimulated floor; smaller records are never resim-gated")
 		maxIntRatio = flag.Float64("max-int-ratio", 0, "max int32/float64 wall ratio for batch csr-improve rows of the CURRENT run (0 disables)")
 	)
@@ -177,10 +180,17 @@ func main() {
 		}
 		if b.Allocs == 0 || b.Allocs < *floorAllocs {
 			// Baselines predating alloc tracking (or tiny ones) only report.
-		} else if *maxAllocs > 0 && dAllocs > *maxAllocs {
-			notes = append(notes, "ALLOC REGRESSION")
-			failures = append(failures, fmt.Sprintf("%s: allocs %d → %d (%+.1f%% > %.0f%%)",
-				k, b.Allocs, c.Allocs, dAllocs, *maxAllocs))
+		} else if *maxAllocs > 0 {
+			if dAllocs > *maxAllocs {
+				notes = append(notes, "ALLOC REGRESSION")
+				failures = append(failures, fmt.Sprintf("%s: allocs %d → %d (%+.1f%% > %.0f%%)",
+					k, b.Allocs, c.Allocs, dAllocs, *maxAllocs))
+			}
+			if dBytes := pct(float64(b.Bytes), float64(c.Bytes)); dBytes > *maxAllocs {
+				notes = append(notes, "BYTES REGRESSION")
+				failures = append(failures, fmt.Sprintf("%s: bytes %d → %d (%+.1f%% > %.0f%%)",
+					k, b.Bytes, c.Bytes, dBytes, *maxAllocs))
+			}
 		}
 		// Resimulated counts are deterministic per workload, so this gate has
 		// no noise floor problem — only a size floor against ratio blowups on

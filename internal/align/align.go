@@ -21,6 +21,8 @@
 package align
 
 import (
+	"slices"
+
 	"repro/internal/score"
 	"repro/internal/symbol"
 )
@@ -95,15 +97,17 @@ type Col struct {
 // Align returns P_score(a, b) together with the scoring columns (pairs with
 // σ > 0) of one optimal alignment, in increasing order of both coordinates.
 // Runs in O(|a|·|b|) time and space: the traceback reads the full DP
-// matrix.
+// matrix. The columns are the caller's (nil when there are none).
 func Align(a, b symbol.Word, sc score.Scorer) (float64, []Col) {
 	s := NewScratch()
 	defer s.Release()
-	return s.Align(a, b, sc)
+	v, cols := s.Align(a, b, sc)
+	return v, owned(cols)
 }
 
 // Align is the kernel form of the package-level Align, filling the DP matrix
-// in the caller's scratch arena.
+// in the caller's scratch arena. The columns live in the arena too: they are
+// valid until the next kernel call on s.
 func (s *Scratch) Align(a, b symbol.Word, sc score.Scorer) (float64, []Col) {
 	m, n := len(a), len(b)
 	if m == 0 || n == 0 {
@@ -129,7 +133,7 @@ func (s *Scratch) Align(a, b symbol.Word, sc score.Scorer) (float64, []Col) {
 			}
 		}
 	}
-	var cols []Col
+	cols := s.cols[:0]
 	i, j := m, n
 	for i > 0 && j > 0 {
 		s := sc.Score(a[i-1], b[j-1])
@@ -148,8 +152,7 @@ func (s *Scratch) Align(a, b symbol.Word, sc score.Scorer) (float64, []Col) {
 		}
 	}
 	// Reverse into increasing order.
-	for l, r := 0, len(cols)-1; l < r; l, r = l+1, r-1 {
-		cols[l], cols[r] = cols[r], cols[l]
-	}
+	slices.Reverse(cols)
+	s.cols = cols
 	return d[m][n] * unit, cols
 }

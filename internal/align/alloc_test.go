@@ -11,7 +11,8 @@ import (
 // TestScoreZeroAlloc asserts the steady-state guarantee: with a prepared σ
 // matrix (float64 or quantized) every Score call runs entirely out of
 // the pooled scratch arena — zero heap allocations per call on both the
-// package-level and the per-Scratch form.
+// package-level and the per-Scratch form — and so do the Scratch forms of
+// Align and Placements, whose results live in the arena.
 func TestScoreZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector defeats sync.Pool caching on purpose")
@@ -43,6 +44,14 @@ func TestScoreZeroAlloc(t *testing.T) {
 			name string
 			fn   func()
 		}{"scratch-int", func() { s.Score(a, b, ci) }},
+		struct {
+			name string
+			fn   func()
+		}{"scratch-align", func() { s.Align(a, b, c) }},
+		struct {
+			name string
+			fn   func()
+		}{"scratch-placements", func() { s.Placements(a[:40], b, c, 0) }},
 	)
 	for _, tc := range cases {
 		tc.fn() // warm the pool and grow the buffers

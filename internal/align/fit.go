@@ -25,18 +25,21 @@ type Placement struct {
 // zone, then O(|a|·(hits + breakpoints)): each DP row costs its positive σ
 // hits in b plus the breakpoints of the row before it (see stepRow). The
 // interface path runs in O(|a|·|b|) time. Space is O(|b|). Windows with
-// score ≤ minScore are omitted.
+// score ≤ minScore are omitted. The frontier is the caller's (nil when it
+// is empty).
 func Placements(a, b symbol.Word, sc score.Scorer, minScore float64) []Placement {
 	s := NewScratch()
 	defer s.Release()
-	return s.Placements(a, b, sc, minScore)
+	return owned(s.Placements(a, b, sc, minScore))
 }
 
 // Placements is the kernel form of the package-level Placements: the
-// one-query case of PlacementsEach, returning a slice the caller owns.
+// one-query case of PlacementsEach. The frontier lives in the arena: it is
+// valid until the next kernel call on s.
 func (s *Scratch) Placements(a, b symbol.Word, sc score.Scorer, minScore float64) []Placement {
 	z := zone{b: b, maxID: maxID(b)}
-	return s.placements(nil, a, &z, sc, minScore)
+	s.out = s.placements(s.out[:0], a, &z, sc, minScore)
+	return s.out
 }
 
 // PlacementsEach computes the Placements frontier of every query against
@@ -66,9 +69,8 @@ type zone struct {
 // exceeds every real start, so value-0 pairs win their ties.
 const noStart = int32(1) << 30
 
-// placements appends the frontier of query a in zone z to dst, allocating
-// it at its exact size when dst is nil. The kernel is picked per query as
-// resolve would pick it for (a, z.b).
+// placements appends the frontier of query a in zone z to dst. The kernel
+// is picked per query as resolve would pick it for (a, z.b).
 func (s *Scratch) placements(dst []Placement, a symbol.Word, z *zone, sc score.Scorer, minScore float64) []Placement {
 	if len(a) == 0 || len(z.b) == 0 {
 		return dst
@@ -130,34 +132,12 @@ func (s *Scratch) placementsDense(dst []Placement, a, b symbol.Word, sc score.Sc
 	emits := func(j int) bool {
 		return dPrev[j] > dPrev[j-1] && dPrev[j] > minScore && stPrev[j] != noStart
 	}
-	if dst == nil {
-		if dst = exactPlacements(n, emits); dst == nil {
-			return nil
-		}
-	}
 	for j := 1; j <= n; j++ {
 		if emits(j) {
 			dst = append(dst, Placement{Lo: int(stPrev[j]), Hi: j, Score: dPrev[j]})
 		}
 	}
 	return dst
-}
-
-// exactPlacements returns an empty slice with room for the k in [1, n] for
-// which emits(k) holds, or nil when there are none: Placements results are
-// memoized by callers, so they cannot live in the scratch arena and are
-// allocated once at their exact size.
-func exactPlacements(n int, emits func(k int) bool) []Placement {
-	cnt := 0
-	for k := 1; k <= n; k++ {
-		if emits(k) {
-			cnt++
-		}
-	}
-	if cnt == 0 {
-		return nil
-	}
-	return make([]Placement, 0, cnt)
 }
 
 // step is one breakpoint of a placement DP row: the row's cells hold the
@@ -196,11 +176,6 @@ func (s *Scratch) placementsSteps(dst []Placement, a symbol.Word, c *score.Compi
 	// placementsDense); a start-only breakpoint is not one.
 	emits := func(k int) bool {
 		return row[k].v > row[k-1].v && row[k].v*unit > minScore && row[k].s != noStart
-	}
-	if dst == nil {
-		if dst = exactPlacements(len(row)-1, emits); dst == nil {
-			return nil
-		}
 	}
 	for k := 1; k < len(row); k++ {
 		if emits(k) {

@@ -1,6 +1,7 @@
 package align
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/score"
@@ -9,11 +10,17 @@ import (
 
 // Scratch is a reusable arena for every buffer the alignment kernels need:
 // rolled DP row pairs, placement rows, the column-index word of b, the
-// per-call sparse σ tables of the fast paths, and the full DP matrix of
-// Align. All kernels are methods on Scratch; the package-level functions
-// borrow one from an internal sync.Pool, so steady-state alignment —
-// thousands of candidate simulations per improvement round — performs no
-// heap allocation at all.
+// per-call sparse σ tables of the fast paths, the full DP matrix of Align,
+// and the results the kernel forms hand back: Align's columns and
+// Placements' frontier. All kernels are methods on Scratch; the
+// package-level functions borrow one from an internal sync.Pool and copy
+// their results out, so steady-state alignment — thousands of candidate
+// simulations per improvement round — performs no heap allocation at all
+// on a Scratch, and only the returned result through the package-level
+// functions.
+//
+// A slice a Scratch method returns is valid until the next kernel call on
+// the same Scratch; a caller that keeps it copies it.
 //
 // A Scratch is not safe for concurrent use: one goroutine, one Scratch.
 // Solvers hold one per solve (greedy, onecsr, exact, the improve driver);
@@ -58,6 +65,9 @@ type Scratch struct {
 	// Full DP matrix of Align: flat cells plus row headers.
 	cellsF []float64
 	rowsF  [][]float64
+
+	// cols holds the columns Align returns.
+	cols []Col
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
@@ -69,6 +79,15 @@ func NewScratch() *Scratch { return scratchPool.Get().(*Scratch) }
 
 // Release returns the arena to the pool. The caller must not use it again.
 func (s *Scratch) Release() { scratchPool.Put(s) }
+
+// owned returns a copy of a scratch-backed result for a caller to keep, nil
+// when it is empty.
+func owned[T any](r []T) []T {
+	if len(r) == 0 {
+		return nil
+	}
+	return slices.Clone(r)
+}
 
 // growF resizes a float64 buffer to n entries, reusing capacity. Contents
 // are unspecified; callers clear what they rely on.

@@ -28,6 +28,13 @@ package batch
 //     counters, enumeration pieces) and per-match bookkeeping across the
 //     live state and its simulation undo trail.
 //
+// A solve draws its state, scratch and index tables from per-package
+// sync.Pools, and a warm shard reuses the tables the previous solve left
+// there. The model charges them to every instance anyway, as if each solve
+// built them fresh: a retained workspace is sized by the largest instance
+// it served, which may be this one, and a collection may empty the pools
+// at any time, so reuse is never assumed.
+//
 // The σ term is pinned against measured allocations (memcost_test.go); the
 // other constants are calibrated to observed live-heap profiles of the
 // pinned 60-region and genome-small workloads — intentionally on the

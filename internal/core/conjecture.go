@@ -1,11 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
-	"repro/internal/align"
 	"repro/internal/symbol"
 )
 
@@ -68,36 +68,38 @@ func (sol *Solution) IsConsistent(in *Instance) bool {
 // with simple fragments plugged into the interior. The resulting column
 // score always equals the match-set score.
 func (sol *Solution) BuildConjecture(in *Instance) (*Conjecture, error) {
-	if err := sol.Validate(in); err != nil {
+	// One site index serves the validation and the walk.
+	ix := newSiteIndex()
+	defer ix.release()
+	if err := sol.validate(in, ix); err != nil {
 		return nil, err
 	}
-	ix := sol.index(in)
-	deg := sol.degrees(in)
+	deg := func(sp Species, f int) int { return len(ix.list(sp, f)) }
 
 	// Multi-edges (two matches between the same fragment pair) are never
 	// produced by a single conjecture pair: the pair would merge them into
-	// one match.
-	seenPair := make(map[[2]int]bool)
+	// one match. The first match repeating an earlier pair is reported.
 	for i := range sol.Matches {
-		key := [2]int{sol.Matches[i].HSite.Frag, sol.Matches[i].MSite.Frag}
-		if seenPair[key] {
-			return nil, fmt.Errorf("core: fragments H%d and M%d share two matches", key[0], key[1])
+		h, m := sol.Matches[i].HSite.Frag, sol.Matches[i].MSite.Frag
+		for _, j := range ix.list(SpeciesH, h) {
+			if int(j) < i && sol.Matches[j].MSite.Frag == m {
+				return nil, fmt.Errorf("core: fragments H%d and M%d share two matches", h, m)
+			}
 		}
-		seenPair[key] = true
 	}
 
 	// Chain links: matches whose two fragments both have ≥ 2 matches.
-	isLink := make([]bool, len(sol.Matches))
+	nm := len(sol.Matches)
+	isLink := slices.Grow(ix.isLink[:0], nm)[:nm]
+	ix.isLink = isLink
 	for i := range sol.Matches {
 		mt := &sol.Matches[i]
-		if deg[SpeciesH][mt.HSite.Frag] >= 2 && deg[SpeciesM][mt.MSite.Frag] >= 2 {
-			isLink[i] = true
-		}
+		isLink[i] = deg(SpeciesH, mt.HSite.Frag) >= 2 && deg(SpeciesM, mt.MSite.Frag) >= 2
 	}
 	// Per-fragment link positions must be extreme.
 	chainDeg := func(sp Species, f int) int {
 		n := 0
-		for _, mi := range ix.by[sp][f] {
+		for _, mi := range ix.list(sp, f) {
 			if isLink[mi] {
 				n++
 			}
@@ -106,22 +108,27 @@ func (sol *Solution) BuildConjecture(in *Instance) (*Conjecture, error) {
 	}
 	for sp := SpeciesH; sp <= SpeciesM; sp++ {
 		spc := Species(sp)
-		for f, lst := range ix.by[sp] {
-			var links []int // positions within lst
+		for f := 0; f < in.NumFrags(spc); f++ {
+			lst := ix.list(spc, f)
+			links, first, last := 0, -1, -1 // link count and positions within lst
 			for p, mi := range lst {
 				if isLink[mi] {
-					links = append(links, p)
+					links++
+					if first < 0 {
+						first = p
+					}
+					last = p
 				}
 			}
 			switch {
-			case len(links) > 2:
-				return nil, fmt.Errorf("core: fragment %v%d has %d chain links (max 2)", spc, f, len(links))
-			case len(links) == 2:
-				if links[0] != 0 || links[1] != len(lst)-1 {
+			case links > 2:
+				return nil, fmt.Errorf("core: fragment %v%d has %d chain links (max 2)", spc, f, links)
+			case links == 2:
+				if first != 0 || last != len(lst)-1 {
 					return nil, fmt.Errorf("core: fragment %v%d: chain links not at opposite extremes", spc, f)
 				}
-			case len(links) == 1:
-				if links[0] != 0 && links[0] != len(lst)-1 {
+			case links == 1:
+				if first != 0 && first != len(lst)-1 {
 					return nil, fmt.Errorf("core: fragment %v%d: chain link at interior position", spc, f)
 				}
 			}
@@ -130,18 +137,24 @@ func (sol *Solution) BuildConjecture(in *Instance) (*Conjecture, error) {
 
 	// Walk every island, producing the global match emission order and
 	// fragment orientations.
-	orient := make(map[FragRef]bool)
-	visitedFrag := make(map[FragRef]bool)
-	emitted := make([]bool, len(sol.Matches))
-	var matchOrder []int
-	var hOrder, mOrder []OrientedFrag
+	for sp := SpeciesH; sp <= SpeciesM; sp++ {
+		n := in.NumFrags(sp)
+		ix.visited[sp] = slices.Grow(ix.visited[sp][:0], n)[:n]
+		clear(ix.visited[sp])
+	}
+	visited := ix.visited
+	emitted := slices.Grow(ix.emitted[:0], nm)[:nm]
+	clear(emitted)
+	ix.emitted = emitted
+	matchOrder := make([]int, 0, len(sol.Matches))
+	hOrder := make([]OrientedFrag, 0, in.NumFrags(SpeciesH))
+	mOrder := make([]OrientedFrag, 0, in.NumFrags(SpeciesM))
 
 	appearFrag := func(fr FragRef, rev bool) {
-		if visitedFrag[fr] {
+		if visited[fr.Sp][fr.Idx] {
 			return
 		}
-		visitedFrag[fr] = true
-		orient[fr] = rev
+		visited[fr.Sp][fr.Idx] = true
 		of := OrientedFrag{Frag: fr.Idx, Rev: rev}
 		if fr.Sp == SpeciesH {
 			hOrder = append(hOrder, of)
@@ -151,25 +164,26 @@ func (sol *Solution) BuildConjecture(in *Instance) (*Conjecture, error) {
 	}
 
 	// walk processes fragment fr whose emission-first match is entry (or -1
-	// for a chain start) under the forced orientation rev.
+	// for a chain start) under the forced orientation rev: its matches are
+	// emitted in site order, reversed when rev.
 	var walk func(fr FragRef, entry int, rev bool) error
 	walk = func(fr FragRef, entry int, rev bool) error {
-		if visitedFrag[fr] {
+		if visited[fr.Sp][fr.Idx] {
 			return fmt.Errorf("core: fragment %v revisited (cycle)", fr)
 		}
 		appearFrag(fr, rev)
-		lst := ix.by[fr.Sp][fr.Idx]
-		order := make([]int, len(lst))
-		copy(order, lst)
-		if rev {
-			for l, r := 0, len(order)-1; l < r; l, r = l+1, r-1 {
-				order[l], order[r] = order[r], order[l]
+		lst := ix.list(fr.Sp, fr.Idx)
+		at := func(p int) int {
+			if rev {
+				return int(lst[len(lst)-1-p])
 			}
+			return int(lst[p])
 		}
-		if entry >= 0 && order[0] != entry {
+		if entry >= 0 && at(0) != entry {
 			return fmt.Errorf("core: fragment %v: entry link not at emission start", fr)
 		}
-		for p, mi := range order {
+		for p := range lst {
+			mi := at(p)
 			if mi == entry {
 				continue
 			}
@@ -177,7 +191,7 @@ func (sol *Solution) BuildConjecture(in *Instance) (*Conjecture, error) {
 			partner := FragRef{Sp: fr.Sp.Other(), Idx: mt.Side(fr.Sp.Other()).Frag}
 			partnerRev := rev != mt.Rev
 			if isLink[mi] {
-				if p != len(order)-1 {
+				if p != len(lst)-1 {
 					return fmt.Errorf("core: fragment %v: exit link not at emission end", fr)
 				}
 				emitted[mi] = true
@@ -191,23 +205,22 @@ func (sol *Solution) BuildConjecture(in *Instance) (*Conjecture, error) {
 		return nil
 	}
 
-	for _, island := range sol.Islands(in) {
-		// Gather the island's fragments.
-		fragSet := make(map[FragRef]bool)
+	for _, island := range ix.islands(sol, in) {
+		// Gather the island's fragments, sorted H first.
+		frags := ix.frags[:0]
 		for _, mi := range island {
-			fragSet[FragRef{SpeciesH, sol.Matches[mi].HSite.Frag}] = true
-			fragSet[FragRef{SpeciesM, sol.Matches[mi].MSite.Frag}] = true
+			frags = append(frags,
+				FragRef{SpeciesH, sol.Matches[mi].HSite.Frag},
+				FragRef{SpeciesM, sol.Matches[mi].MSite.Frag})
 		}
-		frags := make([]FragRef, 0, len(fragSet))
-		for fr := range fragSet {
-			frags = append(frags, fr)
-		}
-		sort.Slice(frags, func(a, b int) bool {
-			if frags[a].Sp != frags[b].Sp {
-				return frags[a].Sp < frags[b].Sp
+		slices.SortFunc(frags, func(a, b FragRef) int {
+			if a.Sp != b.Sp {
+				return cmp.Compare(a.Sp, b.Sp)
 			}
-			return frags[a].Idx < frags[b].Idx
+			return cmp.Compare(a.Idx, b.Idx)
 		})
+		frags = slices.Compact(frags)
+		ix.frags = frags
 		// Choose the walk start: a chain end when links exist, otherwise the
 		// unique multiple fragment, otherwise the H side of the single match.
 		var start FragRef
@@ -227,7 +240,7 @@ func (sol *Solution) BuildConjecture(in *Instance) (*Conjecture, error) {
 		}
 		if !found {
 			for _, fr := range frags {
-				if deg[fr.Sp][fr.Idx] >= 2 {
+				if deg(fr.Sp, fr.Idx) >= 2 {
 					start, found = fr, true
 					break
 				}
@@ -238,7 +251,7 @@ func (sol *Solution) BuildConjecture(in *Instance) (*Conjecture, error) {
 		}
 		// Orient the start so its exit link (if any) is emission-last.
 		rev := false
-		lst := ix.by[start.Sp][start.Idx]
+		lst := ix.list(start.Sp, start.Idx)
 		for p, mi := range lst {
 			if isLink[mi] {
 				rev = p == 0 && len(lst) > 1
@@ -263,52 +276,71 @@ func (sol *Solution) BuildConjecture(in *Instance) (*Conjecture, error) {
 		}
 	}
 
-	return sol.assemble(in, matchOrder, hOrder, mOrder)
+	return sol.assemble(in, ix, matchOrder, hOrder, mOrder)
 }
 
 // assemble lays out the two conjecture words column by column following the
-// match emission order, pairing unmatched regions with ⊥.
-func (sol *Solution) assemble(in *Instance, matchOrder []int, hOrder, mOrder []OrientedFrag) (*Conjecture, error) {
+// match emission order, pairing unmatched regions with ⊥. Each cursor holds
+// its current fragment's oriented word in ix's buffer for its species.
+func (sol *Solution) assemble(in *Instance, ix *siteIndex, matchOrder []int, hOrder, mOrder []OrientedFrag) (*Conjecture, error) {
 	type cursor struct {
+		sp   Species
 		seq  []OrientedFrag
 		fi   int // index into seq
 		pos  int // position in the current oriented fragment word
 		word symbol.Word
 	}
-	var h, m cursor
-	h.seq, m.seq = hOrder, mOrder
-	var hw, mw symbol.Word
+	h := cursor{sp: SpeciesH, seq: hOrder}
+	m := cursor{sp: SpeciesM, seq: mOrder}
+	// A conjecture column holds a region of at least one side, so the
+	// words are at most this long.
+	n := 0
+	for sp := SpeciesH; sp <= SpeciesM; sp++ {
+		for _, f := range in.Frags(sp) {
+			n += len(f.Regions)
+		}
+	}
+	hw, mw := make(symbol.Word, 0, n), make(symbol.Word, 0, n)
 
-	fragWord := func(sp Species, of OrientedFrag) symbol.Word {
-		return in.Frag(sp, of.Frag).Regions.Orient(of.Rev)
+	// load orients the cursor's current fragment into its word.
+	load := func(c *cursor) {
+		if c.fi < len(c.seq) {
+			of := c.seq[c.fi]
+			ix.words[c.sp] = in.Frag(c.sp, of.Frag).Regions.AppendOrient(ix.words[c.sp][:0], of.Rev)
+			c.word = ix.words[c.sp]
+		}
 	}
-	cur := func(sp Species, c *cursor) symbol.Word {
-		return fragWord(sp, c.seq[c.fi])
-	}
+	load(&h)
+	load(&m)
 	// emitH/emitM append one column with the other row padded.
 	emitH := func(s symbol.Symbol) { hw = append(hw, s); mw = append(mw, symbol.Pad) }
 	emitM := func(s symbol.Symbol) { hw = append(hw, symbol.Pad); mw = append(mw, s) }
 	// flushTo advances a cursor to position p in its current fragment.
-	flushTo := func(sp Species, c *cursor, p int, emit func(symbol.Symbol)) error {
-		w := cur(sp, c)
+	flushTo := func(c *cursor, p int, emit func(symbol.Symbol)) error {
+		w := c.word
 		if p < c.pos || p > len(w) {
-			return fmt.Errorf("core: assemble: matches out of order in fragment %v%d", sp, c.seq[c.fi].Frag)
+			return fmt.Errorf("core: assemble: matches out of order in fragment %v%d", c.sp, c.seq[c.fi].Frag)
 		}
 		for ; c.pos < p; c.pos++ {
 			emit(w[c.pos])
 		}
 		return nil
 	}
+	// next moves a cursor to its next fragment.
+	next := func(c *cursor) {
+		c.fi++
+		c.pos = 0
+		load(c)
+	}
 	// advanceTo moves a cursor to the given fragment, flushing tails.
-	advanceTo := func(sp Species, c *cursor, frag int, emit func(symbol.Symbol)) error {
+	advanceTo := func(c *cursor, frag int, emit func(symbol.Symbol)) error {
 		for c.seq[c.fi].Frag != frag {
-			if err := flushTo(sp, c, len(cur(sp, c)), emit); err != nil {
+			if err := flushTo(c, len(c.word), emit); err != nil {
 				return err
 			}
-			c.fi++
-			c.pos = 0
+			next(c)
 			if c.fi >= len(c.seq) {
-				return fmt.Errorf("core: assemble: fragment %v%d missing from layout", sp, frag)
+				return fmt.Errorf("core: assemble: fragment %v%d missing from layout", c.sp, frag)
 			}
 		}
 		return nil
@@ -324,10 +356,10 @@ func (sol *Solution) assemble(in *Instance, matchOrder []int, hOrder, mOrder []O
 	total := 0.0
 	for _, mi := range matchOrder {
 		mt := &sol.Matches[mi]
-		if err := advanceTo(SpeciesH, &h, mt.HSite.Frag, emitH); err != nil {
+		if err := advanceTo(&h, mt.HSite.Frag, emitH); err != nil {
 			return nil, err
 		}
-		if err := advanceTo(SpeciesM, &m, mt.MSite.Frag, emitM); err != nil {
+		if err := advanceTo(&m, mt.MSite.Frag, emitM); err != nil {
 			return nil, err
 		}
 		hOF, mOF := h.seq[h.fi], m.seq[m.fi]
@@ -336,15 +368,15 @@ func (sol *Solution) assemble(in *Instance, matchOrder []int, hOrder, mOrder []O
 		}
 		hs, he := orientedSpan(SpeciesH, hOF, mt.HSite)
 		ms, me := orientedSpan(SpeciesM, mOF, mt.MSite)
-		if err := flushTo(SpeciesH, &h, hs, emitH); err != nil {
+		if err := flushTo(&h, hs, emitH); err != nil {
 			return nil, err
 		}
-		if err := flushTo(SpeciesM, &m, ms, emitM); err != nil {
+		if err := flushTo(&m, ms, emitM); err != nil {
 			return nil, err
 		}
-		hword := cur(SpeciesH, &h)[hs:he]
-		mword := cur(SpeciesM, &m)[ms:me]
-		sc, cols := align.Align(hword, mword, in.Sigma)
+		hword := h.word[hs:he]
+		mword := m.word[ms:me]
+		sc, cols := ix.scr.Align(hword, mword, in.Sigma)
 		// The emission orientation may reverse both words; the score is
 		// equal by reversal symmetry but float summation order differs, so
 		// compare with a relative tolerance.
@@ -374,18 +406,16 @@ func (sol *Solution) assemble(in *Instance, matchOrder []int, hOrder, mOrder []O
 	}
 	// Flush everything that remains.
 	for h.fi < len(h.seq) {
-		if err := flushTo(SpeciesH, &h, len(cur(SpeciesH, &h)), emitH); err != nil {
+		if err := flushTo(&h, len(h.word), emitH); err != nil {
 			return nil, err
 		}
-		h.fi++
-		h.pos = 0
+		next(&h)
 	}
 	for m.fi < len(m.seq) {
-		if err := flushTo(SpeciesM, &m, len(cur(SpeciesM, &m)), emitM); err != nil {
+		if err := flushTo(&m, len(m.word), emitM); err != nil {
 			return nil, err
 		}
-		m.fi++
-		m.pos = 0
+		next(&m)
 	}
 	if len(hw) != len(mw) {
 		return nil, fmt.Errorf("core: assemble: unequal conjecture lengths %d vs %d", len(hw), len(mw))

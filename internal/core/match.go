@@ -44,6 +44,14 @@ func (mt *Match) AlignScore(in *Instance) float64 {
 
 // CheckMatch validates the match's sites and cached score.
 func (in *Instance) CheckMatch(mt Match) error {
+	ix := newSiteIndex()
+	defer ix.release()
+	return in.checkMatch(mt, ix)
+}
+
+// checkMatch is CheckMatch re-aligning on ix's scratch and orientation
+// buffer, so checking a whole solution allocates nothing per match.
+func (in *Instance) checkMatch(mt Match, ix *siteIndex) error {
 	if err := in.CheckSite(mt.HSite); err != nil {
 		return err
 	}
@@ -53,7 +61,8 @@ func (in *Instance) CheckMatch(mt Match) error {
 	if mt.HSite.Species != SpeciesH || mt.MSite.Species != SpeciesM {
 		return fmt.Errorf("core: match %v/%v: sites on wrong species", mt.HSite, mt.MSite)
 	}
-	if got := mt.AlignScore(in); got != mt.Score {
+	ix.ori = in.SiteWord(mt.MSite).AppendOrient(ix.ori[:0], mt.Rev)
+	if got := ix.scr.Score(in.SiteWord(mt.HSite), ix.ori, in.Sigma); got != mt.Score {
 		return fmt.Errorf("core: match %v/%v: cached score %v, alignment scores %v",
 			mt.HSite, mt.MSite, mt.Score, got)
 	}

@@ -1,8 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
+
+	"repro/internal/align"
+	"repro/internal/symbol"
 )
 
 // Solution is a set of matches; the solver's working representation of a
@@ -36,33 +41,74 @@ type FragRef struct {
 func (fr FragRef) String() string { return fmt.Sprintf("%v%d", fr.Sp, fr.Idx) }
 
 // siteIndex maps fragments to the matches touching them, sorted by site
-// position within the fragment.
+// position within the fragment, in one flat CSR layout per species:
+// fragment f's match indices are ids[sp][off[sp][f]:off[sp][f+1]]. It also
+// holds the working buffers of the checks that read it (Validate,
+// BuildConjecture): an alignment scratch, the orientation buffers and the
+// per-match and per-fragment tables of the island walk. A check takes one
+// from indexPool and returns it, so a solve's checks reuse one index.
 type siteIndex struct {
-	// by[sp][frag] lists indices into Solution.Matches sorted by Site.Lo.
-	by [2][][]int
+	off [2][]int32
+	ids [2][]int32
+
+	scr       align.Scratch
+	ori       symbol.Word    // checkMatch's oriented M site word
+	words     [2]symbol.Word // assemble's oriented fragment word per species
+	isLink    []bool
+	emitted   []bool
+	visited   [2][]bool
+	frags     []FragRef // an island's fragments
+	parent    []int32   // islands' union-find over fragment nodes (H, then M)
+	root      []int32   // islands' root node per match
+	islandOf  []int32   // islands' island offsets per root node
+	islandIDs []int     // islands' match indices, island by island
+	islandBuf [][]int
 }
 
-func (sol *Solution) index(in *Instance) *siteIndex {
-	ix := &siteIndex{}
+var indexPool = sync.Pool{New: func() any { return new(siteIndex) }}
+
+func newSiteIndex() *siteIndex { return indexPool.Get().(*siteIndex) }
+
+func (ix *siteIndex) release() { indexPool.Put(ix) }
+
+// list returns the match indices on fragment f of species sp, by site
+// position.
+func (ix *siteIndex) list(sp Species, f int) []int32 {
+	return ix.ids[sp][ix.off[sp][f]:ix.off[sp][f+1]]
+}
+
+// build indexes sol's matches: counts, then offsets, then one pass placing
+// each match in match order, then a sort of each fragment's list by site
+// position. The sites must be in range (checkMatch).
+func (ix *siteIndex) build(sol *Solution, in *Instance) {
+	nm := len(sol.Matches)
 	for sp := SpeciesH; sp <= SpeciesM; sp++ {
-		ix.by[sp] = make([][]int, in.NumFrags(sp))
-	}
-	for i := range sol.Matches {
-		mt := &sol.Matches[i]
-		for _, s := range []Site{mt.HSite, mt.MSite} {
-			ix.by[s.Species][s.Frag] = append(ix.by[s.Species][s.Frag], i)
+		nf := in.NumFrags(sp)
+		off := slices.Grow(ix.off[sp][:0], nf+1)[:nf+1]
+		clear(off)
+		for i := range sol.Matches {
+			off[sol.Matches[i].Side(sp).Frag+1]++
 		}
-	}
-	for sp := SpeciesH; sp <= SpeciesM; sp++ {
-		spc := Species(sp)
-		for f := range ix.by[sp] {
-			lst := ix.by[sp][f]
-			sort.Slice(lst, func(a, b int) bool {
-				return sol.Matches[lst[a]].Side(spc).Lo < sol.Matches[lst[b]].Side(spc).Lo
+		for f := 1; f < len(off); f++ {
+			off[f] += off[f-1]
+		}
+		ids := slices.Grow(ix.ids[sp][:0], nm)[:nm]
+		// Place each match at its fragment's cursor, kept in off[f] and
+		// shifted back below.
+		for i := range sol.Matches {
+			f := sol.Matches[i].Side(sp).Frag
+			ids[off[f]] = int32(i)
+			off[f]++
+		}
+		copy(off[1:], off[:len(off)-1])
+		off[0] = 0
+		ix.off[sp], ix.ids[sp] = off, ids
+		for f := 0; f+1 < len(off); f++ {
+			slices.SortFunc(ix.list(sp, f), func(a, b int32) int {
+				return cmp.Compare(sol.Matches[a].Side(sp).Lo, sol.Matches[b].Side(sp).Lo)
 			})
 		}
 	}
-	return ix
 }
 
 // Degree returns the number of matches touching fragment (sp, idx).
@@ -137,45 +183,60 @@ func (sol *Solution) degrees(in *Instance) [2][]int {
 // returned as the list of match indices it contains; fragments with no
 // matches appear in no island.
 func (sol *Solution) Islands(in *Instance) [][]int {
-	parent := make(map[FragRef]FragRef)
-	var find func(x FragRef) FragRef
-	find = func(x FragRef) FragRef {
-		if p, ok := parent[x]; ok && p != x {
+	return new(siteIndex).islands(sol, in)
+}
+
+// islands is Islands in ix's buffers, valid until ix is next used. Islands
+// come in ascending order of their root fragment under the union-find
+// below (H fragments before M), each listing its matches ascending.
+func (ix *siteIndex) islands(sol *Solution, in *Instance) [][]int {
+	nh := in.NumFrags(SpeciesH)
+	nodes := nh + in.NumFrags(SpeciesM)
+	parent := slices.Grow(ix.parent[:0], nodes)[:nodes]
+	for i := range parent {
+		parent[i] = int32(i)
+	}
+	var find func(x int32) int32
+	find = func(x int32) int32 {
+		if p := parent[x]; p != x {
 			r := find(p)
 			parent[x] = r
 			return r
 		}
-		if _, ok := parent[x]; !ok {
-			parent[x] = x
-		}
-		return parent[x]
+		return x
 	}
-	union := func(a, b FragRef) { parent[find(a)] = find(b) }
 	for i := range sol.Matches {
 		mt := &sol.Matches[i]
-		union(FragRef{SpeciesH, mt.HSite.Frag}, FragRef{SpeciesM, mt.MSite.Frag})
+		a := find(int32(mt.HSite.Frag))
+		parent[a] = find(int32(nh + mt.MSite.Frag))
 	}
-	groups := make(map[FragRef][]int)
+	// Count each root's matches, then place the matches root by root in
+	// ascending order (off[r] starts root r's island, then ends it).
+	nm := len(sol.Matches)
+	root := slices.Grow(ix.root[:0], nm)[:nm]
+	off := slices.Grow(ix.islandOf[:0], nodes+1)[:nodes+1]
+	clear(off)
 	for i := range sol.Matches {
-		r := find(FragRef{SpeciesH, sol.Matches[i].HSite.Frag})
-		groups[r] = append(groups[r], i)
+		root[i] = find(int32(sol.Matches[i].HSite.Frag))
+		off[root[i]+1]++
 	}
-	keys := make([]FragRef, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
+	for r := 1; r < len(off); r++ {
+		off[r] += off[r-1]
 	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a].Sp != keys[b].Sp {
-			return keys[a].Sp < keys[b].Sp
+	ids := slices.Grow(ix.islandIDs[:0], nm)[:nm]
+	for i, r := range root {
+		ids[off[r]] = i
+		off[r]++
+	}
+	out := ix.islandBuf[:0]
+	lo := int32(0)
+	for _, end := range off[:nodes] {
+		if end > lo {
+			out = append(out, ids[lo:end:end])
+			lo = end
 		}
-		return keys[a].Idx < keys[b].Idx
-	})
-	out := make([][]int, 0, len(keys))
-	for _, k := range keys {
-		g := groups[k]
-		sort.Ints(g)
-		out = append(out, g)
 	}
+	ix.parent, ix.root, ix.islandOf, ix.islandIDs, ix.islandBuf = parent, root, off, ids, out
 	return out
 }
 
@@ -183,15 +244,24 @@ func (sol *Solution) Islands(in *Instance) [][]int {
 // must satisfy regardless of consistency: valid sites, valid cached scores,
 // and pairwise-disjoint sites on every fragment.
 func (sol *Solution) Validate(in *Instance) error {
+	ix := newSiteIndex()
+	defer ix.release()
+	return sol.validate(in, ix)
+}
+
+// validate is Validate building its site index in ix, which a caller that
+// goes on to walk the solution (BuildConjecture) then reads.
+func (sol *Solution) validate(in *Instance, ix *siteIndex) error {
 	for i := range sol.Matches {
-		if err := in.CheckMatch(sol.Matches[i]); err != nil {
+		if err := in.checkMatch(sol.Matches[i], ix); err != nil {
 			return fmt.Errorf("match %d: %w", i, err)
 		}
 	}
-	ix := sol.index(in)
+	ix.build(sol, in)
 	for sp := SpeciesH; sp <= SpeciesM; sp++ {
 		spc := Species(sp)
-		for f, lst := range ix.by[sp] {
+		for f := 0; f < in.NumFrags(spc); f++ {
+			lst := ix.list(spc, f)
 			for k := 1; k < len(lst); k++ {
 				prev := sol.Matches[lst[k-1]].Side(spc)
 				cur := sol.Matches[lst[k]].Side(spc)

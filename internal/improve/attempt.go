@@ -163,7 +163,7 @@ func runI2(st *state, k candKey) float64 {
 	// ends.
 	rev := fe == ge
 	fWord := st.in.Frag(f.Sp, f.Idx).Regions[fLo:fHi]
-	gOri := st.in.Frag(g.Sp, g.Idx).Regions[gLo:gHi].Orient(rev)
+	gOri := st.window(g, gLo, gHi, rev)
 	sigma := st.sigmaFor(f.Sp)
 	sc, cols := st.scr.Align(fWord, gOri, sigma)
 	if sc <= 0 || len(cols) == 0 {
@@ -245,7 +245,9 @@ func runI3(st *state, k candKey) float64 {
 		return 0
 	}
 	st.removeMatch(chainID)
-	var buf []candKey
+	// The inner candidates run I2 only, so no nested runI3 reuses the
+	// buffer while this one iterates it.
+	buf := st.i3Cands
 	for _, x := range [2]core.FragRef{f, g} {
 		exclude := g
 		if x == g {
@@ -267,6 +269,7 @@ func runI3(st *state, k candKey) float64 {
 			runCand(st, buf[bestIdx])
 		}
 	}
+	st.i3Cands = buf[:0]
 	return st.delta - start
 }
 

@@ -10,6 +10,7 @@ import (
 	"repro/internal/onecsr"
 	"repro/internal/score"
 	"repro/internal/seed"
+	"repro/internal/symbol"
 )
 
 // Methods selects which improvement methods the driver uses.
@@ -295,9 +296,10 @@ func Improve(in *core.Instance, opt Options) (*core.Solution, Stats, error) {
 	default:
 		pairs = seed.Mask(in)
 	}
-	st := newState(in, seedSol,
-		enum.NewPairSet(in.NumFrags(core.SpeciesH), in.NumFrags(core.SpeciesM), pairs))
-	defer st.scr.Release() // the driver's own alignment scratch arena
+	st := statePool.Get().(*state)
+	defer st.release()
+	st.pairSet.Reset(in.NumFrags(core.SpeciesH), in.NumFrags(core.SpeciesM), pairs)
+	st.reset(in, seedSol, &st.pairSet)
 	if len(opt.Resume) > 0 {
 		// Crash recovery: fast-forward the live state through the
 		// checkpointed accepted-op log. Each op is applied exactly as
@@ -333,7 +335,8 @@ func Improve(in *core.Instance, opt Options) (*core.Solution, Stats, error) {
 		return opt.Ctx.Err()
 	}
 	// Enumeration runs incrementally against the live version counters.
-	en := enum.New(opt.Methods&FullOnly != 0, opt.Methods&BorderOnly != 0, st.pairs)
+	en := &st.en
+	en.Reset(opt.Methods&FullOnly != 0, opt.Methods&BorderOnly != 0, st.pairs)
 	floor := max(stats.Threshold, opt.minGain)
 	engine := improveLazy
 	if opt.engine != nil {
@@ -407,8 +410,10 @@ func Rescore(in *core.Instance, sol *core.Solution, sc score.Scorer) *core.Solut
 func RescoreInPlace(in *core.Instance, sol *core.Solution, sc score.Scorer) {
 	s := align.NewScratch()
 	defer s.Release()
+	var ori symbol.Word // the oriented M site word, reused across matches
 	for i := range sol.Matches {
 		mt := &sol.Matches[i]
-		mt.Score = s.Score(in.SiteWord(mt.HSite), in.SiteWord(mt.MSite).Orient(mt.Rev), sc)
+		ori = in.SiteWord(mt.MSite).AppendOrient(ori[:0], mt.Rev)
+		mt.Score = s.Score(in.SiteWord(mt.HSite), ori, sc)
 	}
 }

@@ -25,9 +25,9 @@
 package enum
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/core"
 )
@@ -152,17 +152,29 @@ type Chain struct {
 	G  core.FragRef
 }
 
+// Read is one recorded fragment read: the fragment and its live version at
+// read time.
+type Read struct {
+	Fr  core.FragRef
+	Ver uint64
+}
+
 // Reads is a recorded read set: every fragment a piece's enumeration
-// consulted, with the live version at read time. A cached piece is reusable
-// iff every recorded fragment still has its recorded version.
-type Reads map[core.FragRef]uint64
+// consulted, with the live version at read time, in first-read order. A
+// cached piece is reusable iff every recorded fragment still has its
+// recorded version. Read sets are a handful of entries, so a scanned slice
+// the piece keeps from one refresh to the next beats a map per refresh.
+type Reads []Read
 
 // Note records a read of fr at version v (first read wins, matching the
 // recording rule of the driver's simulation recorder).
-func (r Reads) Note(fr core.FragRef, v uint64) {
-	if _, ok := r[fr]; !ok {
-		r[fr] = v
+func (r *Reads) Note(fr core.FragRef, v uint64) {
+	for _, e := range *r {
+		if e.Fr == fr {
+			return
+		}
 	}
+	*r = append(*r, Read{Fr: fr, Ver: v})
 }
 
 // Source is the read-only view of the solver state the Enumerator consumes.
@@ -177,11 +189,10 @@ type Source interface {
 	Version(fr core.FragRef) uint64
 	// Sites returns the occupied sites on fr, sorted by position. The slice
 	// is transient: valid only until the next call, so the Enumerator never
-	// keeps it (WindowsOf and EndDepthsAt copy what they need).
-	Sites(fr core.FragRef, r Reads) []core.Site
-	// Chains returns fr's 2-island chain links in site order. The Enumerator
-	// stores the slice as the piece value, so each call returns a fresh one.
-	Chains(fr core.FragRef, r Reads) []Chain
+	// keeps it (AppendWindows and EndDepthsAt copy what they need).
+	Sites(fr core.FragRef, r *Reads) []core.Site
+	// Chains appends fr's 2-island chain links, in site order, to dst.
+	Chains(dst []Chain, fr core.FragRef, r *Reads) []Chain
 }
 
 // Depths holds the candidate I2 window depths at one fragment end: the free
@@ -217,13 +228,14 @@ func EndDepthsAt(sites []core.Site, n int, e int) Depths {
 	return Depths{d: [2]int{n}, n: 1}
 }
 
-// WindowsOf computes the I1 target windows of a fragment of length n with
-// the given occupied sites (sorted): its maximal free gaps, each gap
-// extended across one neighbouring site per side, and the whole fragment —
-// sorted and deduplicated. All windows have endpoints on site boundaries,
-// hence are never hidden.
-func WindowsOf(sites []core.Site, n int) [][2]int {
-	wins := [][2]int{{0, n}}
+// AppendWindows appends to dst the I1 target windows of a fragment of
+// length n with the given occupied sites (sorted): its maximal free gaps,
+// each gap extended across one neighbouring site per side, and the whole
+// fragment — sorted and deduplicated. All windows have endpoints on site
+// boundaries, hence are never hidden.
+func AppendWindows(dst [][2]int, sites []core.Site, n int) [][2]int {
+	base := len(dst)
+	wins := append(dst, [2]int{0, n})
 	pos := 0
 	addGap := func(lo, hi int) {
 		wins = append(wins, [2]int{lo, hi})
@@ -246,21 +258,21 @@ func WindowsOf(sites []core.Site, n int) [][2]int {
 	if pos < n {
 		addGap(pos, n)
 	}
-	out := wins[:0]
-	for _, w := range wins {
+	out := wins[:base]
+	for _, w := range wins[base:] {
 		if w[0] < w[1] {
 			out = append(out, w)
 		}
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a][0] != out[b][0] {
-			return out[a][0] < out[b][0]
+	slices.SortFunc(out[base:], func(a, b [2]int) int {
+		if a[0] != b[0] {
+			return cmp.Compare(a[0], b[0])
 		}
-		return out[a][1] < out[b][1]
+		return cmp.Compare(a[1], b[1])
 	})
-	dedup := out[:0]
-	for _, w := range out {
-		if len(dedup) > 0 && dedup[len(dedup)-1] == w {
+	dedup := out[:base]
+	for _, w := range out[base:] {
+		if len(dedup) > base && dedup[len(dedup)-1] == w {
 			continue
 		}
 		dedup = append(dedup, w)
@@ -373,7 +385,9 @@ type Stats struct {
 	Reused int
 }
 
-// piece is one cached enumeration unit plus the read set justifying it.
+// piece is one cached enumeration unit plus the read set justifying it. A
+// refresh rewrites reads and val in place, so a piece stops allocating once
+// it has held its largest value.
 type piece[T any] struct {
 	ok    bool
 	reads Reads
@@ -386,16 +400,30 @@ func (p *piece[T]) valid(src Source) bool {
 	if !p.ok {
 		return false
 	}
-	for fr, v := range p.reads {
-		if src.Version(fr) != v {
+	for _, r := range p.reads {
+		if src.Version(r.Fr) != r.Ver {
 			return false
 		}
 	}
 	return true
 }
 
+// resetPieces returns n pieces, none ok, keeping the buffers of the pieces
+// ps already holds.
+func resetPieces[T any](ps []piece[T], n int) []piece[T] {
+	if cap(ps) < n {
+		ps = append(ps[:cap(ps)], make([]piece[T], n-cap(ps))...)
+	}
+	ps = ps[:n]
+	for i := range ps {
+		ps[i].ok = false
+	}
+	return ps
+}
+
 // Enumerator incrementally enumerates improvement candidates for one solve.
-// It is not safe for concurrent use; one solve, one Enumerator.
+// It is not safe for concurrent use; one solve, one Enumerator. Reset
+// readies it for the next solve and keeps its buffers.
 type Enumerator struct {
 	full, border bool
 	sized        bool
@@ -409,13 +437,28 @@ type Enumerator struct {
 	cands   []Cand   // merged candidate list, rebuilt each Candidates call
 	changes []Change // pieces whose value moved in the last refresh, in visit order
 
+	// A refreshed piece's new value, compared with the cached one before
+	// it is copied in.
+	winBuf   [][2]int
+	chainBuf []Chain
+
 	refreshed, reused int
 }
 
 // New returns an Enumerator for the selected method families over the given
 // pair universe.
 func New(full, border bool, ps *PairSet) *Enumerator {
-	return &Enumerator{full: full, border: border, pairs: ps}
+	e := new(Enumerator)
+	e.Reset(full, border, ps)
+	return e
+}
+
+// Reset readies e for a new solve over the given pair universe, as New
+// would return it, keeping every buffer e holds.
+func (e *Enumerator) Reset(full, border bool, ps *PairSet) {
+	e.full, e.border, e.pairs = full, border, ps
+	e.sized = false
+	e.refreshed, e.reused = 0, 0
 }
 
 // Stats returns the cumulative piece-cache counters.
@@ -432,14 +475,14 @@ func (e *Enumerator) size(src Source) {
 	e.nm = src.NumFrags(core.SpeciesM)
 	for sp, n := range [2]int{e.nh, e.nm} {
 		if e.full {
-			e.win[sp] = make([]piece[[][2]int], n)
+			e.win[sp] = resetPieces(e.win[sp], n)
 		}
 		if e.border {
-			e.dep[sp] = make([]piece[[2]Depths], n)
+			e.dep[sp] = resetPieces(e.dep[sp], n)
 		}
 	}
 	if e.border {
-		e.chain = make([]piece[[]Chain], e.nh)
+		e.chain = resetPieces(e.chain, e.nh)
 	}
 }
 
@@ -461,31 +504,39 @@ func (e *Enumerator) refresh(src Source) {
 		fr := core.FragRef{Sp: sp, Idx: idx}
 		if e.full {
 			if p := &e.win[sp][idx]; !p.valid(src) {
-				r := make(Reads, 2)
-				v := WindowsOf(src.Sites(fr, r), src.FragLen(fr))
-				note(PieceI1Windows, fr, !p.ok || !slices.Equal(p.val, v))
-				p.val, p.reads, p.ok = v, r, true
+				p.reads = p.reads[:0]
+				e.winBuf = AppendWindows(e.winBuf[:0], src.Sites(fr, &p.reads), src.FragLen(fr))
+				changed := !p.ok || !slices.Equal(p.val, e.winBuf)
+				note(PieceI1Windows, fr, changed)
+				if changed {
+					p.val = append(p.val[:0], e.winBuf...)
+				}
+				p.ok = true
 			} else {
 				e.reused++
 			}
 		}
 		if e.border {
 			if p := &e.dep[sp][idx]; !p.valid(src) {
-				r := make(Reads, 1)
+				p.reads = p.reads[:0]
 				n := src.FragLen(fr)
-				sites := src.Sites(fr, r)
+				sites := src.Sites(fr, &p.reads)
 				v := [2]Depths{EndDepthsAt(sites, n, LeftEnd), EndDepthsAt(sites, n, RightEnd)}
 				note(PieceI2Depths, fr, !p.ok || p.val != v)
-				p.val, p.reads, p.ok = v, r, true
+				p.val, p.ok = v, true
 			} else {
 				e.reused++
 			}
 			if sp == core.SpeciesH {
 				if p := &e.chain[idx]; !p.valid(src) {
-					r := make(Reads, 4)
-					v := src.Chains(fr, r)
-					note(PieceI3Chains, fr, !p.ok || !slices.Equal(p.val, v))
-					p.val, p.reads, p.ok = v, r, true
+					p.reads = p.reads[:0]
+					e.chainBuf = src.Chains(e.chainBuf[:0], fr, &p.reads)
+					changed := !p.ok || !slices.Equal(p.val, e.chainBuf)
+					note(PieceI3Chains, fr, changed)
+					if changed {
+						p.val = append(p.val[:0], e.chainBuf...)
+					}
+					p.ok = true
 				} else {
 					e.reused++
 				}

@@ -30,20 +30,20 @@ func (s *fakeSource) NumFrags(sp core.Species) int   { return len(s.lens[sp]) }
 func (s *fakeSource) FragLen(fr core.FragRef) int    { return s.lens[fr.Sp][fr.Idx] }
 func (s *fakeSource) Version(fr core.FragRef) uint64 { return s.vers[fr.Sp][fr.Idx] }
 func (s *fakeSource) bump(fr core.FragRef)           { s.vers[fr.Sp][fr.Idx]++ }
-func (s *fakeSource) note(r Reads, fr core.FragRef)  { r.Note(fr, s.Version(fr)) }
+func (s *fakeSource) note(r *Reads, fr core.FragRef) { r.Note(fr, s.Version(fr)) }
 func (s *fakeSource) setSites(fr core.FragRef, ss ...core.Site) {
 	s.sites[fr.Sp][fr.Idx] = ss
 	s.bump(fr)
 }
 
-func (s *fakeSource) Sites(fr core.FragRef, r Reads) []core.Site {
+func (s *fakeSource) Sites(fr core.FragRef, r *Reads) []core.Site {
 	s.note(r, fr)
 	return s.sites[fr.Sp][fr.Idx]
 }
 
-func (s *fakeSource) Chains(fr core.FragRef, r Reads) []Chain {
+func (s *fakeSource) Chains(dst []Chain, fr core.FragRef, r *Reads) []Chain {
 	s.note(r, fr)
-	return s.chains[fr.Idx]
+	return append(dst, s.chains[fr.Idx]...)
 }
 
 // allPairs is the dense test universe: every one of the nh×nm pairs.

@@ -1,7 +1,8 @@
 package enum
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/core"
 )
@@ -19,53 +20,61 @@ type PairSet struct {
 	// pair in H-major order.
 	mOf, hOf [][]int32
 	off      []int32
+
+	// Reset's buffers: the sorted pairs, the backing arrays of mOf and
+	// hOf, and the per-M-fragment pair counts.
+	sorted     [][2]int32
+	mBuf, hBuf []int32
+	hCnt       []int32
 }
 
 // NewPairSet returns the universe holding exactly the given
 // (H index, M index) pairs (deduplicated; order irrelevant).
 func NewPairSet(nh, nm int, pairs [][2]int32) *PairSet {
-	sorted := make([][2]int32, len(pairs))
-	copy(sorted, pairs)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i][0] != sorted[j][0] {
-			return sorted[i][0] < sorted[j][0]
+	p := new(PairSet)
+	p.Reset(nh, nm, pairs)
+	return p
+}
+
+// Reset makes p the universe NewPairSet(nh, nm, pairs) returns, reusing
+// p's storage.
+func (p *PairSet) Reset(nh, nm int, pairs [][2]int32) {
+	p.sorted = append(p.sorted[:0], pairs...)
+	slices.SortFunc(p.sorted, func(a, b [2]int32) int {
+		if a[0] != b[0] {
+			return cmp.Compare(a[0], b[0])
 		}
-		return sorted[i][1] < sorted[j][1]
+		return cmp.Compare(a[1], b[1])
 	})
-	p := &PairSet{
-		mOf: make([][]int32, nh),
-		hOf: make([][]int32, nm),
-		off: make([]int32, nh+1),
-	}
-	mBuf := make([]int32, 0, len(sorted))
-	hCnt := make([]int32, nm)
-	for i, pr := range sorted {
-		if i > 0 && pr == sorted[i-1] {
+	p.mOf, p.hOf = slices.Grow(p.mOf[:0], nh)[:nh], slices.Grow(p.hOf[:0], nm)[:nm]
+	p.off, p.hCnt = slices.Grow(p.off[:0], nh+1)[:nh+1], slices.Grow(p.hCnt[:0], nm)[:nm]
+	clear(p.off)
+	clear(p.hCnt)
+	p.mBuf = p.mBuf[:0]
+	for i, pr := range p.sorted {
+		if i > 0 && pr == p.sorted[i-1] {
 			continue
 		}
 		fi, gi := pr[0], pr[1]
-		mBuf = append(mBuf, gi)
+		p.mBuf = append(p.mBuf, gi)
 		p.off[fi+1]++
-		hCnt[gi]++
+		p.hCnt[gi]++
 	}
 	for fi := 0; fi < nh; fi++ {
 		p.off[fi+1] += p.off[fi]
-		p.mOf[fi] = mBuf[p.off[fi]:p.off[fi+1]:p.off[fi+1]]
+		p.mOf[fi] = p.mBuf[p.off[fi]:p.off[fi+1]:p.off[fi+1]]
 	}
-	hBuf := make([]int32, len(mBuf))
-	at := make([]int32, nm)
-	for gi := 1; gi < nm; gi++ {
-		at[gi] = at[gi-1] + hCnt[gi-1]
-	}
-	for gi, c := range hCnt {
-		p.hOf[gi] = hBuf[at[gi] : at[gi] : at[gi]+c]
+	p.hBuf = slices.Grow(p.hBuf[:0], len(p.mBuf))[:len(p.mBuf)]
+	at := int32(0)
+	for gi, c := range p.hCnt {
+		p.hOf[gi] = p.hBuf[at : at : at+c]
+		at += c
 	}
 	for fi := 0; fi < nh; fi++ {
 		for _, gi := range p.mOf[fi] {
 			p.hOf[gi] = append(p.hOf[gi], int32(fi))
 		}
 	}
-	return p
 }
 
 // NumH returns the universe's H fragment count.

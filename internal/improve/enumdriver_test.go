@@ -94,9 +94,8 @@ func TestIncrementalEnumMatchesFull(t *testing.T) {
 	}
 }
 
-// pieceSnap is a copy of every cached enumeration piece value. Enumerator
-// pieces are replaced, never mutated, on refresh, so sharing the slices is
-// safe.
+// pieceSnap is a copy of every cached enumeration piece value. A refresh
+// rewrites a piece's value in place, so the snapshot clones the slices.
 type pieceSnap struct {
 	win   [2][][][2]int
 	dep   [2][][2]enum.Depths
@@ -109,12 +108,12 @@ func snapPieces(en *enum.Enumerator, st *state, full, border bool) pieceSnap {
 		for i := 0; i < st.in.NumFrags(sp); i++ {
 			fr := core.FragRef{Sp: sp, Idx: i}
 			if full {
-				p.win[sp] = append(p.win[sp], en.Windows(fr))
+				p.win[sp] = append(p.win[sp], slices.Clone(en.Windows(fr)))
 			}
 			if border {
 				p.dep[sp] = append(p.dep[sp], en.EndDepths(fr))
 				if sp == core.SpeciesH {
-					p.chain = append(p.chain, en.ChainLinks(fr))
+					p.chain = append(p.chain, slices.Clone(en.ChainLinks(fr)))
 				}
 			}
 		}

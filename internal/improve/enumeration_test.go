@@ -12,7 +12,7 @@ import (
 // targetWindows and endDepths are thin shims over the enumeration
 // subsystem's pure window functions, exercised here against live states.
 func targetWindows(st *state, fr core.FragRef) [][2]int {
-	return enum.WindowsOf(st.sitesOn(fr), st.in.Frag(fr.Sp, fr.Idx).Len())
+	return enum.AppendWindows(nil, st.sitesOn(fr), st.in.Frag(fr.Sp, fr.Idx).Len())
 }
 
 func endDepths(st *state, fr core.FragRef, e end) []int {

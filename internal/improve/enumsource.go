@@ -20,29 +20,27 @@ func (v enumView) FragLen(fr core.FragRef) int { return v.st.in.Frag(fr.Sp, fr.I
 
 func (v enumView) Version(fr core.FragRef) uint64 { return v.st.vers.of(fr) }
 
-func (v enumView) note(r enum.Reads, fr core.FragRef) { r.Note(fr, v.Version(fr)) }
+func (v enumView) note(r *enum.Reads, fr core.FragRef) { r.Note(fr, v.Version(fr)) }
 
 // Sites returns fr's occupied sites, reading only fr's match data. The
 // result is the state's sitesOn buffer, valid until the next call.
-func (v enumView) Sites(fr core.FragRef, r enum.Reads) []core.Site {
+func (v enumView) Sites(fr core.FragRef, r *enum.Reads) []core.Site {
 	v.note(r, fr)
 	return v.st.sitesOn(fr)
 }
 
-// Chains returns fr's 2-island links in site order. The computation reads
-// fr's match list plus the degree of every partner fragment, so all of
-// those are recorded. The result is freshly allocated: the Enumerator
-// stores it as the piece value.
-func (v enumView) Chains(fr core.FragRef, r enum.Reads) []enum.Chain {
+// Chains appends fr's 2-island links in site order to dst. The computation
+// reads fr's match list plus the degree of every partner fragment, so all
+// of those are recorded.
+func (v enumView) Chains(dst []enum.Chain, fr core.FragRef, r *enum.Reads) []enum.Chain {
 	v.note(r, fr)
-	var out []enum.Chain
 	for _, id := range v.st.fragMatchIDs(fr) {
 		mt := v.st.matches[id]
 		m := core.FragRef{Sp: core.SpeciesM, Idx: mt.MSite.Frag}
 		v.note(r, m)
 		if v.st.degree(fr) >= 2 && v.st.degree(m) >= 2 {
-			out = append(out, enum.Chain{ID: id, G: m})
+			dst = append(dst, enum.Chain{ID: id, G: m})
 		}
 	}
-	return out
+	return dst
 }

@@ -42,9 +42,9 @@ type fiUndo struct {
 	add, rel    bool
 }
 
-// reset sizes the index for n fragments with all lists empty.
+// reset sizes the index for n fragments with all lists empty and no trail.
 func (fi *fragIndex) reset(n int) {
-	fi.ids = fi.ids[:0]
+	fi.ids, fi.undo, fi.tracing = fi.ids[:0], fi.undo[:0], false
 	if cap(fi.off) < n {
 		fi.off = make([]int32, n)
 		fi.ln = make([]int32, n)

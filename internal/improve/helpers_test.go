@@ -1,9 +1,18 @@
 package improve
 
 import (
+	"repro/internal/core"
+	"repro/internal/improve/enum"
 	"repro/internal/score"
 	"repro/internal/symbol"
 )
+
+// newState returns a fresh state for one solve of in, starting from seed.
+func newState(in *core.Instance, seed *core.Solution, pairs *enum.PairSet) *state {
+	st := new(state)
+	st.reset(in, seed, pairs)
+	return st
+}
 
 func newAlphabetWith(names ...string) *symbol.Alphabet {
 	al := symbol.NewAlphabet()

@@ -56,13 +56,18 @@ type readEntry struct {
 // iteration — and recording order becomes deterministic, which keeps every
 // structure derived from read sets (the lazy engine's dependency lists)
 // deterministic too.
+//
+// The driver records a whole refill's simulations into one recorder: each
+// simulation's read set is reads[start:], appended after the previous
+// ones.
 type readRecorder struct {
 	vers  *versions
 	reads []readEntry
+	start int
 }
 
 func (r *readRecorder) note(fr core.FragRef) {
-	for _, e := range r.reads {
+	for _, e := range r.reads[r.start:] {
 		if e.fr == fr {
 			return // first read wins
 		}
@@ -115,7 +120,11 @@ func mkPlaceKey(x core.FragRef, rev bool, z core.FragRef, lo, hi int) placeKey {
 
 // placeMemo caches Pareto placement frontiers. Like site-word scores they
 // depend only on the instance words and σ, so one memo serves every
-// simulation and TPA batch of a solve. Values are shared read-only slices.
+// simulation and TPA batch of a solve. The frontiers are copied into one
+// slab the memo owns (the alignment scratch reuses its own result buffer on
+// the next call); a get hands out a capacity-clipped view of the slab that
+// stays valid for the rest of the solve, since the slab is only appended
+// to.
 //
 // The memo is the hottest lookup structure of candidate simulation — every
 // TPA zone probes it twice per fragment — and a generic map spends most of
@@ -126,24 +135,34 @@ func mkPlaceKey(x core.FragRef, rev bool, z core.FragRef, lo, hi int) placeKey {
 // The table is stored as parallel key/value/used arrays rather than one
 // slice of structs: the probe loop touches only keys (16 bytes) and the
 // occupancy bytes, so a miss chain walks two dense arrays instead of
-// dragging each slot's 24-byte value header through the cache, and the
-// hot negative probe stays within a couple of cache lines.
+// dragging each slot's value through the cache, and the hot negative probe
+// stays within a couple of cache lines. reset empties the memo for the
+// next solve and keeps every array, so a reused state's memo stops growing
+// once it has seen its largest solve.
 type placeMemo struct {
 	keys []placeKey
-	vals [][]placement
+	vals []slabSpan
 	used []bool
 	mask uint64
 	n    int
+	slab []placement
 }
 
-func newPlaceMemo() *placeMemo {
+// slabSpan locates one memoized frontier in placeMemo.slab.
+type slabSpan struct{ off, n int32 }
+
+// reset empties the memo, sizing a new one's table at 1,024 slots.
+func (pm *placeMemo) reset() {
 	const initSlots = 1 << 10
-	return &placeMemo{
-		keys: make([]placeKey, initSlots),
-		vals: make([][]placement, initSlots),
-		used: make([]bool, initSlots),
-		mask: initSlots - 1,
+	if pm.keys == nil {
+		pm.keys = make([]placeKey, initSlots)
+		pm.vals = make([]slabSpan, initSlots)
+		pm.used = make([]bool, initSlots)
+		pm.mask = initSlots - 1
 	}
+	clear(pm.used)
+	pm.n = 0
+	pm.slab = pm.slab[:0]
 }
 
 // pmHash mixes the packed key words. The packing concentrates entropy in a
@@ -162,26 +181,34 @@ func (pm *placeMemo) get(k placeKey) ([]placement, bool) {
 			return nil, false
 		}
 		if pm.keys[i] == k {
-			return pm.vals[i], true
+			return pm.at(pm.vals[i]), true
 		}
 		i = (i + 1) & pm.mask
 	}
 }
 
-func (pm *placeMemo) put(k placeKey, v []placement) {
+// at returns the slab view of one memoized frontier.
+func (pm *placeMemo) at(sp slabSpan) []placement {
+	return pm.slab[sp.off : sp.off+sp.n : sp.off+sp.n]
+}
+
+// put memoizes a copy of v under k and returns the copy.
+func (pm *placeMemo) put(k placeKey, v []placement) []placement {
 	if 2*(pm.n+1) > len(pm.keys) {
 		pm.grow()
 	}
+	sp := slabSpan{off: int32(len(pm.slab)), n: int32(len(v))}
+	pm.slab = append(pm.slab, v...)
 	i := pmHash(k) & pm.mask
 	for {
 		if !pm.used[i] {
-			pm.keys[i], pm.vals[i], pm.used[i] = k, v, true
+			pm.keys[i], pm.vals[i], pm.used[i] = k, sp, true
 			pm.n++
-			return
+			return pm.at(sp)
 		}
 		if pm.keys[i] == k {
-			pm.vals[i] = v
-			return
+			pm.vals[i] = sp
+			return pm.at(sp)
 		}
 		i = (i + 1) & pm.mask
 	}
@@ -191,7 +218,7 @@ func (pm *placeMemo) grow() {
 	oldKeys, oldVals, oldUsed := pm.keys, pm.vals, pm.used
 	n := 2 * len(oldKeys)
 	pm.keys = make([]placeKey, n)
-	pm.vals = make([][]placement, n)
+	pm.vals = make([]slabSpan, n)
 	pm.used = make([]bool, n)
 	pm.mask = uint64(n - 1)
 	for i := range oldKeys {

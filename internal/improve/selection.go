@@ -1,6 +1,8 @@
 package improve
 
 import (
+	"slices"
+
 	"repro/internal/core"
 	"repro/internal/improve/enum"
 )
@@ -97,22 +99,49 @@ type lazySel struct {
 	// pairs is the solve's candidate pair universe; blocks and loops cover
 	// only its pairs.
 	pairs *enum.PairSet
+
+	// The driver loop's round buffers: the stale frontier, its simulated
+	// gains, the recorder whose reads hold every frontier simulation's read
+	// set back to back (readEnd[i] ends the i-th), and the candidates held
+	// out of the heap during acceptance.
+	frontier []int32
+	gains    []float64
+	rec      readRecorder
+	readEnd  []int
+	held     []int32
 }
 
+// init readies s for a solve, keeping every slot, list and block buffer it
+// grew on earlier solves.
 func (s *lazySel) init(in *core.Instance, full, border bool, ps *enum.PairSet) {
 	s.full, s.border = full, border
 	s.nh, s.nm = in.NumFrags(core.SpeciesH), in.NumFrags(core.SpeciesM)
 	s.pairs = ps
+	s.slots, s.free, s.heap, s.pos = s.slots[:0], s.free[:0], s.heap[:0], s.pos[:0]
+	s.staleList, s.liveCount = s.staleList[:0], 0
 	for sp, n := range [2]int{s.nh, s.nm} {
-		s.deps[sp] = make([][]depRef, n)
+		s.deps[sp] = resetLists(s.deps[sp], n)
 		if full {
-			s.i1[sp] = make([][]int32, n)
+			s.i1[sp] = resetLists(s.i1[sp], n)
 		}
 	}
 	if border {
-		s.i2 = make([][]int32, ps.Len())
-		s.i3 = make([][]int32, s.nh)
+		s.i2 = resetLists(s.i2, ps.Len())
+		s.i3 = resetLists(s.i3, s.nh)
 	}
+}
+
+// resetLists returns n empty lists, keeping the capacity of every list l
+// already holds.
+func resetLists[T any](l [][]T, n int) [][]T {
+	if cap(l) < n {
+		l = append(l[:cap(l)], make([][]T, n-cap(l))...)
+	}
+	l = l[:n]
+	for i := range l {
+		l[i] = l[i][:0]
+	}
+	return l
 }
 
 // alloc claims a slot for a new candidate; the gain is unknown, so the slot
@@ -371,17 +400,17 @@ func (s *lazySel) peek() (int32, bool) {
 func improveLazy(opt Options, st *state, en *enum.Enumerator,
 	canceled func() error, maxRounds int, floor float64, stats *Stats) error {
 
-	var sel lazySel
+	sel := &st.sel
 	sel.init(st.in, opt.Methods&FullOnly != 0, opt.Methods&BorderOnly != 0, st.pairs)
 	// A non-nil bump log arms the live state's version bumps to record the
 	// dirty set of each accepted replay (state.bump).
-	st.bumpLog = make([]core.FragRef, 0, 32)
-	var (
-		frontier []int32
-		gains    []float64
-		recs     []readRecorder // reused round to round: record copies the reads out
-		held     []int32
-	)
+	if st.bumpStore == nil {
+		st.bumpStore = make([]core.FragRef, 0, 32)
+	}
+	st.bumpLog = st.bumpStore[:0]
+	defer func() { st.bumpStore = st.bumpLog[:0] }()
+	frontier, gains, rec, held := sel.frontier[:0], sel.gains[:0], &sel.rec, sel.held[:0]
+	defer func() { sel.frontier, sel.gains, sel.held = frontier[:0], gains[:0], held[:0] }()
 	// Rounds starts at the resumed-op count (zero on fresh solves) so a
 	// resumed run's round numbering continues the interrupted one's.
 	for ; stats.Rounds < maxRounds; stats.Rounds++ {
@@ -413,21 +442,15 @@ func improveLazy(opt Options, st *state, en *enum.Enumerator,
 			}
 		}
 		sel.staleList = sel.staleList[:0]
-		if cap(gains) < len(frontier) {
-			gains = make([]float64, len(frontier))
-		}
-		gains = gains[:len(frontier)]
-		if n := len(frontier) - cap(recs); n > 0 {
-			recs = append(recs[:cap(recs)], make([]readRecorder, n)...)
-		}
-		recs = recs[:len(frontier)]
+		gains = slices.Grow(gains[:0], len(frontier))[:len(frontier)]
+		rec.vers, rec.reads, sel.readEnd = st.vers, rec.reads[:0], sel.readEnd[:0]
 		for i := range frontier {
 			if canceled() != nil {
 				break
 			}
-			rec := &recs[i]
-			rec.vers, rec.reads = st.vers, rec.reads[:0]
+			rec.start = len(rec.reads)
 			gains[i] = st.simulate(sel.slots[frontier[i]].cand, rec, opt.Ctx)
+			sel.readEnd = append(sel.readEnd, len(rec.reads))
 		}
 		// This check runs before sel.record, so aborting here leaves the
 		// live state exactly at the last accepted attempt — the partial
@@ -443,7 +466,11 @@ func improveLazy(opt Options, st *state, en *enum.Enumerator,
 			if sel.slots[id].hadGain {
 				stats.Resimulated++
 			}
-			sel.record(id, gains[i], recs[i].reads)
+			lo := 0
+			if i > 0 {
+				lo = sel.readEnd[i-1]
+			}
+			sel.record(id, gains[i], rec.reads[lo:sel.readEnd[i]])
 		}
 		stats.Evaluated += len(frontier)
 		stats.Popped += len(frontier) // the stale pops of the refill...

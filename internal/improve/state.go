@@ -34,6 +34,8 @@ package improve
 
 import (
 	"context"
+	"slices"
+	"sync"
 
 	"repro/internal/align"
 	"repro/internal/core"
@@ -50,11 +52,13 @@ type versions struct {
 	v [2][]uint64
 }
 
-func newVersions(in *core.Instance) *versions {
-	var vs versions
-	vs.v[core.SpeciesH] = make([]uint64, in.NumFrags(core.SpeciesH))
-	vs.v[core.SpeciesM] = make([]uint64, in.NumFrags(core.SpeciesM))
-	return &vs
+// reset zeroes every counter for in's fragments, keeping capacity.
+func (vs *versions) reset(in *core.Instance) {
+	for _, sp := range []core.Species{core.SpeciesH, core.SpeciesM} {
+		n := in.NumFrags(sp)
+		vs.v[sp] = slices.Grow(vs.v[sp][:0], n)[:n]
+		clear(vs.v[sp])
+	}
 }
 
 // of returns the current version of fragment fr.
@@ -77,6 +81,14 @@ func (vs *versions) of(fr core.FragRef) uint64 { return vs.v[fr.Sp][fr.Idx] }
 // the trail, the attempt gain accumulator delta and the per-fragment
 // version counters vers. A simulation installs a readRecorder rec and a
 // cancellation probe ctx for its duration.
+//
+// A state is also the solve's workspace. Improve takes one from statePool,
+// resets it to the instance (reset keeps every buffer, table and list it
+// grew on earlier solves) and releases it when the solve ends, so a
+// sequential caller's or a batch shard's next solve reuses the previous
+// solve's tables. Nothing a solve returns aliases the state: its solution
+// is copied out (solution), and release drops every reference to the
+// instance, σ and the caller's context.
 type state struct {
 	in *core.Instance
 	// matches is the ID-indexed match store; alive masks the live entries
@@ -107,12 +119,14 @@ type state struct {
 	sig   score.Scorer // σ prepared over the instance alphabet (dense float64 or int32-quantized)
 	sigT  score.Scorer // σᵀ for M-first alignments
 	memo  alignMemo
-	pmemo *placeMemo
-	// scr is the solve's alignment scratch arena.
+	pmemo placeMemo
+	// scr is the solve's alignment scratch arena, owned by the state.
 	scr *align.Scratch
 	// revWords[sp][i] is fragment i of species sp reversed, materialized
-	// once per solve so hot loops never re-allocate it.
+	// once per solve (in the species' slab revSlab[sp]) so hot loops never
+	// re-allocate it.
 	revWords [2][]symbol.Word
+	revSlab  [2]symbol.Word
 
 	// delta accumulates the score change of the attempt being applied:
 	// +score on add, −score on remove, the difference on restriction.
@@ -126,6 +140,8 @@ type state struct {
 	// idempotently. Nil before the selection engine starts (Resume replays
 	// log nothing).
 	bumpLog []core.FragRef
+	// bumpStore keeps the bump log's buffer between solves.
+	bumpStore []core.FragRef
 	// rec records fragment reads during a simulation (nil outside one and
 	// on replays).
 	rec *readRecorder
@@ -159,28 +175,60 @@ type state struct {
 	tpaIvs   []isp.Interval // tpaBatch ISP intervals
 	tpaHz    []core.Site    // tpa species split, H side
 	tpaMz    []core.Site    // tpa species split, M side
-	ispScr   *isp.Scratch   // two-phase selection scratch, lazily created
+	ispScr   isp.Scratch    // two-phase selection scratch
+	i3Cands  []candKey      // runI3's inner I2 candidates
+
+	// The solve's pair universe, lazy selection engine and enumerator,
+	// reused with the rest of the workspace. pairs points at pairSet in a
+	// solve Improve runs.
+	pairSet enum.PairSet
+	sel     lazySel
+	en      enum.Enumerator
 }
 
-func newState(in *core.Instance, seed *core.Solution, pairs *enum.PairSet) *state {
+// statePool holds the workspaces of finished solves (see state).
+var statePool = sync.Pool{New: func() any { return new(state) }}
+
+// reset readies st for a solve of in over the pair universe pairs,
+// starting from seed, and keeps every buffer it holds. A state abandoned
+// mid-simulation (a panicking solve) resets like any other: the trail,
+// marks, locks and recorder are all cleared here.
+func (st *state) reset(in *core.Instance, seed *core.Solution, pairs *enum.PairSet) {
 	sig := score.Prepare(in.Sigma, in.MaxSymbolID())
-	st := &state{
-		in:    in,
-		pairs: pairs,
-		sig:   sig,
-		sigT:  score.Transpose(sig),
-		memo:  make(alignMemo, 256),
-		pmemo: newPlaceMemo(),
-		scr:   align.NewScratch(),
-		vers:  newVersions(in),
+	st.in, st.pairs = in, pairs
+	st.sig, st.sigT = sig, score.Transpose(sig)
+	if st.memo == nil {
+		st.memo = make(alignMemo, 256)
 	}
+	clear(st.memo)
+	st.pmemo.reset()
+	if st.scr == nil {
+		st.scr = new(align.Scratch)
+	}
+	if st.vers == nil {
+		st.vers = new(versions)
+	}
+	st.vers.reset(in)
+	st.matches, st.alive, st.free = st.matches[:0], st.alive[:0], st.free[:0]
+	st.locked, st.trail, st.marks = st.locked[:0], st.trail[:0], st.marks[:0]
+	st.delta, st.bumpLog, st.rec, st.ctx = 0, nil, nil, nil
 	for _, sp := range []core.Species{core.SpeciesH, core.SpeciesM} {
 		frags := in.Frags(sp)
 		st.byFrag[sp].reset(len(frags))
-		st.revWords[sp] = make([]symbol.Word, len(frags))
+		total := 0
 		for i := range frags {
-			st.revWords[sp][i] = frags[i].Regions.Rev()
+			total += len(frags[i].Regions)
 		}
+		// Sized up front, so that filling the slab never moves the words
+		// already in it.
+		slab := slices.Grow(st.revSlab[sp][:0], total)
+		st.revWords[sp] = slices.Grow(st.revWords[sp][:0], len(frags))[:len(frags)]
+		for i := range frags {
+			n := len(slab)
+			slab = frags[i].Regions.AppendOrient(slab, true)
+			st.revWords[sp][i] = slab[n:len(slab):len(slab)]
+		}
+		st.revSlab[sp] = slab
 	}
 	if seed != nil {
 		for _, mt := range seed.Matches {
@@ -190,7 +238,17 @@ func newState(in *core.Instance, seed *core.Solution, pairs *enum.PairSet) *stat
 			st.index(id, &mt)
 		}
 	}
-	return st
+}
+
+// release returns st to statePool, first dropping its references to the
+// solve's instance, σ, universe and context so the pool never keeps them
+// alive.
+func (st *state) release() {
+	st.in, st.pairs, st.sig, st.sigT = nil, nil, nil, nil
+	st.rec, st.ctx, st.bumpLog = nil, nil, nil
+	st.sel.pairs = nil
+	st.en.Reset(false, false, nil)
+	statePool.Put(st)
 }
 
 // index adds match id to both fragments' ID lists.
@@ -350,25 +408,21 @@ func (st *state) score() float64 {
 	return t
 }
 
+// solution copies the live matches out into a new solution.
 func (st *state) solution() *core.Solution {
-	sol := &core.Solution{}
+	n := 0
+	for _, ok := range st.alive {
+		if ok {
+			n++
+		}
+	}
+	sol := &core.Solution{Matches: make([]core.Match, 0, n)}
 	for id, ok := range st.alive {
 		if ok {
 			sol.Matches = append(sol.Matches, st.matches[id])
 		}
 	}
 	return sol
-}
-
-// matchIDs returns the live match IDs in deterministic (ascending) order.
-func (st *state) matchIDs() []int {
-	ids := make([]int, 0, len(st.alive))
-	for id, ok := range st.alive {
-		if ok {
-			ids = append(ids, id)
-		}
-	}
-	return ids
 }
 
 func (st *state) addMatch(mt core.Match) int {
@@ -533,9 +587,7 @@ func (st *state) placements(x core.FragRef, rev bool, z core.FragRef, lo, hi int
 		return v
 	}
 	zoneWord := st.in.Frag(z.Sp, z.Idx).Regions[lo:hi]
-	v := st.scr.Placements(st.fragWord(x, rev), zoneWord, st.sigmaFor(x.Sp), 0)
-	st.pmemo.put(k, v)
-	return v
+	return st.pmemo.put(k, st.scr.Placements(st.fragWord(x, rev), zoneWord, st.sigmaFor(x.Sp), 0))
 }
 
 // fragWord returns the full region word of fragment fr at the given
@@ -547,6 +599,17 @@ func (st *state) fragWord(fr core.FragRef, rev bool) symbol.Word {
 	return st.in.Frag(fr.Sp, fr.Idx).Regions
 }
 
+// window returns the window [lo, hi) of fragment fr, reversed when rev,
+// without allocating: a reversed window is a slice of the reversed
+// fragment.
+func (st *state) window(fr core.FragRef, lo, hi int, rev bool) symbol.Word {
+	if rev {
+		n := st.in.Frag(fr.Sp, fr.Idx).Len()
+		return st.revWords[fr.Sp][fr.Idx][n-hi : n-lo]
+	}
+	return st.in.Frag(fr.Sp, fr.Idx).Regions[lo:hi]
+}
+
 // siteScore returns MS of the H-site h against the M-site m at orientation
 // rev, memoized for the lifetime of the solve (the score depends only on
 // the instance words and σ).
@@ -555,7 +618,8 @@ func (st *state) siteScore(h, m core.Site, rev bool) float64 {
 	if v, ok := st.memo[k]; ok {
 		return v
 	}
-	v := st.scr.Score(st.in.SiteWord(h), st.in.SiteWord(m).Orient(rev), st.sig)
+	mw := st.window(core.FragRef{Sp: core.SpeciesM, Idx: m.Frag}, m.Lo, m.Hi, rev)
+	v := st.scr.Score(st.in.SiteWord(h), mw, st.sig)
 	st.memo[k] = v
 	return v
 }

@@ -167,10 +167,7 @@ func (st *state) tpaBatch(zones []core.Site) float64 {
 	if len(intervals) == 0 {
 		return 0
 	}
-	if st.ispScr == nil {
-		st.ispScr = new(isp.Scratch)
-	}
-	res := isp.TwoPhaseScratch(st.ispScr, intervals, 2*max(len(st.in.H), len(st.in.M)))
+	res := isp.TwoPhaseScratch(&st.ispScr, intervals, 2*max(len(st.in.H), len(st.in.M)))
 	gain := 0.0
 	// Deterministic application order.
 	slices.SortFunc(res.Selected, func(a, b isp.Interval) int { return a.ID - b.ID })

@@ -116,10 +116,10 @@ func TwoPhaseScratch(s *Scratch, intervals []Interval, numJobs int) Result {
 	s.his = his
 	rank := func(x int) int { return sort.SearchInts(his, x) }
 
-	if cap(s.fen) < len(his)+1 {
-		s.fen = make([]float64, len(his)+1)
-	}
-	overlapByHi := fenwick.Wrap(s.fen[:len(his)+1])
+	// The tree is all zero between calls (cleared below), and so is any
+	// room Grow adds.
+	s.fen = slices.Grow(s.fen[:0], len(his)+1)[:len(his)+1]
+	overlapByHi := fenwick.Wrap(s.fen)
 	s.grow(numJobs)
 
 	stack := s.stack[:0]
@@ -184,7 +184,7 @@ func TwoPhaseScratch(s *Scratch, intervals []Interval, numJobs int) Result {
 		s.usedJob[j] = false
 	}
 	s.touched = touched[:0]
-	clear(s.fen[:len(his)+1])
+	clear(s.fen)
 	return res
 }
 

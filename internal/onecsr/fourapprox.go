@@ -22,15 +22,13 @@ func Transpose(in *core.Instance) *core.Instance {
 	}
 }
 
-// transposeSolution swaps the sides of every match back.
-func transposeSolution(sol *core.Solution) *core.Solution {
-	out := &core.Solution{Matches: make([]core.Match, len(sol.Matches))}
-	for i, mt := range sol.Matches {
-		h, m := mt.MSite, mt.HSite
-		h.Species, m.Species = core.SpeciesH, core.SpeciesM
-		out.Matches[i] = core.Match{HSite: h, MSite: m, Rev: mt.Rev, Score: mt.Score}
+// transposeInPlace swaps the sides of every match of sol back.
+func transposeInPlace(sol *core.Solution) {
+	for i := range sol.Matches {
+		mt := &sol.Matches[i]
+		mt.HSite, mt.MSite = mt.MSite, mt.HSite
+		mt.HSite.Species, mt.MSite.Species = core.SpeciesH, core.SpeciesM
 	}
-	return out
 }
 
 // FourApprox is Corollary 1: a polynomial-time 4-approximation for general
@@ -49,29 +47,32 @@ func FourApprox(in *core.Instance) (*core.Solution, error) {
 	cin.Sigma = score.Prepare(in.Sigma, in.MaxSymbolID())
 	w := newWork()
 	defer w.release()
-	a, err := w.halfOnConcat(&cin)
+	a, err := w.halfOnConcat(w.halves[0][:0], &cin)
 	if err != nil {
 		return nil, err
 	}
+	w.halves[0] = a.Matches
 	tin := Transpose(&cin)
-	bT, err := w.halfOnConcat(tin)
+	b, err := w.halfOnConcat(w.halves[1][:0], tin)
 	if err != nil {
 		return nil, err
 	}
-	b := transposeSolution(bT)
+	w.halves[1] = b.Matches
+	transposeInPlace(b)
 	// Recompute scores under the original σ orientation (they are equal,
 	// but the cached values must verify against in.Sigma).
 	for i := range b.Matches {
 		mt := &b.Matches[i]
-		mt.Score = w.scr.Score(in.SiteWord(mt.HSite), in.SiteWord(mt.MSite).Orient(mt.Rev), cin.Sigma)
+		mt.Score = w.scr.Score(in.SiteWord(mt.HSite), w.oriented(in.SiteWord(mt.MSite), mt.Rev), cin.Sigma)
 	}
 	if err := b.Validate(&cin); err != nil {
 		return nil, fmt.Errorf("onecsr: transposed solution invalid: %w", err)
 	}
+	// Both halves live in w's buffers: the better one is copied out.
 	if a.Score() >= b.Score() {
-		return a, nil
+		return a.Clone(), nil
 	}
-	return b, nil
+	return b.Clone(), nil
 }
 
 // HalfOnConcat runs the ratio-2 1-CSR algorithm on (H, M′) where M′ is the
@@ -81,13 +82,14 @@ func FourApprox(in *core.Instance) (*core.Solution, error) {
 func HalfOnConcat(in *core.Instance) (*core.Solution, error) {
 	w := newWork()
 	defer w.release()
-	return w.halfOnConcat(in)
+	return w.halfOnConcat(nil, in)
 }
 
-// halfOnConcat is HalfOnConcat on w's scratch.
-func (w *work) halfOnConcat(in *core.Instance) (*core.Solution, error) {
+// halfOnConcat is HalfOnConcat on w's scratch, appending the solution's
+// matches to dst.
+func (w *work) halfOnConcat(dst []core.Match, in *core.Instance) (*core.Solution, error) {
 	if len(in.M) == 1 {
-		sol, err := w.solveOne(in, true)
+		sol, err := w.solveOne(dst, in, true)
 		if err != nil {
 			return nil, err
 		}
@@ -96,10 +98,11 @@ func (w *work) halfOnConcat(in *core.Instance) (*core.Solution, error) {
 		}
 		return sol, nil
 	}
-	cat, bounds := concatM(in)
-	sol, err := w.solveOne(cat, false)
+	cat, bounds := w.concatM(in)
+	sol, err := w.solveOne(w.one[:0], cat, false)
 	if err != nil {
 		return nil, err
 	}
-	return splitByBounds(w.scr, in, cat, bounds, sol)
+	w.one = sol.Matches
+	return w.splitByBounds(dst, in, cat, bounds, sol)
 }

@@ -7,6 +7,7 @@ package onecsr
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -20,15 +21,25 @@ import (
 // placementSet builds the ISP instance of §3.4 for fragments H against a
 // single reference word (fragment mIdx of species M): every Pareto-optimal
 // fit placement of every H fragment, in both orientations, becomes an
-// interval with profit MS(hᵢ, m(d,e)).
-func placementSet(scr *align.Scratch, in *core.Instance, mIdx int) []isp.Interval {
-	queries := make([]symbol.Word, 0, 2*len(in.H))
+// interval with profit MS(hᵢ, m(d,e)). The intervals live in w.ivs, valid
+// until the next call.
+func (w *work) placementSet(in *core.Instance, mIdx int) []isp.Interval {
+	total := 0
 	for _, h := range in.H {
-		queries = append(queries, h.Regions, h.Regions.Rev())
+		total += len(h.Regions)
 	}
-	var out []isp.Interval
+	// The reversed words share one slab, sized up front so that growing it
+	// never moves the words already in it.
+	w.rev = slices.Grow(w.rev[:0], total)
+	w.queries = w.queries[:0]
+	for _, h := range in.H {
+		n := len(w.rev)
+		w.rev = h.Regions.AppendOrient(w.rev, true)
+		w.queries = append(w.queries, h.Regions, w.rev[n:])
+	}
+	out := w.ivs[:0]
 	id := 0
-	scr.PlacementsEach(in.M[mIdx].Regions, queries, in.Sigma, 0, func(q int, ps []align.Placement) {
+	w.scr.PlacementsEach(in.M[mIdx].Regions, w.queries, in.Sigma, 0, func(q int, ps []align.Placement) {
 		orient := q & 1 // queries alternate forward, reversed
 		for _, p := range ps {
 			out = append(out, isp.Interval{
@@ -41,6 +52,8 @@ func placementSet(scr *align.Scratch, in *core.Instance, mIdx int) []isp.Interva
 			id++
 		}
 	})
+	clear(w.queries) // the pooled work keeps no reference to the instance
+	w.ivs = out
 	return out
 }
 
@@ -50,34 +63,55 @@ func placementSet(scr *align.Scratch, in *core.Instance, mIdx int) []isp.Interva
 func SolveOne(in *core.Instance) (*core.Solution, error) {
 	w := newWork()
 	defer w.release()
-	return w.solveOne(in, true)
+	return w.solveOne(nil, in, true)
 }
 
 // work is the scratch state one 4-approximation threads through both
 // Theorem 3 halves: one alignment arena for every placement DP, split and
-// re-score, and one ISP scratch for both two-phase selections. The ISP
-// scratch is recycled across calls, so its per-job tables and interval
-// buffers stop growing once they have seen the largest instance.
+// re-score, one ISP scratch for both two-phase selections, and the
+// buffers of the placement queries, the ISP intervals, the concatenated M
+// word and the split. A work comes from workPool and goes back when the
+// 4-approximation returns, so its buffers stop growing once they have seen
+// the largest instance. No solution it returns aliases it.
 type work struct {
-	scr *align.Scratch
-	isp *isp.Scratch
+	scr     align.Scratch
+	isp     isp.Scratch
+	queries []symbol.Word
+	rev     symbol.Word // the reversed query words, back to back
+	ivs     []isp.Interval
+	one     []core.Match     // the concatenation path's 1-CSR matches
+	halves  [2][]core.Match  // FourApprox's two candidate solutions
+	catIn   core.Instance    // the companion instance (H, M′)
+	catM    [1]core.Fragment // its one M fragment, M′
+	bounds  []int
+	parts   []part
+	ori     symbol.Word // oriented returns reversed words here
 }
 
-var ispPool = sync.Pool{New: func() any { return new(isp.Scratch) }}
+var workPool = sync.Pool{New: func() any { return new(work) }}
 
-func newWork() *work {
-	return &work{scr: align.NewScratch(), isp: ispPool.Get().(*isp.Scratch)}
-}
+func newWork() *work { return workPool.Get().(*work) }
 
+// release returns w to workPool, dropping its references to the instance.
 func (w *work) release() {
-	w.scr.Release()
-	ispPool.Put(w.isp)
+	w.catIn = core.Instance{}
+	workPool.Put(w)
 }
 
-// solveOne is SolveOne on w's scratch. With scored false the matches carry
-// no score: the concatenation path re-scores every part after splitting, so
-// scoring the concatenated matches would be thrown away.
-func (w *work) solveOne(in *core.Instance, scored bool) (*core.Solution, error) {
+// oriented returns x, or xᴿ in w's buffer (valid until the next call).
+func (w *work) oriented(x symbol.Word, rev bool) symbol.Word {
+	if !rev {
+		return x
+	}
+	w.ori = x.AppendOrient(w.ori[:0], true)
+	return w.ori
+}
+
+// solveOne is SolveOne on w's scratch, appending the matches to dst. With
+// scored false the matches carry no score: the concatenation path re-scores
+// every part after splitting, so scoring the concatenated matches would be
+// thrown away.
+func (w *work) solveOne(dst []core.Match, in *core.Instance, scored bool) (*core.Solution, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
@@ -90,8 +124,8 @@ func (w *work) solveOne(in *core.Instance, scored bool) (*core.Solution, error) 
 	cin.Sigma = score.Prepare(in.Sigma, in.MaxSymbolID())
 	// Jobs are H fragments, so len(H) bounds the job ids; the selection is
 	// the same as TwoPhase's, which sizes by the largest id present.
-	res := isp.TwoPhaseScratch(w.isp, placementSet(w.scr, &cin, 0), len(in.H))
-	sol := &core.Solution{}
+	res := isp.TwoPhaseScratch(&w.isp, w.placementSet(&cin, 0), len(in.H))
+	sol := &core.Solution{Matches: slices.Grow(dst, len(res.Selected))}
 	for _, iv := range res.Selected {
 		rev := iv.ID&1 == 1
 		h := in.H[iv.Job].Regions
@@ -99,34 +133,43 @@ func (w *work) solveOne(in *core.Instance, scored bool) (*core.Solution, error) 
 		ms := core.Site{Species: core.SpeciesM, Frag: 0, Lo: iv.Lo, Hi: iv.Hi}
 		mt := core.Match{HSite: hs, MSite: ms, Rev: rev}
 		if scored {
-			mt.Score = w.scr.Score(h, in.SiteWord(ms).Orient(rev), cin.Sigma)
+			mt.Score = w.scr.Score(h, w.oriented(in.SiteWord(ms), rev), cin.Sigma)
 		}
 		sol.Matches = append(sol.Matches, mt)
 	}
 	return sol, nil
 }
 
-// concatM builds the Theorem 3 companion instance (H, M′): all M fragments
-// concatenated, in given order and orientation, into a single fragment.
-// boundaries[i] is the start offset of fragment i in the concatenation.
-func concatM(in *core.Instance) (*core.Instance, []int) {
-	bounds := make([]int, len(in.M)+1)
-	var w []core.Fragment
-	var cat core.Fragment
+// concatM builds the Theorem 3 companion instance (H, M′) in w.catIn: all
+// M fragments concatenated, in given order and orientation, into a single
+// fragment. boundaries[i] is the start offset of fragment i in the
+// concatenation.
+func (w *work) concatM(in *core.Instance) (*core.Instance, []int) {
+	w.bounds = slices.Grow(w.bounds[:0], len(in.M)+1)
+	cat := &w.catM[0]
 	cat.Name = "M'"
-	for i, f := range in.M {
-		bounds[i] = len(cat.Regions)
+	cat.Regions = cat.Regions[:0]
+	for _, f := range in.M {
+		w.bounds = append(w.bounds, len(cat.Regions))
 		cat.Regions = append(cat.Regions, f.Regions...)
 	}
-	bounds[len(in.M)] = len(cat.Regions)
-	w = append(w, cat)
-	return &core.Instance{
+	w.bounds = append(w.bounds, len(cat.Regions))
+	w.catIn = core.Instance{
 		Name:  in.Name + "+concatM",
 		H:     in.H,
-		M:     w,
+		M:     w.catM[:],
 		Alpha: in.Alpha,
 		Sigma: in.Sigma,
-	}, bounds
+	}
+	return &w.catIn, w.bounds
+}
+
+// part is one piece of a split match: the H columns [hLo, hHi) and the
+// positions [mLo, mHi) of M′ that fall in M fragment mFrag.
+type part struct {
+	mFrag    int
+	hLo, hHi int
+	mLo, mHi int
 }
 
 // splitByBounds maps a solution of the concatenated instance back to the
@@ -134,27 +177,23 @@ func concatM(in *core.Instance) (*core.Instance, []int) {
 // alignment columns are partitioned accordingly, and each part becomes a
 // match against the original fragment. Scores are re-computed per part (they
 // can only grow). H fragments whose window spans several M fragments become
-// chain (caterpillar) fragments, which remain consistent.
-func splitByBounds(scr *align.Scratch, in *core.Instance, cat *core.Instance, bounds []int, sol *core.Solution) (*core.Solution, error) {
-	out := &core.Solution{}
+// chain (caterpillar) fragments, which remain consistent. The matches are
+// appended to dst.
+func (w *work) splitByBounds(dst []core.Match, in *core.Instance, cat *core.Instance, bounds []int, sol *core.Solution) (*core.Solution, error) {
+	out := &core.Solution{Matches: dst}
 	fragOf := func(pos int) int {
 		return sort.SearchInts(bounds, pos+1) - 1
 	}
 	for _, mt := range sol.Matches {
 		h := cat.SiteWord(mt.HSite)
 		mw := cat.SiteWord(mt.MSite)
-		_, cols := scr.Align(h, mw.Orient(mt.Rev), cat.Sigma)
+		_, cols := w.scr.Align(h, w.oriented(mw, mt.Rev), cat.Sigma)
 		if len(cols) == 0 {
 			continue
 		}
 		// Columns are in oriented-m coordinates; map back to absolute
 		// positions on M′, then split by original fragment.
-		type part struct {
-			mFrag    int
-			hLo, hHi int
-			mLo, mHi int
-		}
-		var parts []part
+		parts := w.parts[:0]
 		for _, c := range cols {
 			mpos := mt.MSite.Lo + c.J
 			if mt.Rev {
@@ -216,11 +255,12 @@ func splitByBounds(scr *align.Scratch, in *core.Instance, cat *core.Instance, bo
 				Lo:      p.mLo - bounds[p.mFrag],
 				Hi:      p.mHi - bounds[p.mFrag],
 			}
-			sc := scr.Score(in.SiteWord(hs), in.SiteWord(ms).Orient(mt.Rev), in.Sigma)
+			sc := w.scr.Score(in.SiteWord(hs), w.oriented(in.SiteWord(ms), mt.Rev), in.Sigma)
 			out.Matches = append(out.Matches, core.Match{
 				HSite: hs, MSite: ms, Rev: mt.Rev, Score: sc,
 			})
 		}
+		w.parts = parts
 	}
 	if err := out.Validate(in); err != nil {
 		return nil, fmt.Errorf("onecsr: split solution invalid: %w", err)

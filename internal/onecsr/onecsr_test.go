@@ -155,12 +155,12 @@ func TestDoublingInequality(t *testing.T) {
 	r := rand.New(rand.NewSource(73))
 	for trial := 0; trial < 25; trial++ {
 		in := randInstance(r, 1+r.Intn(3), 1+r.Intn(3), 2, 4)
-		cat, _ := concatM(in)
+		cat, _ := new(work).concatM(in)
 		optHM2, err := exact.Solve(cat, exact.Solver{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		tcat, _ := concatM(Transpose(in))
+		tcat, _ := new(work).concatM(Transpose(in))
 		optMH2, err := exact.Solve(tcat, exact.Solver{})
 		if err != nil {
 			t.Fatal(err)

@@ -1,8 +1,9 @@
 package seed
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/fenwick"
 )
@@ -21,21 +22,23 @@ type Anchor struct {
 // SortAnchors orders anchors by (H, Rev, PosH, PosM, Len) — the grouping
 // and sweep order chainBest requires (forward groups before reverse).
 func SortAnchors(a []Anchor) {
-	sort.Slice(a, func(i, j int) bool {
-		x, y := a[i], a[j]
+	slices.SortFunc(a, func(x, y Anchor) int {
 		if x.H != y.H {
-			return x.H < y.H
+			return cmp.Compare(x.H, y.H)
 		}
 		if x.Rev != y.Rev {
-			return y.Rev
+			if y.Rev {
+				return -1
+			}
+			return 1
 		}
 		if x.PosH != y.PosH {
-			return x.PosH < y.PosH
+			return cmp.Compare(x.PosH, y.PosH)
 		}
 		if x.PosM != y.PosM {
-			return x.PosM < y.PosM
+			return cmp.Compare(x.PosM, y.PosM)
 		}
-		return x.Len < y.Len
+		return cmp.Compare(x.Len, y.Len)
 	})
 }
 
@@ -95,14 +98,13 @@ func chainBest(anchors []Anchor, gap float64, cs *chainScratch) Chain {
 	for i := range byHEnd {
 		byHEnd[i] = int32(i)
 	}
-	sort.Slice(byHEnd, func(i, j int) bool {
-		x, y := byHEnd[i], byHEnd[j]
+	slices.SortFunc(byHEnd, func(x, y int32) int {
 		ex := anchors[x].PosH + anchors[x].Len
 		ey := anchors[y].PosH + anchors[y].Len
 		if ex != ey {
-			return ex < ey
+			return cmp.Compare(ex, ey)
 		}
-		return x < y
+		return cmp.Compare(x, y)
 	})
 	bestIdx, bestF := 0, 0.0
 	p := 0

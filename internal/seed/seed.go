@@ -37,7 +37,8 @@
 package seed
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/score"
@@ -133,14 +134,15 @@ type Result struct {
 // extra compilation happens there.
 func Candidates(in *core.Instance, p Params) *Result {
 	p = p.sanitized()
-	sx := newSigmaIndex(score.Prepare(in.Sigma, in.MaxSymbolID()))
+	sx := pooledSigmaIndex(score.Prepare(in.Sigma, in.MaxSymbolID()))
+	defer sx.release()
 	res := &Result{}
-	idx := buildIndex(in, p, &res.Stats)
-	var (
-		anchors []Anchor
-		cs      chainScratch
-		pairs   []Pair
-	)
+	idx := indexPool.Get().(*index)
+	defer idx.release()
+	idx.build(in, p, &res.Stats)
+	// Pairs are built in idx's buffer, then copied out at their exact size.
+	pairs, anchors, cs := idx.pairs[:0], idx.anchors[:0], &idx.cs
+	defer func() { idx.pairs, idx.anchors = pairs[:0], anchors[:0] }()
 	for mi := 0; mi < in.NumFrags(core.SpeciesM); mi++ {
 		anchors = idx.queryFrag(in, sx, mi, anchors[:0])
 		res.Stats.Anchors += len(anchors)
@@ -155,18 +157,17 @@ func Candidates(in *core.Instance, p Params) *Result {
 			for hi < len(anchors) && anchors[hi].H == anchors[lo].H && anchors[hi].Rev == anchors[lo].Rev {
 				hi++
 			}
-			ch := chainBest(anchors[lo:hi], p.Gap, &cs)
+			ch := chainBest(anchors[lo:hi], p.Gap, cs)
 			if anchors[lo].Rev {
 				// Chain coordinates are in the reversed M word; flip the
 				// window back to forward coordinates.
 				ch.MLo, ch.MHi = lenM-ch.MHi, lenM-ch.MLo
 			}
 			hIdx := int(anchors[lo].H)
-			if n := len(pairs); n > 0 && pairs[n-1].H == hIdx && pairs[n-1].M == mi {
-				pairs[n-1].Chains = appendChain(pairs[n-1].Chains, ch)
-			} else {
-				pairs = append(pairs, Pair{H: hIdx, M: mi, Chains: []Chain{ch}})
+			if n := len(pairs); n == 0 || pairs[n-1].h != hIdx || pairs[n-1].m != mi {
+				pairs = append(pairs, seedPair{h: hIdx, m: mi})
 			}
+			pairs[len(pairs)-1].add(ch)
 			lo = hi
 		}
 	}
@@ -174,46 +175,68 @@ func Candidates(in *core.Instance, p Params) *Result {
 	// is a distinct anchored pair.
 	res.Stats.AnchoredPairs = len(pairs)
 	if p.Verify {
-		pairs = verifyPairs(in, p, pairs)
+		pairs = verifyPairs(in, p, pairs, &idx.verify)
 	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].H != pairs[j].H {
-			return pairs[i].H < pairs[j].H
+	slices.SortFunc(pairs, func(a, b seedPair) int {
+		if a.h != b.h {
+			return cmp.Compare(a.h, b.h)
 		}
-		return pairs[i].M < pairs[j].M
+		return cmp.Compare(a.m, b.m)
 	})
-	res.Pairs = pairs
+	if len(pairs) > 0 {
+		total := 0
+		for _, pr := range pairs {
+			total += pr.n
+		}
+		chains := make([]Chain, 0, total)
+		res.Pairs = make([]Pair, len(pairs))
+		for i, pr := range pairs {
+			at := len(chains)
+			chains = append(chains, pr.chains[:pr.n]...)
+			res.Pairs[i] = Pair{H: pr.h, M: pr.m, Chains: chains[at:len(chains):len(chains)]}
+		}
+	}
 	res.Stats.Pairs = len(pairs)
 	return res
 }
 
-// appendChain keeps a pair's chain list best-first (ties keep insertion
-// order: forward before reverse).
-func appendChain(chains []Chain, ch Chain) []Chain {
-	chains = append(chains, ch)
-	for i := len(chains) - 1; i > 0 && chains[i].Score > chains[i-1].Score; i-- {
-		chains[i], chains[i-1] = chains[i-1], chains[i]
+// seedPair is an anchored pair while Candidates builds it: its chains, at
+// most one per orientation, best-first.
+type seedPair struct {
+	h, m   int
+	chains [2]Chain
+	n      int
+}
+
+// add keeps the pair's chain list best-first (ties keep insertion order:
+// forward before reverse).
+func (pr *seedPair) add(ch Chain) {
+	c := pr.chains[:pr.n+1]
+	c[pr.n] = ch
+	pr.n++
+	for i := len(c) - 1; i > 0 && c[i].Score > c[i-1].Score; i-- {
+		c[i], c[i-1] = c[i-1], c[i]
 	}
-	return chains
 }
 
 // verifyPairs re-scores each pair's chain windows through the banded
 // kernels, dropping chains (and pairs) whose window aligns to nothing. The
 // H window is the alignment's first word, so σ is used H-first exactly as
 // the improve attempts do.
-func verifyPairs(in *core.Instance, p Params, pairs []Pair) []Pair {
-	scr := newVerifyScratch(in)
-	defer scr.release()
+func verifyPairs(in *core.Instance, p Params, pairs []seedPair, v *verifyScratch) []seedPair {
+	v.init(in)
+	defer v.release()
 	out := pairs[:0]
 	for _, pr := range pairs {
-		kept := pr.Chains[:0]
-		for _, ch := range pr.Chains {
-			if scr.positive(in, p, pr, ch) {
-				kept = append(kept, ch)
+		kept := 0
+		for _, ch := range pr.chains[:pr.n] {
+			if v.positive(in, p, pr.h, pr.m, ch) {
+				pr.chains[kept] = ch
+				kept++
 			}
 		}
-		if len(kept) > 0 {
-			pr.Chains = kept
+		if kept > 0 {
+			pr.n = kept
 			out = append(out, pr)
 		}
 	}
@@ -239,7 +262,8 @@ func (r *Result) PairList() [][2]int32 {
 // by M fragment in no particular H order (enum.NewPairSet sorts them). σ
 // is prepared (compiled) if the instance has not already done so.
 func Mask(in *core.Instance) [][2]int32 {
-	sx := newSigmaIndex(score.Prepare(in.Sigma, in.MaxSymbolID()))
+	sx := pooledSigmaIndex(score.Prepare(in.Sigma, in.MaxSymbolID()))
+	defer sx.release()
 	nh := in.NumFrags(core.SpeciesH)
 	// Index H fragments by the canonical region IDs they contain.
 	byCanon := make([][]int32, sx.maxID()+1)

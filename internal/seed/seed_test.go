@@ -348,3 +348,17 @@ func FuzzChainer(f *testing.F) {
 		}
 	})
 }
+
+// newSigmaIndex returns a fresh index of sc.
+func newSigmaIndex(sc score.Scorer) *sigmaIndex {
+	x := new(sigmaIndex)
+	x.build(sc)
+	return x
+}
+
+// buildIndex returns a fresh minimizer index of in's H fragments.
+func buildIndex(in *core.Instance, p Params, st *Stats) *index {
+	idx := new(index)
+	idx.build(in, p, st)
+	return idx
+}

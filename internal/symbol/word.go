@@ -8,11 +8,22 @@ type Word []Symbol
 // symbol is individually reversed, so that (uv)ᴿ = vᴿuᴿ and (wᴿ)ᴿ = w.
 // The receiver is not modified.
 func (w Word) Rev() Word {
-	r := make(Word, len(w))
+	return w.AppendOrient(make(Word, 0, len(w)), true)
+}
+
+// AppendOrient appends w to dst, reversed when rev, and returns the
+// extended word: Orient without an allocation when dst has room.
+func (w Word) AppendOrient(dst Word, rev bool) Word {
+	if !rev {
+		return append(dst, w...)
+	}
+	n := len(dst)
+	dst = append(dst, w...)
+	r := dst[n:]
 	for i, s := range w {
 		r[len(w)-1-i] = s.Rev()
 	}
-	return r
+	return dst
 }
 
 // Clone returns a copy of w.
