@@ -73,7 +73,12 @@ func runKernels(s *Scratch, a, b symbol.Word, sc score.Scorer, bandAdj int) kern
 	k.banded = s.ScoreBanded(a, b, sc, 2)
 	k.bandedAdjacent = s.ScoreBanded(a, b, sc, bandAdj)
 	k.bandedWide = s.ScoreBanded(a, b, sc, len(a)+len(b))
-	k.alignScore, k.alignCols = s.Align(a, b, sc)
+	// Align's columns and the placements live in s until its next call:
+	// keep copies, so that comparing two runs on one scratch compares two
+	// results rather than one buffer with itself.
+	var cols []Col
+	k.alignScore, cols = s.Align(a, b, sc)
+	k.alignCols = slices.Clone(cols)
 	k.placements = slices.Clone(s.Placements(a, b, sc, 0.5))
 	return k
 }
@@ -187,7 +192,7 @@ func checkZone(t *testing.T, s *Scratch, zone symbol.Word, queries []symbol.Word
 		t.Fatalf("%d emits for %d queries", len(got), len(queries))
 	}
 	for q, a := range queries {
-		one := s.Placements(a, zone, fast, minScore)
+		one := slices.Clone(s.Placements(a, zone, fast, minScore))
 		want := s.Placements(a, zone, ref, minScore)
 		if !slices.Equal(got[q], want) || !slices.Equal(one, want) {
 			t.Fatalf("query %d (minScore %v): PlacementsEach %v, Placements %v, want reference %v\na=%v zone=%v",

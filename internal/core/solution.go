@@ -181,7 +181,8 @@ func (sol *Solution) degrees(in *Instance) [2][]int {
 // Islands returns the connected components of the solution graph
 // (Definition 5): fragments are nodes, matches are edges. Each island is
 // returned as the list of match indices it contains; fragments with no
-// matches appear in no island.
+// matches appear in no island. Every match's sites must lie on fragments
+// of in, H site first (Validate checks this); Islands panics otherwise.
 func (sol *Solution) Islands(in *Instance) [][]int {
 	return new(siteIndex).islands(sol, in)
 }

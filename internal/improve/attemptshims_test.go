@@ -34,7 +34,7 @@ func i2Attempt(f core.FragRef, fe end, fw int, g core.FragRef, ge end, gw int) a
 // enumerate generates the candidate attempts for the current state from
 // scratch — the non-incremental reference enumeration.
 func enumerate(st *state, methods Methods) []attempt {
-	en := enum.New(methods&FullOnly != 0, methods&BorderOnly != 0, st.pairs)
+	en := newEnumerator(methods&FullOnly != 0, methods&BorderOnly != 0, st.pairs)
 	keys := en.Candidates(enumView{st: st})
 	out := make([]attempt, len(keys))
 	for i, k := range keys {

@@ -445,16 +445,9 @@ type Enumerator struct {
 	refreshed, reused int
 }
 
-// New returns an Enumerator for the selected method families over the given
-// pair universe.
-func New(full, border bool, ps *PairSet) *Enumerator {
-	e := new(Enumerator)
-	e.Reset(full, border, ps)
-	return e
-}
-
-// Reset readies e for a new solve over the given pair universe, as New
-// would return it, keeping every buffer e holds.
+// Reset readies e for a new solve of the selected method families over the
+// given pair universe, keeping every buffer e holds. The zero Enumerator is
+// ready after one Reset.
 func (e *Enumerator) Reset(full, border bool, ps *PairSet) {
 	e.full, e.border, e.pairs = full, border, ps
 	e.sized = false

@@ -47,6 +47,20 @@ func (s *fakeSource) Chains(dst []Chain, fr core.FragRef, r *Reads) []Chain {
 }
 
 // allPairs is the dense test universe: every one of the nh×nm pairs.
+// newEnumerator returns an Enumerator Reset for one solve over ps.
+func newEnumerator(full, border bool, ps *PairSet) *Enumerator {
+	e := new(Enumerator)
+	e.Reset(full, border, ps)
+	return e
+}
+
+// newPairSet returns the universe holding exactly the given pairs.
+func newPairSet(nh, nm int, pairs [][2]int32) *PairSet {
+	p := new(PairSet)
+	p.Reset(nh, nm, pairs)
+	return p
+}
+
 func allPairs(nh, nm int) *PairSet {
 	var pairs [][2]int32
 	for fi := 0; fi < nh; fi++ {
@@ -54,7 +68,7 @@ func allPairs(nh, nm int) *PairSet {
 			pairs = append(pairs, [2]int32{int32(fi), int32(gi)})
 		}
 	}
-	return NewPairSet(nh, nm, pairs)
+	return newPairSet(nh, nm, pairs)
 }
 
 var (
@@ -71,7 +85,7 @@ var (
 // fresh Enumerator's list on the same state.
 func TestRepairReportsExactlyMovedPieces(t *testing.T) {
 	src := newFakeSource([]int{4, 3}, []int{5, 2})
-	en := New(true, true, allPairs(2, 2))
+	en := newEnumerator(true, true, allPairs(2, 2))
 	check := func(step string, want []Change) {
 		t.Helper()
 		if got := en.Repair(src); !slices.Equal(got, want) {
@@ -82,7 +96,7 @@ func TestRepairReportsExactlyMovedPieces(t *testing.T) {
 		if en.Stats().Refreshed != refreshed {
 			t.Fatalf("%s: Candidates refreshed pieces right after Repair", step)
 		}
-		if fresh := New(true, true, allPairs(2, 2)).Candidates(src); !slices.Equal(got, fresh) {
+		if fresh := newEnumerator(true, true, allPairs(2, 2)).Candidates(src); !slices.Equal(got, fresh) {
 			t.Fatalf("%s: incremental list %v\nfresh list %v", step, got, fresh)
 		}
 	}
@@ -124,8 +138,8 @@ func TestRepairReportsExactlyMovedPieces(t *testing.T) {
 func TestCandidatesRespectPairUniverse(t *testing.T) {
 	src := newFakeSource([]int{4, 3}, []int{5, 2})
 	src.setSites(m0, core.Site{Species: core.SpeciesM, Frag: 0, Lo: 1, Hi: 3})
-	ps := NewPairSet(2, 2, [][2]int32{{0, 1}, {1, 0}})
-	cands := New(true, true, ps).Candidates(src)
+	ps := newPairSet(2, 2, [][2]int32{{0, 1}, {1, 0}})
+	cands := newEnumerator(true, true, ps).Candidates(src)
 	if len(cands) == 0 {
 		t.Fatal("no candidates")
 	}
@@ -141,7 +155,7 @@ func TestCandidatesRespectPairUniverse(t *testing.T) {
 			t.Errorf("%s before %s breaks canonical order", cands[i-1], c)
 		}
 	}
-	dense := New(true, true, allPairs(2, 2)).Candidates(src)
+	dense := newEnumerator(true, true, allPairs(2, 2)).Candidates(src)
 	if len(cands) >= len(dense) {
 		t.Fatalf("sparse universe kept %d of %d candidates", len(cands), len(dense))
 	}
@@ -181,7 +195,7 @@ func TestAppendI2Restricted(t *testing.T) {
 		ps   *PairSet
 	}{
 		{"dense", allPairs(nh, nm)},
-		{"sparse", NewPairSet(nh, nm, [][2]int32{{0, 1}, {0, 3}, {1, 0}, {2, 1}, {2, 2}, {2, 3}})},
+		{"sparse", newPairSet(nh, nm, [][2]int32{{0, 1}, {0, 3}, {1, 0}, {2, 1}, {2, 2}, {2, 3}})},
 	} {
 		all := AppendI2(nil, u.ps, none, none, depthsOf)
 		for _, only := range frags {

@@ -28,16 +28,8 @@ type PairSet struct {
 	hCnt       []int32
 }
 
-// NewPairSet returns the universe holding exactly the given
-// (H index, M index) pairs (deduplicated; order irrelevant).
-func NewPairSet(nh, nm int, pairs [][2]int32) *PairSet {
-	p := new(PairSet)
-	p.Reset(nh, nm, pairs)
-	return p
-}
-
-// Reset makes p the universe NewPairSet(nh, nm, pairs) returns, reusing
-// p's storage.
+// Reset makes p the universe holding exactly the given (H index, M index)
+// pairs (deduplicated; order irrelevant), reusing p's storage.
 func (p *PairSet) Reset(nh, nm int, pairs [][2]int32) {
 	p.sorted = append(p.sorted[:0], pairs...)
 	slices.SortFunc(p.sorted, func(a, b [2]int32) int {

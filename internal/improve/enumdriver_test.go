@@ -53,7 +53,7 @@ func TestIncrementalEnumMatchesFull(t *testing.T) {
 					canceled func() error, maxRounds int, floor float64, stats *Stats) error {
 					full, border := o.Methods&FullOnly != 0, o.Methods&BorderOnly != 0
 					v := enumView{st: st}
-					inc := enum.New(full, border, st.pairs)
+					inc := newEnumerator(full, border, st.pairs)
 					inc.Repair(v)
 					prev := snapPieces(inc, st, full, border)
 					o.onAccept = func(c candKey) {
@@ -69,7 +69,7 @@ func TestIncrementalEnumMatchesFull(t *testing.T) {
 						if inc.Stats().Refreshed != refreshed {
 							t.Errorf("%s after %s: Candidates refreshed pieces after Repair", name, c)
 						}
-						want := enum.New(full, border, st.pairs).Candidates(v)
+						want := newEnumerator(full, border, st.pairs).Candidates(v)
 						if !slices.Equal(got, want) {
 							t.Errorf("%s after %s: incremental list (%d) != fresh list (%d)", name, c, len(got), len(want))
 						}

@@ -14,6 +14,13 @@ func newState(in *core.Instance, seed *core.Solution, pairs *enum.PairSet) *stat
 	return st
 }
 
+// newEnumerator returns an Enumerator Reset for one solve over ps.
+func newEnumerator(full, border bool, ps *enum.PairSet) *enum.Enumerator {
+	en := new(enum.Enumerator)
+	en.Reset(full, border, ps)
+	return en
+}
+
 func newAlphabetWith(names ...string) *symbol.Alphabet {
 	al := symbol.NewAlphabet()
 	for _, n := range names {

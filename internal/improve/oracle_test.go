@@ -27,7 +27,7 @@ func fullReeval(opt Options, st *state, _ *enum.Enumerator,
 			}
 			return err
 		}
-		cands := enum.New(full, border, st.pairs).Candidates(enumView{st: st})
+		cands := newEnumerator(full, border, st.pairs).Candidates(enumView{st: st})
 		stats.Evaluated += len(cands)
 		gains := make([]float64, len(cands))
 		for i, c := range cands {

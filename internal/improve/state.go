@@ -192,7 +192,9 @@ var statePool = sync.Pool{New: func() any { return new(state) }}
 // reset readies st for a solve of in over the pair universe pairs,
 // starting from seed, and keeps every buffer it holds. A state abandoned
 // mid-simulation (a panicking solve) resets like any other: the trail,
-// marks, locks and recorder are all cleared here.
+// marks, locks and recorder are all cleared here, and the buffers that
+// stay dirty, the alignment and ISP scratches, undo their last call's
+// writes on their next one.
 func (st *state) reset(in *core.Instance, seed *core.Solution, pairs *enum.PairSet) {
 	sig := score.Prepare(in.Sigma, in.MaxSymbolID())
 	st.in, st.pairs = in, pairs

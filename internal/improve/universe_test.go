@@ -30,7 +30,9 @@ func allPairs(in *core.Instance) [][2]int32 {
 // densePairSet is allPairs as a PairSet, for tests that build a state by
 // hand.
 func densePairSet(in *core.Instance) *enum.PairSet {
-	return enum.NewPairSet(in.NumFrags(core.SpeciesH), in.NumFrags(core.SpeciesM), allPairs(in))
+	ps := new(enum.PairSet)
+	ps.Reset(in.NumFrags(core.SpeciesH), in.NumFrags(core.SpeciesM), allPairs(in))
+	return ps
 }
 
 // universeShape is one instance of the parity table; mask checks the size

@@ -2,6 +2,7 @@ package isp
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -186,5 +187,34 @@ func TestTwoPhaseLargeRatioSweep(t *testing.T) {
 	}
 	if worst < 0.5 {
 		t.Fatalf("worst observed ratio %v < 0.5", worst)
+	}
+}
+
+// TestTwoPhaseScratchSurvivesPanic reuses one Scratch across calls that
+// panic midway through the evaluation phase, after writing the per-job
+// tables and the Fenwick tree: every following call on it must select
+// exactly what TwoPhase selects on a fresh scratch.
+func TestTwoPhaseScratchSurvivesPanic(t *testing.T) {
+	const jobs, span = 6, 40
+	r := rand.New(rand.NewSource(61))
+	var s Scratch
+	for trial := 0; trial < 100; trial++ {
+		ivs := randInstance(r, 30, jobs, span)
+		// The last interval in evaluation order names a job past numJobs.
+		bad := append(slices.Clone(ivs), Interval{ID: len(ivs), Job: 1 << 20, Lo: 0, Hi: 2 * span, Profit: 1})
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("trial %d: job past numJobs did not panic", trial)
+				}
+			}()
+			TwoPhaseScratch(&s, bad, jobs)
+		}()
+		ivs = randInstance(r, 30, jobs, span)
+		got, want := TwoPhaseScratch(&s, ivs, jobs), TwoPhase(ivs)
+		if got.Total != want.Total || !slices.Equal(got.Selected, want.Selected) {
+			t.Fatalf("trial %d: after a panicked call selected %+v (total %v), want %+v (total %v)",
+				trial, got.Selected, got.Total, want.Selected, want.Total)
+		}
 	}
 }

@@ -25,7 +25,7 @@ type Scratch struct {
 	jobLog   [][]jobEntry
 	jobTotal []float64
 	usedJob  []bool
-	touched  []int32 // jobs written this call, for O(touched) reset
+	touched  []int32 // jobs the last call wrote, for O(touched) reset
 }
 
 type jobEntry struct {
@@ -86,6 +86,7 @@ func TwoPhase(intervals []Interval) Result {
 // order is a total order (Hi, Lo, ID), so the sort produces one sequence
 // regardless of algorithm or scratch reuse.
 func TwoPhaseScratch(s *Scratch, intervals []Interval, numJobs int) Result {
+	s.undo()
 	items := s.items[:0]
 	for _, iv := range intervals {
 		if iv.Profit > 0 && iv.Hi > iv.Lo {
@@ -116,14 +117,12 @@ func TwoPhaseScratch(s *Scratch, intervals []Interval, numJobs int) Result {
 	s.his = his
 	rank := func(x int) int { return sort.SearchInts(his, x) }
 
-	// The tree is all zero between calls (cleared below), and so is any
-	// room Grow adds.
+	// undo left the tree all zero, and any room Grow adds is zero too.
 	s.fen = slices.Grow(s.fen[:0], len(his)+1)[:len(his)+1]
 	overlapByHi := fenwick.Wrap(s.fen)
 	s.grow(numJobs)
 
 	stack := s.stack[:0]
-	touched := s.touched[:0]
 	for _, iv := range items {
 		// Σ v(J) over stack intervals overlapping iv in time: pushed J have
 		// J.Hi ≤ iv.Hi; overlap ⇔ J.Hi > iv.Lo.
@@ -152,7 +151,7 @@ func TwoPhaseScratch(s *Scratch, intervals []Interval, numJobs int) Result {
 		stack = append(stack, stackedIv{iv, v})
 		overlapByHi.Add(rank(iv.Hi), v)
 		if len(log) == 0 && s.jobTotal[iv.Job] == 0 {
-			touched = append(touched, int32(iv.Job))
+			s.touched = append(s.touched, int32(iv.Job))
 		}
 		s.jobTotal[iv.Job] += v
 		s.jobLog[iv.Job] = append(log, jobEntry{hi: iv.Hi, sum: s.jobTotal[iv.Job]})
@@ -177,15 +176,21 @@ func TwoPhaseScratch(s *Scratch, intervals []Interval, numJobs int) Result {
 		}
 	}
 	s.sel = res.Selected
-	// O(touched) reset of the dense per-job tables for the next call.
-	for _, j := range touched {
+	return res
+}
+
+// undo zeroes what the last call wrote: the per-job tables of the jobs it
+// touched and its span of the Fenwick array. Running it on entry rather
+// than on return keeps a Scratch usable after a call that panicked
+// midway, since touched and fen record every write as it happens.
+func (s *Scratch) undo() {
+	for _, j := range s.touched {
 		s.jobLog[j] = s.jobLog[j][:0]
 		s.jobTotal[j] = 0
 		s.usedJob[j] = false
 	}
-	s.touched = touched[:0]
+	s.touched = s.touched[:0]
 	clear(s.fen)
-	return res
 }
 
 func dedupInts(xs []int) []int {

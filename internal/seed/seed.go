@@ -259,7 +259,7 @@ func (r *Result) PairList() [][2]int32 {
 // every pair any improvement attempt or TPA placement can extract a
 // positive alignment from, which is what makes a search under it
 // bit-identical to all-pairs enumeration. Each pair appears once, grouped
-// by M fragment in no particular H order (enum.NewPairSet sorts them). σ
+// by M fragment in no particular H order (PairSet.Reset sorts them). σ
 // is prepared (compiled) if the instance has not already done so.
 func Mask(in *core.Instance) [][2]int32 {
 	sx := pooledSigmaIndex(score.Prepare(in.Sigma, in.MaxSymbolID()))

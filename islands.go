@@ -54,6 +54,13 @@ func IslandsReport(in *Instance, sol *Solution) ([]Island, error) {
 	if sol == nil {
 		return nil, fmt.Errorf("fragalign: nil solution")
 	}
+	// Islands indexes fragments by every match's sites, so an invalid
+	// match is reported here rather than reached there. Every check
+	// Validate makes is per fragment, so it fails exactly when some
+	// island's BuildConjecture would.
+	if err := sol.Validate(in); err != nil {
+		return nil, fmt.Errorf("fragalign: island inconsistent: %w", err)
+	}
 	var out []Island
 	for _, matchIdxs := range sol.Islands(in) {
 		sub := &core.Solution{}

@@ -1,6 +1,7 @@
 package fragalign
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -93,5 +94,31 @@ func TestIslandsReportGenerated(t *testing.T) {
 func TestIslandsReportNil(t *testing.T) {
 	if _, err := IslandsReport(PaperExample(), nil); err == nil {
 		t.Fatal("nil solution accepted")
+	}
+}
+
+// TestIslandsReportRejectsInvalidSites holds IslandsReport to an error, not
+// a panic, on a match whose site lies off the instance's fragments.
+func TestIslandsReportRejectsInvalidSites(t *testing.T) {
+	in := PaperExample()
+	res, err := Solve(in, CSRImprove)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		edit func(*Match)
+		want string
+	}{
+		{"M fragment past the end", func(mt *Match) { mt.MSite.Frag = in.NumFrags(SpeciesM) + 5 }, "fragment out of range"},
+		{"negative H fragment", func(mt *Match) { mt.HSite.Frag = -1 }, "fragment out of range"},
+		{"swapped species", func(mt *Match) { mt.HSite, mt.MSite = mt.MSite, mt.HSite }, "sites on wrong species"},
+	} {
+		bad := &Solution{Matches: slices.Clone(res.Solution.Matches)}
+		c.edit(&bad.Matches[0])
+		_, err := IslandsReport(in, bad)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one containing %q", c.name, err, c.want)
+		}
 	}
 }
